@@ -6,6 +6,7 @@ one phenomenon unavoidable. Run: python3 demos/constructions_and_formats.py
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -101,6 +102,7 @@ def main():
     print("$ %s" % " ".join(cmd[2:]))
     print("  exit %d, %d/%d self-checks ok"
           % (out.returncode, sum(c["ok"] for c in items), len(items)))
+    shutil.rmtree(tmp)
 
 
 if __name__ == "__main__":

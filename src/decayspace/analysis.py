@@ -47,7 +47,6 @@ def packing_number(space, body, t, exact_limit=24):
         raise ValueError("scale must be positive")
     sub = space.f[np.ix_(body, body)]
     close = np.minimum(sub, sub.T) <= 2.0 * t
-    np.fill_diagonal(close, False)
     members, exact = max_independent_set(close, exact_limit)
     chosen = tuple(body[i] for i in members)
     return len(chosen), exact, chosen
@@ -176,7 +175,6 @@ def fading_parameter(space, r, exact_limit=24, quasi=None):
             continue
         weights = 1.0 / f[cand, z]
         clash = sep[np.ix_(cand, cand)] < r
-        np.fill_diagonal(clash, False)
         members, value, exact = max_weight_independent_set(weights, clash, exact_limit)
         all_exact = all_exact and exact
         per_node[z] = float(r * value)
@@ -246,7 +244,6 @@ def independence_at(space, quasi, x, exact_limit=24):
     to_center = d[cand, x]
     pairmax = np.maximum.outer(to_center, to_center)
     clash = mutual[np.ix_(cand, cand)] <= pairmax
-    np.fill_diagonal(clash, False)
     members, exact = max_independent_set(clash, exact_limit)
     chosen = tuple(cand[i] for i in members)
     return len(chosen), chosen, exact

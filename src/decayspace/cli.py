@@ -175,7 +175,7 @@ def _cmd_capacity(args):
         "ratio": None,
     }
     if want_oracle:
-        opt, opt_set = capacity_oracle(sys_, max_n=max(sys_.n_links, 1))
+        opt, opt_set = capacity_oracle(sys_)
         result["opt"] = opt
         result["opt_set"] = opt_set
         result["ratio"] = opt / max(1, len(greedy.selected))

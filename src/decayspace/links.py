@@ -349,26 +349,31 @@ def link_distance(sys, quasi, v, w):
     return float(min(d[sv, rw], d[sw, rv], d[sv, sw], d[rv, rw]))
 
 
+def _link_distance_block(sys, quasi, rows, cols):
+    # link distances between the links in rows and those in cols
+    d = quasi.d
+    if sys.space.mode == LINK_GAIN:
+        out = np.minimum(d[np.ix_(rows, cols)], d[np.ix_(cols, rows)].T)
+    else:
+        s = np.array([l[0] for l in sys.links], dtype=int)
+        r = np.array([l[1] for l in sys.links], dtype=int)
+        sr, rr, sc, rc = s[rows], r[rows], s[cols], r[cols]
+        out = np.minimum.reduce([
+            d[np.ix_(sr, rc)],
+            d[np.ix_(sc, rr)].T,
+            d[np.ix_(sr, sc)],
+            d[np.ix_(rr, rc)],
+        ])
+    out[np.equal.outer(rows, cols)] = 0.0
+    return out
+
+
 def link_distance_matrix(sys, quasi):
     """All pairwise link distances at once, zero diagonal."""
     n = sys.n_links
     if n == 0:
         return np.empty((0, 0))
-    d = quasi.d
-    if sys.space.mode == LINK_GAIN:
-        out = np.minimum(d, d.T).copy()
-    else:
-        s = [l[0] for l in sys.links]
-        r = [l[1] for l in sys.links]
-        sr = d[np.ix_(s, r)]
-        out = np.minimum.reduce([
-            sr,
-            sr.T,
-            d[np.ix_(s, s)],
-            d[np.ix_(r, r)],
-        ])
-    np.fill_diagonal(out, 0.0)
-    return out
+    return _link_distance_block(sys, quasi, np.arange(n), np.arange(n))
 
 
 def check_separation(sys, quasi, v, L, eta):
@@ -381,24 +386,25 @@ def check_separation(sys, quasi, v, L, eta):
     L = _index_list(L)
     if not L:
         return True
-    own = sys.link_length(quasi, v)
-    for w in L:
-        if link_distance(sys, quasi, v, w) < eta * own:
-            return False
-    return True
+    for w in [v] + L:
+        _check_index(sys, w)
+    row = _link_distance_block(sys, quasi, [v], L)[0]
+    return not np.any(row < eta * sys.link_length(quasi, v))
 
 
 def _separation_violation(sys, quasi, L, eta):
     # first (lexicographic) ordered pair violating mutual separation
     L = _index_list(L)
-    lengths = {v: sys.link_length(quasi, v) for v in L}
     for v in L:
-        for w in L:
-            if w == v:
-                continue
-            if link_distance(sys, quasi, v, w) < eta * lengths[v]:
-                return (v, w)
-    return None
+        _check_index(sys, v)
+    if len(L) < 2:
+        return None
+    bad = _link_distance_block(sys, quasi, L, L) < eta * sys.link_lengths(quasi)[L][:, None]
+    np.fill_diagonal(bad, False)
+    hits = np.argwhere(bad)
+    if not len(hits):
+        return None
+    return (L[hits[0][0]], L[hits[0][1]])
 
 
 def check_separation_set(sys, quasi, L, eta):

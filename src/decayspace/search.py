@@ -1,47 +1,91 @@
-"""Small exact combinatorial searches shared by the diagnostics.
+"""Exact independent-set search shared by the diagnostics.
 
-Branch-and-bound maximum independent set over bitmask adjacency, a
-weighted variant, and greedy fallbacks past the exact size cutoff.
-Witnesses are deterministic: the search branches include-first on the
-lowest available vertex and only replaces the incumbent on a strict
-improvement, so the reported optimum is the lexicographically least
-one. Greedy results are lower bounds and are flagged as inexact by
-the callers.
+One weighted branch-and-bound serves both public searches; the
+unweighted search is its unit-weight case. Conflicts are bitmasks
+built with np.packbits (an entry in either direction of the matrix is
+a conflict, the diagonal is ignored), and the search runs on an
+explicit stack, so exact_limit is not bounded by Python's recursion
+limit.
+
+Pruning bound: cover the available vertices greedily with cliques,
+each grown from the lowest uncovered vertex through its lowest
+uncovered common neighbours. A clique holds at most one vertex of an
+independent set, so the sum of the heaviest weight in each clique
+bounds what a branch can still add. This is the colouring bound of
+Tomita-Seki MCQ (2003) and San Segundo's bitset BBMC (2011).
+
+Witness contract: the search branches include-first on the lowest
+available vertex and replaces the incumbent only on a strict
+improvement. A valid bound prunes only branches that cannot improve
+strictly, so the reported optimum is the lexicographically least one.
+Past exact_limit vertices a greedy pass in decreasing weight order
+(ties by index) gives a lower bound, which the callers flag as
+inexact.
 """
 
 import numpy as np
 
 
 def _neighbor_masks(conflict):
+    adj = conflict | conflict.T
+    np.fill_diagonal(adj, False)
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _members(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _can_improve(avail, masks, w, val, best):
+    # greedy clique cover of avail; stops as soon as the bound clears best
+    total = 0.0
+    while avail:
+        low = avail & -avail
+        avail ^= low
+        v = low.bit_length() - 1
+        heaviest = w[v]
+        cand = avail & masks[v]
+        while cand:
+            low = cand & -cand
+            avail ^= low
+            u = low.bit_length() - 1
+            if w[u] > heaviest:
+                heaviest = w[u]
+            cand &= masks[u]
+        total += heaviest
+        if val + total > best:
+            return True
+    return False
+
+
+def _search(weights, conflict, exact_limit):
+    conflict = np.asarray(conflict, dtype=bool)
     n = conflict.shape[0]
-    masks = []
-    for i in range(n):
-        m = 0
-        for j in np.nonzero(conflict[i])[0]:
-            if j != i:
-                m |= 1 << int(j)
-        masks.append(m)
-    return masks
-
-
-def _mask_members(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def _greedy_independent(conflict):
-    n = conflict.shape[0]
-    chosen = []
-    for v in range(n):
-        if not any(conflict[v, u] for u in chosen):
-            chosen.append(v)
-    return tuple(chosen)
+    if n == 0:
+        return (), 0.0, True
+    masks = _neighbor_masks(conflict)
+    w = weights.tolist()
+    if n > exact_limit:
+        chosen = 0
+        for v in sorted(range(n), key=lambda v: (-w[v], v)):
+            if not masks[v] & chosen:
+                chosen |= 1 << v
+        members = _members(chosen)
+        return members, float(weights[list(members)].sum()), False
+    best_val, best_mask = 0.0, 0
+    stack = [((1 << n) - 1, 0, 0.0)]
+    while stack:
+        avail, chosen, val = stack.pop()
+        if not avail:
+            if val > best_val:
+                best_val, best_mask = val, chosen
+        elif _can_improve(avail, masks, w, val, best_val):
+            bit = avail & -avail
+            v = bit.bit_length() - 1
+            stack.append((avail ^ bit, chosen, val))
+            stack.append((avail & ~(bit | masks[v]), chosen | bit, val + w[v]))
+    return _members(best_mask), float(best_val), True
 
 
 def max_independent_set(conflict, exact_limit=24):
@@ -51,82 +95,18 @@ def max_independent_set(conflict, exact_limit=24):
     branch and bound up to exact_limit vertices, greedy first-fit by
     index beyond that. Returns (members, exact).
     """
-    conflict = np.asarray(conflict, dtype=bool)
-    n = conflict.shape[0]
-    if n == 0:
-        return (), True
-    if n > exact_limit:
-        return _greedy_independent(conflict), False
-    masks = _neighbor_masks(conflict)
-    best_size = 0
-    best_mask = 0
-
-    def dfs(avail, cur_mask, cur_size):
-        nonlocal best_size, best_mask
-        if avail == 0:
-            if cur_size > best_size:
-                best_size = cur_size
-                best_mask = cur_mask
-            return
-        if cur_size + avail.bit_count() <= best_size:
-            return
-        v = (avail & -avail).bit_length() - 1
-        bit = 1 << v
-        dfs(avail & ~(bit | masks[v]), cur_mask | bit, cur_size + 1)
-        dfs(avail & ~bit, cur_mask, cur_size)
-
-    dfs((1 << n) - 1, 0, 0)
-    return _mask_members(best_mask), True
+    members, _, exact = _search(np.ones(len(conflict)), conflict, exact_limit)
+    return members, exact
 
 
 def max_weight_independent_set(weights, conflict, exact_limit=24):
-    """Heaviest conflict-free vertex set under positive weights.
+    """Heaviest conflict-free vertex set under non-negative weights.
 
     Returns (members, total_weight, exact). Exact branch and bound up
     to exact_limit vertices; beyond that a greedy pass in decreasing
     weight order (ties by index), which is a lower bound.
     """
     weights = np.asarray(weights, dtype=float)
-    conflict = np.asarray(conflict, dtype=bool)
-    n = conflict.shape[0]
-    if n == 0:
-        return (), 0.0, True
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    if n > exact_limit:
-        order = sorted(range(n), key=lambda v: (-weights[v], v))
-        chosen = []
-        for v in order:
-            if not any(conflict[v, u] for u in chosen):
-                chosen.append(v)
-        chosen = tuple(sorted(chosen))
-        return chosen, float(weights[list(chosen)].sum()), False
-    masks = _neighbor_masks(conflict)
-    best_val = 0.0
-    best_mask = 0
-
-    def remaining_weight(avail):
-        total = 0.0
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            total += weights[v]
-            avail &= avail - 1
-        return total
-
-    def dfs(avail, cur_mask, cur_val):
-        nonlocal best_val, best_mask
-        if avail == 0:
-            if cur_val > best_val:
-                best_val = cur_val
-                best_mask = cur_mask
-            return
-        if cur_val + remaining_weight(avail) <= best_val:
-            return
-        v = (avail & -avail).bit_length() - 1
-        bit = 1 << v
-        dfs(avail & ~(bit | masks[v]), cur_mask | bit, cur_val + weights[v])
-        dfs(avail & ~bit, cur_mask, cur_val)
-
-    dfs((1 << n) - 1, 0, 0.0)
-    members = _mask_members(best_mask)
-    return members, float(best_val), True
+    return _search(weights, conflict, exact_limit)

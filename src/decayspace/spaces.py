@@ -79,14 +79,17 @@ class ValidationResult:
 def validate_space(space):
     """Check the decay axioms, collecting every violation.
 
-    Violations are (code, i, j) tuples. Codes: "non-negativity" for a
-    negative entry, "indiscernibles" for a zero off-diagonal entry in
-    node-space mode, "diagonal" for a nonzero diagonal entry in
-    node-space mode or a non-positive one in link-gain mode.
+    Violations are (code, i, j) tuples. Codes: "non-finite" for a NaN
+    or infinite entry, "non-negativity" for a negative entry,
+    "indiscernibles" for a zero off-diagonal entry in node-space mode,
+    "diagonal" for a nonzero diagonal entry in node-space mode or a
+    non-positive one in link-gain mode.
     """
     f = space.f
     n = space.n
     violations = []
+    for i, j in np.argwhere(~np.isfinite(f)):
+        violations.append(("non-finite", int(i), int(j)))
     for i, j in np.argwhere(f < 0):
         violations.append(("non-negativity", int(i), int(j)))
     off = ~np.eye(n, dtype=bool)

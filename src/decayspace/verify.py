@@ -30,7 +30,6 @@ from .links import (
     interference_at,
     is_feasible,
     is_monotone_power,
-    link_distance,
     pairwise_power_infeasible,
     sinr_values,
 )

@@ -1,6 +1,10 @@
 """End-to-end command line runs, in process via main()."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from decayspace import (
     save_system,
 )
 from decayspace.cli import main
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -90,6 +96,36 @@ def test_csv_space_accepted(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "--space", path)
     assert code == 0
     assert report(out)["results"]["mode"] == "node-space"
+
+
+
+NON_FINITE = {
+    "nan.json": '{"mode": "node-space", "n": 3, "f": [[0, 1, 2], [1, 0, NaN], [2, 1, 0]]}',
+    "inf.json": '{"mode": "link-gain", "n": 3, "f": [[1, 2, 2], [2, 1, Infinity], [2, 2, 1]]}',
+    "inf.csv": "0,1,2\n1,0,inf\n2,1,0\n",
+    "nan.csv": "0,1,2\n1,0,nan\n2,1,0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_analyze_rejects_non_finite_decays(tmp_path, name):
+    # a subprocess, so that a hang fails the test instead of stalling the suite
+    path = tmp_path / name
+    path.write_text(NON_FINITE[name])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "decayspace", "analyze", "--space", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "non-finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_capacity_oracle_keeps_its_size_cap(tmp_path, capsys):
+    path = str(tmp_path / "big.json")
+    save_system(random_link_system(25, 1), path)
+    code, out, err = run(capsys, "capacity", "--system", path,
+                         "--zeta", "2.5", "--oracle", "on")
+    assert code == 2 and out == ""
+    assert "exceed max_n" in err
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

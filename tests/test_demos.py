@@ -1,0 +1,20 @@
+"""Every narrated demo runs to completion without a traceback."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

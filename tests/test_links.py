@@ -11,6 +11,8 @@ from decayspace import (
     affectance,
     affectance_matrix,
     aggregate_affectance,
+    check_separation,
+    check_separation_set,
     drowned_links,
     gen_equidecay_graph,
     gen_euclidean,
@@ -25,6 +27,7 @@ from decayspace import (
     random_link_system,
     sinr_values,
 )
+from decayspace.links import _separation_violation
 
 
 def pair_system(f01=4.0, f10=2.0, beta=1.0, noise=0.0, power=None):
@@ -137,6 +140,43 @@ def test_link_distance_link_gain_mode():
     assert link_distance(sys_, quasi, 0, 1) == 2.0  # min of the two cross decays
     M = link_distance_matrix(sys_, quasi)
     assert M[0, 1] == M[1, 0] == 2.0 and M[0, 0] == 0.0
+
+
+def _scalar_violation(sys_, quasi, L, eta):
+    # reference: the first row-major pair, one scalar distance at a time
+    for v in sorted(L):
+        for w in sorted(L):
+            if w != v and link_distance(sys_, quasi, v, w) < eta * sys_.link_length(quasi, v):
+                return (v, w)
+    return None
+
+
+def test_separation_checks_match_scalar_reference():
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for trial in range(40):
+        m = int(rng.integers(2, 9))
+        if trial % 2:
+            f = rng.uniform(0.5, 10.0, size=(m, m))
+            sys_ = LinkSystem(DecaySpace(f, mode="link-gain"))
+        else:
+            sys_ = random_link_system(m, trial, alpha=2.0)
+        quasi = quasi_distances(sys_.space, 2.0, check=False)
+        # levels at an exact distance/length ratio put pairs on the boundary
+        ratios = [link_distance(sys_, quasi, v, w) / sys_.link_length(quasi, v)
+                  for v in range(m) for w in range(m) if w != v]
+        for k in range(6):
+            L = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
+            eta = float(rng.choice(ratios) if k % 2 else np.exp(rng.uniform(-2.0, 2.0)))
+            want = _scalar_violation(sys_, quasi, L, eta)
+            assert _separation_violation(sys_, quasi, L, eta) == want
+            assert check_separation_set(sys_, quasi, L, eta) == (want is None)
+            v = int(rng.integers(m))
+            ref = all(link_distance(sys_, quasi, v, w) >= eta * sys_.link_length(quasi, v)
+                      for w in L)
+            assert check_separation(sys_, quasi, v, L, eta) == ref
+            outcomes.add((sys_.space.mode, want is None, ref))
+    assert len(outcomes) == 8  # both modes, both verdicts of both checks
 
 
 def test_aggregate_affectance_directions():

@@ -136,6 +136,12 @@ def test_validate_collects_every_code():
     lg = DecaySpace(np.array([[0.0, 1.0], [1.0, 1.0]]), mode="link-gain")
     assert ("diagonal", 0, 0) in validate_space(lg).violations
 
+    for bad in (np.nan, np.inf, -np.inf):
+        node = DecaySpace(np.array([[0.0, bad], [1.0, 0.0]]))
+        link = DecaySpace(np.array([[1.0, bad], [1.0, 1.0]]), mode="link-gain")
+        for space in (node, link):
+            assert ("non-finite", 0, 1) in validate_space(space).violations
+
     clean = validate_space(sym3(1.0, 1.0, 1.0))
     assert clean.ok and clean.violations == []
 
