@@ -93,18 +93,36 @@ def _emit(command, config, results, t0, out=None):
         sys.stdout.write(text)
 
 
-def _load_space(path):
+def _read_space(path):
     try:
         return load_space(path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError("cannot read space %s: %s" % (path, exc))
 
 
+def _check_axioms(space, path):
+    # a numeric --zeta, the signal partition and fading never reach a
+    # kernel that checks the axioms, so every loaded input is checked here
+    violations = validate_space(space).violations
+    if violations:
+        shown = ", ".join("%s at (%d, %d)" % v for v in violations[:10])
+        more = " and %d more" % (len(violations) - 10) if len(violations) > 10 else ""
+        raise UsageError("%s violates the decay axioms: %s%s" % (path, shown, more))
+
+
+def _load_space(path):
+    space = _read_space(path)
+    _check_axioms(space, path)
+    return space
+
+
 def _load_system(path):
     try:
-        return load_system(path)
+        sys_ = load_system(path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError("cannot read system %s: %s" % (path, exc))
+    _check_axioms(sys_.space, path)
+    return sys_
 
 
 def _resolve_zeta(flag, space, tol):
@@ -121,7 +139,7 @@ def _resolve_zeta(flag, space, tol):
 
 def _cmd_validate(args):
     t0 = time.perf_counter()
-    space = _load_space(args.space)
+    space = _read_space(args.space)
     res = validate_space(space)
     results = {
         "ok": res.ok,

@@ -19,6 +19,15 @@ The rescaled matrix d = f**(1/zeta) is a quasi-metric, so geometric
 packing and separation arguments transfer to arbitrary decay matrices
 at a zeta-dependent cost. quasi_distances builds it and checks the
 triangle inequality exhaustively.
+
+Both parameters range over all n**3 ordered triples, but their kernels
+never hold more than O(n**2) memory: they pass over blocks of x-rows,
+each a broadcast (B, n, n) slice of f or log f with B * n * n about
+2**18 entries. compute_phi keeps a running maximum over the blocks.
+compute_zeta makes one pass that bounds the least critical exponent
+and collects the few candidate triples that can bind near it, then
+bisects on those alone; every other triple provably passes at every
+exponent the bisection probes.
 """
 
 import numpy as np
@@ -110,21 +119,82 @@ def _require_valid(space):
         raise ValueError("invalid decay space, first violations: %s" % (res.violations[:3],))
 
 
-def _triple_arrays(n):
-    # ordered triples (x, z, y) of pairwise distinct indices; z plays
-    # the middle role in both parameter definitions
-    idx = np.arange(n)
-    X, Z, Y = np.meshgrid(idx, idx, idx, indexing="ij")
-    keep = (X != Y) & (X != Z) & (Z != Y)
-    return X[keep], Z[keep], Y[keep]
+# triple entries per (B, n, n) block of x-rows: a few MB per array
+_BLOCK = 1 << 18
+# relative slack between the least critical exponent and the candidate cut
+_MARGIN = 1e-6
+_EPS = float(np.finfo(float).eps)
+_LN2 = float(np.log(2.0))
 
 
-def _least_triple(xs, zs, ys, n):
-    key = (xs.astype(np.int64) * n + zs) * n + ys
-    i = int(np.argmin(key))
-    return (int(xs[i]), int(zs[i]), int(ys[i]))
+def _row_blocks(n):
+    """Ranges of x-rows whose (B, n, n) triple slices hold about _BLOCK entries."""
+    step = max(1, _BLOCK // (n * n))
+    return [(x0, min(n, x0 + step)) for x0 in range(0, n, step)]
 
 
+def _distinct(off, x0, x1):
+    """(B, n, n) mask of the triples with x in x0:x1 whose three indices differ."""
+    return off[x0:x1, :, None] & off[None] & off[x0:x1, None, :]
+
+
+def _triple(key, n):
+    """Triple at C-order flat index key of the (n, n, n) triple cube."""
+    x, rest = divmod(int(key), n * n)
+    return (x, rest // n, rest % n)
+
+
+def _gap(la, lb, lc, t):
+    # the triangle test at exponent t, as a margin: >= 0 when it holds
+    return np.logaddexp(t * la, t * lb) - t * lc
+
+
+def _cuts(T, tol, scale):
+    """Exponents tk > tf just above the bound T, and the test's rounding error up to tk."""
+    tk = (T + 2 * tol) * (1 + 2 * _MARGIN)
+    return tk, (T + tol) * (1 + _MARGIN), 8 * _EPS * (tk * scale + 1)
+
+
+def _near(part, tk, err):
+    """The triples of part that fail, or come within err of failing, the test at tk.
+
+    exp(t (la - lc)) + exp(t (lb - lc)) is (f(x,z)**t + f(z,y)**t) / f(x,y)**t,
+    a cheap closed form of the test whose own rounding error is far below err.
+    """
+    la, lb, lc, _ = part
+    keep = np.exp(tk * (la - lc)) + np.exp(tk * (lb - lc)) < 1 + 8 * err
+    return [v[keep] for v in part]
+
+
+def _least_critical(la, lb, lc, T, tol):
+    """Lower the bound T towards the least critical exponent of these triples.
+
+    One bisection on the least root, over the triples that fail the
+    triangle test at T; a failing midpoint drops every triple that
+    passes there. Returns T, or a failing point within tol of the
+    least root.
+    """
+    fail = _gap(la, lb, lc, T) < 0
+    if not fail.any():
+        return T
+    la, lb, lc = la[fail], lb[fail], lc[fail]
+    a = float((2 * _LN2 / (2 * lc - la - lb)).min())
+    while T - a > tol:
+        mid = 0.5 * (a + T)
+        if not a < mid < T:
+            break
+        fail = _gap(la, lb, lc, mid) < 0
+        if fail.any():
+            T = mid
+            la, lb, lc = la[fail], lb[fail], lc[fail]
+        else:
+            a = mid
+    return T
+
+
+# log 0 = -inf on a zero diagonal; the nan it makes in block
+# arithmetic lies outside every triple mask
+@np.errstate(divide="ignore", invalid="ignore")
 def compute_zeta(space, tol=1e-9):
     """Smallest exponent zeta making f**(1/zeta) triangle-consistent.
 
@@ -135,14 +205,29 @@ def compute_zeta(space, tol=1e-9):
     three nodes, or where no triple has f(x,y) exceeding both legs,
     are unconstrained and report zeta_raw = 1 with witness None.
 
-    Only triples with f(x,y) > max of the legs constrain the exponent,
-    and each such constraint holds exactly on a half-line of zetas, so
-    zeta_raw is the largest per-triple critical value. The search
-    bisects on t = 1/zeta to absolute tolerance tol and returns the
-    feasible endpoint, so the triangle check on the resulting
-    quasi-distances passes. The error on zeta itself is about
-    zeta**2 * tol. A constrained triple with a zero leg can never be
-    satisfied; the result is then inf with that triple as witness.
+    Only triples with log f(x,y) above the log of both legs constrain
+    the exponent (a tie in log space holds at every t), and each such
+    constraint holds exactly on a half-line of zetas, so zeta_raw is
+    the largest per-triple critical value. The search bisects on
+    t = 1/zeta to absolute tolerance tol and returns the feasible
+    endpoint, so the triangle check on the resulting quasi-distances
+    passes. The error on zeta itself is about zeta**2 * tol. A
+    constrained triple with a zero leg can never be satisfied; the
+    result is then inf with that triple as witness.
+
+    The triples are visited in blocks of x-rows, as broadcast (B, n, n)
+    slices of log f, so memory stays O(n**2). With u and v the log
+    gaps of f(x,y) over its legs, a triple turns tight where
+    exp(-t u) + exp(-t v) = 1, never below ln2 / mean(u, v). One pass
+    keeps a running bound T on the least critical exponent, looking
+    only at the triples whose bound beats T, and collects the candidate
+    set K of the triples that fail, or come within rounding error of
+    failing, the triangle test just above T. The test is monotone in
+    t, so every other triple passes at every exponent the bisection
+    probes, and the bisection runs on K alone. When K would exceed
+    n**2 entries, or rounding error at these exponents is too large to
+    tell K from the rest, the bisection tests every triple block by
+    block instead. Both give the same probes, result and witness.
     """
     _require_valid(space)
     if tol <= 0:
@@ -151,25 +236,85 @@ def compute_zeta(space, tol=1e-9):
         raise ValueError("need at least 2 nodes")
     if space.n < 3:
         return 1.0, 1.0, None
-    f = space.f
-    xs, zs, ys = _triple_arrays(space.n)
-    c = f[xs, ys]
-    a = f[xs, zs]
-    b = f[zs, ys]
-    constrained = c > np.maximum(a, b)
-    if not constrained.any():
+    f, n = space.f, space.n
+    blocks = _row_blocks(n)
+    off = ~np.eye(n, dtype=bool)
+    if not f[off].all():
+        for x0, x1 in blocks:
+            a, b, c = f[x0:x1, :, None], f[None], f[x0:x1, None, :]
+            hopeless = (c > np.maximum(a, b)) & (np.minimum(a, b) == 0) & _distinct(off, x0, x1)
+            if hopeless.any():
+                w = _triple(x0 * n * n + int(np.argmax(hopeless)), n)
+                return float("inf"), float("inf"), w
+    logf = np.log(f)
+    flat = logf.ravel()
+    scale = float(np.abs(logf[np.isfinite(logf)]).max())
+
+    def constrained(x0, x1, t):
+        # [la, lb, lc, key] of the constrained triples with x in x0:x1
+        # whose bound ln2 / mean(u, v) lies below t; key is the C-order
+        # index in the triple cube. With z = x or z = y a leg equals
+        # f(x,y), so only x != y needs a mask.
+        la, lb, lc = logf[x0:x1, :, None], logf[None], logf[x0:x1, None, :]
+        keys = np.flatnonzero((2 * lc - la - lb > 2 * _LN2 / t) & off[x0:x1, None, :])
+        keys += x0 * n * n
+        xz, y = np.divmod(keys, n)
+        z = xz % n
+        la, lb, lc = flat[xz], flat[z * n + y], flat[xz - z + y]
+        keep = (lc > la) & (lc > lb)
+        return [la[keep], lb[keep], lc[keep], keys[keep]]
+
+    T, store, size = np.inf, [], 0
+    for x0, x1 in blocks:
+        tk, _, err = _cuts(T, tol, scale)
+        part = constrained(x0, x1, tk * (1 + _MARGIN))
+        if not len(part[3]):
+            continue
+        if T == np.inf:
+            # the least upper end ln2 / min(u, v) of a root bracket
+            la, lb, lc, _ = part
+            T = _LN2 / float((lc - np.maximum(la, lb)).max())
+            tk, _, err = _cuts(T, tol, scale)
+        part = _near(part, tk, err)
+        T = _least_critical(*part[:3], T, tol)
+        if store is not None:
+            store.append(part)
+            size += len(part[3])
+            if size > n * n:
+                tk, _, err = _cuts(T, tol, scale)
+                store = [_near([np.concatenate(v) for v in zip(*store)], tk, err)]
+                size = len(store[0][3])
+                if size > n * n:
+                    store = None
+    if T == np.inf:
         return 1.0, 1.0, None
-    xs, zs, ys = xs[constrained], zs[constrained], ys[constrained]
-    a, b, c = a[constrained], b[constrained], c[constrained]
-    hopeless = np.minimum(a, b) == 0
-    if hopeless.any():
-        w = _least_triple(xs[hopeless], zs[hopeless], ys[hopeless], space.n)
-        return float("inf"), float("inf"), w
-    la, lb, lc = np.log(a), np.log(b), np.log(c)
+
+    # The test's rounding error at t <= tk is below err. A triple left
+    # out of K passes at tk by more than 2 * err, so at every smaller t;
+    # a triple of K failing at tf by more than 2 * err, with log gaps
+    # above the rounding scale, fails at every larger t. So every
+    # passing probe lies below tf, the final hi below tf + tol <= tk,
+    # and K decides every probe as the whole set would.
+    tk, tf, err = _cuts(T, tol, scale)
+    cache = None
+    if store is not None and err < 0.25 * _LN2 * _MARGIN:
+        la, lb, lc, keys = (np.concatenate(v) for v in zip(*store))
+        keep = _gap(la, lb, lc, tk) < 3 * err
+        la, lb, lc, keys = la[keep], lb[keep], lc[keep], keys[keep]
+        robust = (_gap(la, lb, lc, tf) < -2 * err) & (
+            lc - np.maximum(la, lb) > 16 * _EPS * scale)
+        if robust.any():
+            cache = (la, lb, lc, keys)
+
+    def triples():
+        if cache is not None:
+            return [cache]
+        return (constrained(x0, x1, np.inf) for x0, x1 in blocks)
 
     def satisfied(t):
         # logaddexp keeps the test overflow-safe for extreme exponents
-        return bool(np.all(np.logaddexp(t * la, t * lb) >= t * lc))
+        return all(bool(np.all(np.logaddexp(t * la, t * lb) >= t * lc))
+                   for la, lb, lc, _ in triples())
 
     lo = 1.0
     while not satisfied(lo):
@@ -180,12 +325,17 @@ def compute_zeta(space, tol=1e-9):
         hi *= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats
         if satisfied(mid):
             lo = mid
         else:
             hi = mid
-    failing = np.logaddexp(hi * la, hi * lb) < hi * lc
-    witness = _least_triple(xs[failing], zs[failing], ys[failing], space.n)
+    for la, lb, lc, keys in triples():
+        failing = np.logaddexp(hi * la, hi * lb) < hi * lc
+        if failing.any():
+            witness = _triple(keys[failing][0], n)
+            break
     zeta_raw = 1.0 / lo
     return float(zeta_raw), float(max(1.0, zeta_raw)), witness
 
@@ -199,21 +349,29 @@ def compute_phi(space):
     maximizing triple written (x, y, z) with y in the middle. Spaces
     with fewer than three nodes have no triples and report
     phi_mult = 0, phi = -inf, witness None.
+
+    The ratios are taken block by block over x-rows, as broadcast
+    (B, n, n) slices of f, so memory stays O(n**2). The running best
+    moves only on a strict improvement, and within a block argmax
+    returns the first maximum in (x, y, z) order, so the witness is the
+    first maximizing triple.
     """
     _require_valid(space)
     if space.n < 3:
         return 0.0, float("-inf"), None
-    f = space.f
-    xs, ms, zs = _triple_arrays(space.n)
-    num = f[xs, zs]
-    den = f[xs, ms] + f[ms, zs]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
-    # 0/0 only arises in link-gain mode; such a triple constrains nothing
-    ratio = np.where(np.isnan(ratio), 0.0, ratio)
-    best = float(ratio.max())
-    at = ratio == best
-    witness = _least_triple(xs[at], ms[at], zs[at], space.n)
+    f, n = space.f, space.n
+    off = ~np.eye(n, dtype=bool)
+    best, witness = -1.0, None
+    for x0, x1 in _row_blocks(n):
+        # a ratio beyond the float range is inf, and so the maximum
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = f[x0:x1, None, :] / (f[x0:x1, :, None] + f[None])
+        # 0/0 only arises in link-gain mode; such a triple constrains nothing
+        ratio[np.isnan(ratio)] = 0.0
+        ratio[~_distinct(off, x0, x1)] = -1.0
+        i = int(np.argmax(ratio))
+        if ratio.flat[i] > best:
+            best, witness = float(ratio.flat[i]), _triple(x0 * n * n + i, n)
     phi = float(np.log2(best)) if best > 0 else float("-inf")
     return best, phi, witness
 

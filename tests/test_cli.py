@@ -119,6 +119,31 @@ def test_analyze_rejects_non_finite_decays(tmp_path, name):
     assert "non-finite" in proc.stderr and "Traceback" not in proc.stderr
 
 
+NAN_SYSTEM = (
+    '{"beta": 1, "links": [[0, 2], [1, 3]], "noise": 0, '
+    '"power": {"kind": "uniform", "level": 1}, "space": {"mode": "node-space", "n": 4, '
+    '"f": [[0, 1, 4, 4], [1, 0, 4, 4], [4, NaN, 0, 1], [4, 4, 1, 0]]}}'
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--system", "{system}", "--zeta", "2", "--oracle", "on"],
+    ["partition", "--system", "{system}", "--kind", "signal"],
+    ["partition", "--system", "{system}", "--kind", "separation", "--zeta", "3"],
+    ["fading", "--space", "{space}", "--r", "1"],
+    ["fading", "--space", "{space}", "--r", "1", "--C", "fit"],
+], ids=["capacity", "partition-signal", "partition-separation", "fading", "fading-fit"])
+def test_commands_reject_invalid_inputs(tmp_path, capsys, argv):
+    system = tmp_path / "nan-system.json"
+    system.write_text(NAN_SYSTEM)
+    space = tmp_path / "nan.json"
+    space.write_text(NON_FINITE["nan.json"])
+    argv = [a.format(system=system, space=space) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "violates the decay axioms: non-finite at (" in err
+
+
 def test_capacity_oracle_keeps_its_size_cap(tmp_path, capsys):
     path = str(tmp_path / "big.json")
     save_system(random_link_system(25, 1), path)

@@ -1,6 +1,12 @@
 """Metricity parameters checked against closed forms and an
 independent root finder, plus the axioms and quasi-metric plumbing."""
 
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -64,6 +70,33 @@ def test_zeta_zero_leg_is_hopeless():
     zr, z, wit = compute_zeta(DecaySpace(f, mode="link-gain"))
     assert z == float("inf")
     assert wit == (0, 1, 2)
+
+
+NEAR_TIES = {
+    # log c == log a after rounding: a tie in log space holds at every t
+    "log-tie": (1e300, float(np.nextafter(1e300, np.inf))),
+    # log c exceeds log a by one ulp: the critical exponent is about 3e15,
+    # where adjacent floats lie further apart than tol
+    "one-ulp": (2.0, float(np.nextafter(2.0, np.inf))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_TIES))
+def test_zeta_terminates_on_near_ties(name):
+    # a subprocess, so that a hang fails the test instead of stalling the suite
+    a, c = NEAR_TIES[name]
+    code = ("import numpy as np; from decayspace import DecaySpace, compute_zeta; "
+            "f = np.full((3, 3), %r); np.fill_diagonal(f, 0.0); f[0][2] = %r; "
+            "print(compute_zeta(DecaySpace(f)))" % (a, c))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    zr, z, wit = ast.literal_eval(proc.stdout.strip())
+    if name == "log-tie":
+        assert (zr, z, wit) == (1.0, 1.0, None)
+    else:
+        assert 0.0 < zr < 1e-15 and z == 1.0 and wit == (0, 1, 2)
 
 
 def test_zeta_rejects_bad_inputs():
