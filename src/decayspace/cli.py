@@ -1,10 +1,12 @@
 """Command-line front end for decay-space analysis.
 
-Every command loads its inputs, dispatches to the library, and prints
-one canonical JSON report: {"command", "config", "version", "results",
-"timing"}. Reports are deterministic for a fixed config and seed once
-the timing block is dropped. Exit codes: 0 for a clean run, 1 when a
-checked property is violated, 2 for usage or input errors.
+Every command handler loads its inputs, calls the library and returns
+(config, results, exit code); main resolves the tolerance, times the
+handler and prints one canonical JSON report: {"command", "config",
+"version", "results", "timing"}. Reports are deterministic for a fixed
+config and seed once the timing block is dropped. Exit codes: 0 for a
+clean run, 1 when a checked property is violated, 2 for usage or input
+errors.
 
 The default tolerance for metricity searches can be set through the
 DECAYSPACE_TOL environment variable; flags override it.
@@ -77,22 +79,6 @@ def _plain(obj):
     return obj
 
 
-def _emit(command, config, results, t0, out=None):
-    report = {
-        "command": command,
-        "config": _plain(config),
-        "version": __version__,
-        "results": _plain(results),
-        "timing": {"seconds": time.perf_counter() - t0},
-    }
-    text = dumps_canonical(report) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _read_space(path):
     try:
         return load_space(path)
@@ -138,7 +124,6 @@ def _resolve_zeta(flag, space, tol):
 
 
 def _cmd_validate(args):
-    t0 = time.perf_counter()
     space = _read_space(args.space)
     res = validate_space(space)
     results = {
@@ -149,13 +134,11 @@ def _cmd_validate(args):
             {"code": code, "i": i, "j": j} for code, i, j in res.violations
         ],
     }
-    _emit("validate", {"space": args.space}, results, t0, args.out)
-    return 0 if res.ok else 1
+    return {"space": args.space}, results, 0 if res.ok else 1
 
 
 def _cmd_analyze(args):
-    t0 = time.perf_counter()
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = args.tol
     space = _load_space(args.space)
     rep = analyze_metricity(space, tol=tol)
     zeta = rep.zeta if args.zeta == "auto" else _resolve_zeta(args.zeta, space, tol)
@@ -171,15 +154,12 @@ def _cmd_analyze(args):
         "quasi": {"zeta": zeta, "consistent": quasi_ok, "witness": witness},
     }
     config = {"space": args.space, "tol": tol, "zeta": args.zeta}
-    _emit("analyze", config, results, t0, args.out)
-    return 0 if quasi_ok else 1
+    return config, results, 0 if quasi_ok else 1
 
 
 def _cmd_capacity(args):
-    t0 = time.perf_counter()
-    tol = args.tol if args.tol is not None else _default_tol()
     sys_ = _load_system(args.system)
-    zeta = _resolve_zeta(args.zeta, sys_.space, tol)
+    zeta = _resolve_zeta(args.zeta, sys_.space, args.tol)
     want_oracle = args.oracle == "on" or (
         args.oracle == "auto" and sys_.n_links <= ORACLE_AUTO_LIMIT
     )
@@ -203,13 +183,10 @@ def _cmd_capacity(args):
         ok = bool(is_feasible(sys_, list(chosen), 1.0)[0])
     result["selected_feasible"] = ok
     config = {"system": args.system, "zeta": args.zeta, "oracle": args.oracle}
-    _emit("capacity", config, result, t0, args.out)
-    return 0 if ok else 1
+    return config, result, 0 if ok else 1
 
 
 def _cmd_partition(args):
-    t0 = time.perf_counter()
-    tol = args.tol if args.tol is not None else _default_tol()
     sys_ = _load_system(args.system)
     S = list(range(sys_.n_links))
     if args.kind == "signal":
@@ -230,9 +207,8 @@ def _cmd_partition(args):
             "violating_classes": bad,
         }
         config = {"system": args.system, "kind": "signal", "p": args.p, "q": args.q}
-        _emit("partition", config, results, t0, args.out)
-        return 0 if not bad else 1
-    zeta = _resolve_zeta(args.zeta, sys_.space, tol)
+        return config, results, 0 if not bad else 1
+    zeta = _resolve_zeta(args.zeta, sys_.space, args.tol)
     quasi = quasi_distances(sys_.space, zeta, check=sys_.space.mode == NODE_SPACE)
     tau = args.tau if args.tau is not None else 1.0 / zeta
     eta = args.eta if args.eta is not None else zeta
@@ -254,19 +230,16 @@ def _cmd_partition(args):
         "tau": tau,
         "eta": eta,
     }
-    _emit("partition", config, results, t0, args.out)
-    return 0
+    return config, results, 0
 
 
 def _cmd_fading(args):
-    t0 = time.perf_counter()
-    tol = args.tol if args.tol is not None else _default_tol()
     space = _load_space(args.space)
     if not (args.r > 0):
         raise UsageError("--r must be positive")
     quasi = None
     if args.separation == "quasi":
-        zeta = float(compute_zeta(space, tol=tol)[1])
+        zeta = float(compute_zeta(space, tol=args.tol)[1])
         quasi = quasi_distances(space, zeta)
     rep = fading_parameter(space, args.r, exact_limit=args.exact_limit, quasi=quasi)
     results = {"fading": rep}
@@ -290,8 +263,7 @@ def _cmd_fading(args):
         "exact_limit": args.exact_limit,
         "separation": args.separation,
     }
-    _emit("fading", config, results, t0, args.out)
-    return code
+    return config, results, code
 
 
 def _parse_params(raw):
@@ -326,45 +298,52 @@ def _gen_edges(params, seed):
     return n, edges
 
 
-def _cmd_generate(args):
-    t0 = time.perf_counter()
-    params = _parse_params(args.params)
-    family = args.family
-    system = None
-    space = None
+def _gen_instance(family, params, seed):
+    # (space, system) of the family; system is None for a bare space
     if family == "euclidean":
         alpha = float(_take(params, "alpha", required=True))
         if "points" in params:
             pts = _take(params, "points")
         else:
             n = int(_take(params, "n", required=True))
-            if args.seed is None:
+            if seed is None:
                 raise UsageError("generate: random points need --seed")
             pts = random_points(
-                n, args.seed, plant_collinear=bool(_take(params, "plant_collinear", False))
+                n, seed, plant_collinear=bool(_take(params, "plant_collinear", False))
             )
-        space = gen_euclidean(pts, alpha)
-    elif family == "threepoint":
-        space = gen_threepoint(float(_take(params, "q", required=True)))
-    elif family == "star":
-        space = gen_star(int(_take(params, "k", required=True)),
-                         float(_take(params, "r", required=True)))
-    elif family == "welzl":
+        return gen_euclidean(pts, alpha), None
+    if family == "threepoint":
+        return gen_threepoint(float(_take(params, "q", required=True))), None
+    if family == "star":
+        return gen_star(int(_take(params, "k", required=True)),
+                        float(_take(params, "r", required=True))), None
+    if family == "welzl":
         eps = float(_take(params, "eps", 1e-6))
-        space = gen_welzl(int(_take(params, "n", required=True)), eps=eps)
-    elif family == "equidecay":
-        n, edges = _gen_edges(params, args.seed)
+        return gen_welzl(int(_take(params, "n", required=True)), eps=eps), None
+    if family == "equidecay":
+        n, edges = _gen_edges(params, seed)
         far = _take(params, "far_decay")
         system = gen_equidecay_graph(n, edges, far_decay=far)
     elif family == "twoline":
-        n, edges = _gen_edges(params, args.seed)
+        n, edges = _gen_edges(params, seed)
         alpha = float(_take(params, "alpha", required=True))
         delta = float(_take(params, "delta", 0.25))
         system = gen_twoline(n, edges, alpha, delta=delta)
     else:
         raise UsageError("unknown family %r" % family)
+    return system.space, system
+
+
+def _cmd_generate(args):
+    params = _parse_params(args.params)
+    family = args.family
+    try:
+        space, system = _gen_instance(family, params, args.seed)
+    except (TypeError, OverflowError) as exc:
+        raise UsageError("generate: bad parameter for %s: %s" % (family, exc))
     if params:
         raise UsageError("generate: unused parameters %s" % sorted(params))
+    _check_axioms(space, "the generated %s instance" % family)
     try:
         if system is not None:
             save_system(system, args.out)
@@ -372,7 +351,7 @@ def _cmd_generate(args):
                 "family": family,
                 "kind": "system",
                 "links": system.n_links,
-                "nodes": system.space.n,
+                "nodes": space.n,
                 "path": args.out,
             }
         else:
@@ -387,18 +366,14 @@ def _cmd_generate(args):
     except OSError as exc:
         raise UsageError("cannot write %s: %s" % (args.out, exc))
     config = {"family": family, "params": args.params, "seed": args.seed, "out": args.out}
-    _emit("generate", config, results, t0, None)
-    return 0
+    return config, results, 0
 
 
 def _cmd_verify(args):
-    t0 = time.perf_counter()
     corpus = "builtin" if args.corpus == ["builtin"] else list(args.corpus)
     rep = run_verify(seed=args.seed, corpus=corpus)
     results = {"ok": rep["ok"], "items": rep["items"]}
-    config = {"seed": args.seed, "corpus": corpus}
-    _emit("verify", config, results, t0, args.out)
-    return 0 if rep["ok"] else 1
+    return {"seed": args.seed, "corpus": corpus}, results, 0 if rep["ok"] else 1
 
 
 def build_parser():
@@ -481,16 +456,30 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except UsageError as exc:
+        if getattr(args, "tol", 0) is None:  # generate has no --tol
+            args.tol = _default_tol()
+        config, results, code = args.func(args)
+    except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    report = {
+        "command": args.command,
+        "config": _plain(config),
+        "version": __version__,
+        "results": _plain(results),
+        "timing": {"seconds": time.perf_counter() - t0},
+    }
+    text = dumps_canonical(report) + "\n"
+    # generate's --out names the instance it writes; its report goes to stdout
+    if args.command != "generate" and args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

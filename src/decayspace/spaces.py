@@ -230,8 +230,8 @@ def compute_zeta(space, tol=1e-9):
     block instead. Both give the same probes, result and witness.
     """
     _require_valid(space)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (0 < tol < np.inf):
+        raise ValueError("tol must be positive and finite")
     if space.n < 2:
         raise ValueError("need at least 2 nodes")
     if space.n < 3:

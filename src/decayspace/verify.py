@@ -1,14 +1,18 @@
-"""Built-in verification corpus.
+"""The invariant registry behind `decayspace verify`.
 
-run_verify exercises every capability on generated instances with
-known answers and cross-checks the independent evaluation routes
-against each other: greedy capacity against the exhaustive oracle,
-affectance feasibility against direct SINR evaluation, graph
-encodings against graph-side independent set search, estimated
-dimensions against closed-form bounds. The report is deterministic
+_CHECKS is the one place a release claim is coded: exponent recovery
+on planted clouds, capacity soundness and its ratio to the exhaustive
+oracle, the exact graph reductions, both partition lemmas, fading
+under packing growth, independence and guards. Each check builds its
+instances from the seed, so `verify --seed 0` is the release gate and
+other seeds draw fresh instance families. Checks compare the library
+against independent references: a first-principles SINR evaluation
+(_sinr_ok), brute-force independent sets (_brute_mis), greedy
+separated families and closed-form values. The report is deterministic
 for a fixed seed and configuration, apart from the timing key.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,14 +28,12 @@ from .spaces import (
 from .links import (
     LinkSystem,
     PowerAssignment,
-    SinrParams,
-    affectance_matrix,
+    check_separation,
     check_separation_set,
     interference_at,
     is_feasible,
     is_monotone_power,
     pairwise_power_infeasible,
-    sinr_values,
 )
 from .capacity import (
     amicable_subset,
@@ -62,18 +64,40 @@ from .generators import (
     random_link_system,
     random_points,
 )
-from .search import max_independent_set
 from .io import dumps_canonical, load_space, load_system
+
+
+def _sinr_ok(sys_, S):
+    # first-principles SINR re-check straight off the matrices
+    f = sys_.space.f
+    links = sys_.links
+    P = sys_.powers()
+    for v in S:
+        sv, rv = links[v]
+        signal = P[v] / f[sv, rv]
+        interf = sum(P[w] / f[links[w][0], rv] for w in S if w != v)
+        if signal < sys_.params.beta * (sys_.params.noise + interf) * (1.0 - 1e-9):
+            return False
+    return True
+
+
+def _brute_mis(n, edges):
+    # lexicographically least maximum independent set, by enumeration
+    eset = {frozenset(e) for e in edges}
+    for r in range(n, -1, -1):
+        for combo in itertools.combinations(range(n), r):
+            if all(frozenset(p) not in eset for p in itertools.combinations(combo, 2)):
+                return combo
+    return ()
 
 
 def _check_metricity_planar(seed):
     worst = 0.0
-    for alpha in (1.0, 2.5, 3.0):
-        for k in range(2):
-            pts = random_points(25, seed + k, plant_collinear=True)
-            zr, z, _ = compute_zeta(gen_euclidean(pts, alpha))
-            worst = max(worst, abs(z - alpha))
-    return worst <= 1e-6, "max exponent recovery error %.3g" % worst
+    for alpha in (1.0, 2.0, 3.0, 6.0):
+        for i in range(20):
+            pts = random_points(50, seed + int(1000 * alpha) + i, plant_collinear=True)
+            worst = max(worst, abs(compute_zeta(gen_euclidean(pts, alpha))[1] - alpha))
+    return worst <= 1e-6, "80 planted 50-point clouds, max |zeta - alpha| %.3g (tol 1e-6)" % worst
 
 
 def _check_metricity_threepoint(seed):
@@ -106,161 +130,157 @@ def _check_quasi_triangle(seed):
 
 
 def _check_capacity_handtrace(seed):
-    pts = np.array(
-        [[0, 0], [1, 0], [0, 0.5], [1, 0.5], [100, 0], [101, 0]], dtype=float
-    )
-    sys = LinkSystem(
-        gen_euclidean(pts, 2.0),
-        links=[(0, 1), (2, 3), (4, 5)],
-        params=SinrParams(1.0, 0.0),
-    )
+    # two short parallel links close together and one far away: the
+    # greedy scan keeps the first and the far one, the optimum is all three
+    pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [1.0, 0.5], [100.0, 0.0], [101.0, 0.0]]
+    sys = LinkSystem(gen_euclidean(pts, 2.0), links=[(0, 1), (2, 3), (4, 5)])
     res = capacity_uniform(sys, zeta=2.0)
-    opt, _ = capacity_oracle(sys)
-    ok = res.selected == (0, 2) and res.intermediate == (0, 2) and opt == 3
-    return ok, "selected=%s opt=%d ratio=%.2f" % (
-        res.selected,
-        opt,
-        opt / max(1, len(res.selected)),
+    opt, opt_set = capacity_oracle(sys)
+    ok = (res.selected == res.intermediate == (0, 2) and res.skipped == ()
+          and (opt, opt_set) == (3, (0, 1, 2)) and _sinr_ok(sys, opt_set)
+          and opt / len(res.selected) == 1.5)
+    return ok, "S=%s X=%s OPT=%d at %s, ratio %.2f" % (
+        res.selected, res.intermediate, opt, opt_set, opt / max(1, len(res.selected)),
     )
+
+
+def _planar_system(seed, k):
+    # the shared family of capacity-soundness and capacity-oracle-ratio
+    n = 4 + (k % 27)
+    alpha = 2.0 if k % 2 else 3.0
+    beta = 1.0 + (0.5 if k % 3 == 0 else 0.0)
+    noise = 0.02 if k % 5 == 0 else 0.0
+    return random_link_system(n, seed + 40000 + k, beta=beta, noise=noise, alpha=alpha), alpha
 
 
 def _check_capacity_soundness(seed):
-    checked = 0
-    for k in range(40):
-        n = 3 + (k * 7 + seed) % 15
-        sys = random_link_system(n, seed + 1000 + k, beta=1.0 + (k % 3) * 0.4,
-                                 noise=0.02 * (k % 4), alpha=2.0 + 0.25 * (k % 5))
-        z = compute_zeta(sys.space)[1]
-        res = capacity_uniform(sys, z)
+    for k in range(1000):
+        sys, alpha = _planar_system(seed, k)
+        res = capacity_uniform(sys, alpha)
         if 2 * len(res.selected) < len(res.intermediate):
             return False, "halving failed on instance %d" % k
-        if res.selected:
-            ok, wit = is_feasible(sys, res.selected)
-            if not ok:
-                return False, "infeasible selection on instance %d (link %d)" % (k, wit)
-            _, sinr = sinr_values(sys, res.selected)
-            if not np.all(sinr >= sys.params.beta * (1 - 1e-9)):
-                return False, "SINR re-check failed on instance %d" % k
-            checked += 1
-    return True, "%d selections feasible under direct SINR evaluation" % checked
+        if res.selected and not _sinr_ok(sys, res.selected):
+            return False, "selection on instance %d fails the direct SINR check" % k
+    return True, ("1000 planar systems (n <= 30): |S| >= |X|/2 and every S "
+                  "passes a direct SINR check")
 
 
 def _check_capacity_oracle_ratio(seed):
-    worst = 1.0
-    for k in range(12):
-        n = 4 + k % 6
-        sys = random_link_system(n, seed + 2000 + k, alpha=2.5, box=3.0)
-        z = compute_zeta(sys.space)[1]
-        res = capacity_uniform(sys, z)
-        opt, _ = capacity_oracle(sys)
-        if len(res.selected) > opt:
-            return False, "selection beat the oracle on instance %d" % k
-        if res.selected:
-            worst = max(worst, opt / len(res.selected))
-    return True, "worst OPT/|S| ratio %.2f over 12 instances" % worst
+    ratios = []
+    for k in range(1000):
+        if 4 + (k % 27) > 14:
+            continue
+        sys, alpha = _planar_system(seed, k)
+        S = capacity_uniform(sys, alpha).selected
+        opt, _ = capacity_oracle(sys, max_n=14)
+        if not S or opt < len(S):
+            return False, "selection %s against OPT %d on instance %d" % (S, opt, k)
+        ratios.append(opt / len(S))
+    return True, "%d systems with n <= 14: OPT >= |S| > 0, worst OPT/|S| %.3f, mean %.3f" % (
+        len(ratios), max(ratios), sum(ratios) / len(ratios),
+    )
 
 
 def _check_hardness_equidecay(seed):
-    for k in range(8):
-        n, edges = random_graph(4 + k % 5, 0.4, seed + 3000 + k)
+    for k in range(50):
+        n = 4 + (k % 9)
+        _, edges = random_graph(n, 0.15 + 0.07 * (k % 10), seed + 5000 + k)
         sys = gen_equidecay_graph(n, edges)
-        opt, members = capacity_oracle(sys)
-        adj = np.zeros((n, n), dtype=bool)
-        for i, j in edges:
-            adj[i, j] = adj[j, i] = True
-        mis, _ = max_independent_set(adj, exact_limit=n)
-        if opt != len(mis):
-            return False, "capacity %d != independence %d on graph %d" % (opt, len(mis), k)
+        want = _brute_mis(n, edges)
+        got = capacity_oracle(sys, max_n=12)
+        if got != (len(want), want):
+            return False, "oracle %s != brute-force %s on graph %d" % (got, want, k)
         for i, j in edges:
             if not pairwise_power_infeasible(sys, i, j):
                 return False, "edge (%d,%d) escaped the power certificate" % (i, j)
-    return True, "capacity equals graph independence on 8 graphs"
+    return True, ("50 graphs (n <= 12): capacity and its lex-least optimum equal "
+                  "brute-force independence, every edge power-certified")
 
 
 def _check_hardness_twoline(seed):
-    import itertools
-
-    for k in range(5):
-        n, edges = random_graph(4 + k % 3, 0.5, seed + 4000 + k)
-        sys = gen_twoline(n, edges, alpha=2.5)
-        adj = set()
-        for i, j in edges:
-            adj.add((min(i, j), max(i, j)))
-        for size in range(1, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                indep = not any(
-                    (min(a, b), max(a, b)) in adj
-                    for a in combo for b in combo if a < b
-                )
-                feas = is_feasible(sys, combo)[0]
-                if indep != feas:
-                    return False, "subset %s: independent=%s feasible=%s" % (
-                        combo, indep, feas,
-                    )
+    for n in (6, 8, 10):
+        _, edges = random_graph(n, 0.3, seed + 600 + n)
+        sys = gen_twoline(n, edges, 2.5)
+        eset = {frozenset(e) for e in edges}
+        for r in range(1, n + 1):
+            for S in itertools.combinations(range(n), r):
+                indep = all(frozenset(p) not in eset for p in itertools.combinations(S, 2))
+                if is_feasible(sys, list(S), 1.0)[0] != indep:
+                    return False, "subset %s: independent=%s, feasibility disagrees" % (S, indep)
         for i, j in edges:
             if not pairwise_power_infeasible(sys, i, j):
                 return False, "edge (%d,%d) escaped the power certificate" % (i, j)
-    return True, "feasibility matches independence on 5 graphs, all subsets"
+    return True, ("twoline n = 6, 8, 10: feasibility equals independence on all "
+                  "2^n subsets, every edge power-certified")
 
 
 def _check_partition_signal(seed):
-    used = 0
-    for k in range(10):
-        sys = random_link_system(12, seed + 5000 + k, alpha=2.5, box=6.0)
-        z = compute_zeta(sys.space)[1]
-        S = capacity_uniform(sys, z).selected
-        if len(S) < 2:
+    harvested = 0
+    for k in range(60):
+        sys = random_link_system(6 + (k % 9), seed + 52000 + k, box=5.0)
+        S = list(capacity_uniform(sys, 2.5).selected)
+        if len(S) < 2 or not is_feasible(sys, S, 1.0)[0]:
             continue
-        part = signal_strengthen(sys, S, p=1.0, q=3.0)
-        if len(part.classes) > part.bound or part.bound != 36:
+        harvested += 1
+        part = signal_strengthen(sys, S, 1.0, 3.0)
+        if part.bound != 36 or len(part.classes) > 36:
             return False, "class bound violated on instance %d" % k
-        if part.members() != tuple(sorted(S)):
+        if sorted(v for c in part.classes for v in c) != sorted(S):
             return False, "partition lost members on instance %d" % k
         for cls in part.classes:
-            if not is_feasible(sys, cls, K=3.0)[0]:
-                return False, "class not 3-feasible on instance %d" % k
-        used += 1
-    return used > 0, "%d feasible sets split into 3-feasible classes" % used
+            if cls and not is_feasible(sys, list(cls), 3.0)[0]:
+                return False, "class %s not 3-feasible on instance %d" % (cls, k)
+    return harvested >= 30, ("%d of 60 feasible sets (floor 30) split into at most "
+                             "36 classes, each 3-feasible" % harvested)
 
 
 def _check_partition_separation(seed):
-    used = 0
-    for k in range(10):
-        sys = random_link_system(14, seed + 6000 + k, alpha=2.5, box=8.0)
-        z = compute_zeta(sys.space)[1]
-        quasi = quasi_distances(sys.space, z)
-        X = capacity_uniform(sys, z, quasi).intermediate
+    separated = 0
+    for k in range(20):
+        sys = random_link_system(10 + (k % 6), seed + 61000 + k, box=6.0, alpha=3.0)
+        quasi = quasi_distances(sys.space, 3.0)
+        X = list(capacity_uniform(sys, 3.0).intermediate)
         if len(X) < 2:
             continue
-        part = separation_strengthen(sys, quasi, X, tau=z / 2.0, eta=z)
+        separated += 1
+        part = separation_strengthen(sys, quasi, X, 1.5, 3.0)
         if len(part.classes) > part.bound:
             return False, "degeneracy bound violated on instance %d" % k
+        if sorted(v for c in part.classes for v in c) != sorted(X):
+            return False, "partition lost members on instance %d" % k
         for cls in part.classes:
-            if not check_separation_set(sys, quasi, cls, z):
-                return False, "class missed its separation level on instance %d" % k
-        used += 1
-    return used > 0, "%d separated sets widened from zeta/2 to zeta" % used
+            members = list(cls)
+            if not check_separation_set(sys, quasi, members, 3.0):
+                return False, "class %s missed separation 3 on instance %d" % (cls, k)
+            for v in members:
+                others = [u for u in members if u != v]
+                if others and not check_separation(sys, quasi, v, others, 3.0):
+                    return False, "member %d of %s not separated on instance %d" % (v, cls, k)
+    return separated >= 10, ("%d of 20 separated sets (floor 10) widened from 1.5 to 3, "
+                             "every class and member re-checked" % separated)
 
 
 def _check_onezetasep(seed):
-    applicable = 0
-    for k in range(40):
-        sys = random_link_system(10, seed + 7000 + k, alpha=2.5, box=10.0)
+    target = math.e ** 2
+    statuses = {"inapplicable": 0, "ok": 0}
+    for k in range(500):
+        sys = random_link_system(10, seed + 70000 + k, box=8.0)
         z = compute_zeta(sys.space)[1]
         quasi = quasi_distances(sys.space, z)
-        S = capacity_uniform(sys, z, quasi).selected
-        if not S:
-            continue
-        target = math.e ** 2 / sys.params.beta
-        if len(S) >= 2 and not is_feasible(sys, S, K=target)[0]:
-            part = signal_strengthen(sys, S, p=1.0, q=target)
-            S = max(part.classes, key=len)
+        S = list(range(10))
+        if not is_feasible(sys, S, target)[0]:
+            picked = list(capacity_uniform(sys, z).selected)
+            if not picked:
+                continue
+            part = signal_strengthen(sys, picked, 1.0, target)
+            S = list(max(part.classes, key=len))
         status, pair = check_onezetasep(sys, quasi, z, S)
         if status == "violation":
             return False, "separation violated by pair %s on instance %d" % (pair, k)
-        if status == "ok" and len(S) >= 2:
-            applicable += 1
-    return applicable > 0, "%d strongly feasible sets all 1/zeta-separated" % applicable
+        statuses[status] += 1
+    return statuses["ok"] >= 450, ("500 trials: %d e^2-feasible sets 1/zeta-separated "
+                                   "(floor 450), %d inapplicable, no violation"
+                                   % (statuses["ok"], statuses["inapplicable"]))
 
 
 def _check_amicable(seed):
@@ -284,8 +304,11 @@ def _check_fading_values(seed):
     if err > 1e-9:
         return False, "zeta_hat(2) off by %.2g" % err
     b = fading_bound(1.0, 0.5)
-    if abs(b - 4.5605) > 1e-3:
+    if abs(b - 4.5605) > 1e-4:
         return False, "fading_bound(1, 0.5) = %.6f" % b
+    b0 = fading_bound(1.0, 0.0)
+    if abs(b0 - 2.0 * (math.pi ** 2 / 6.0 - 1.0)) > 1e-9:
+        return False, "fading_bound(1, 0) = %.12f" % b0
     try:
         fading_bound(1.0, 1.0)
     except ValueError:
@@ -306,30 +329,76 @@ def _check_fading_star(seed):
     big = fading_parameter(two, 6.0)
     if big.gamma != 0.0 or big.witness_set != ():
         return False, "separation beyond every decay should empty the witness"
-    return True, "star per-node and parameter values exact"
+    leaves = LinkSystem(gen_star(16, 1.0), links=[(1, 0)])
+    dev = abs(interference_at(leaves, range(2, 18), 0) - 16.0 / 257.0)
+    if dev > 1e-12:
+        return False, "16-leaf star interference off 16/257 by %.2e" % dev
+    return True, "star per-node and parameter values exact, 16-leaf interference 16/257"
+
+
+_R_VALUES = (0.02, 0.1, 0.5, 2.0)
+
+
+def _greedy_separated(sep, z, r, order):
+    # a maximal r-separated sender set around listener z, taken in order
+    adm = sep[:, z] >= r
+    adm[z] = False
+    chosen = []
+    for y in order:
+        if adm[y]:
+            chosen.append(y)
+            adm &= sep[:, y] >= r
+    return chosen
+
+
+def _fading_under(space, bound, exact_limit, need_exact):
+    # gamma(r) and the interference at every witness node stay under the bound
+    sys = LinkSystem(space, links=[(0, 1)])
+    for r in _R_VALUES:
+        rep = fading_parameter(space, r, exact_limit=exact_limit)
+        if (need_exact and not rep.exact) or rep.gamma > bound + 1e-9:
+            return "gamma(%g)=%.4f (exact %s) against bound %.4f" % (
+                r, rep.gamma, rep.exact, bound)
+        for x in rep.witness_set:
+            senders = [y for y in rep.witness_set if y != x]
+            if senders and interference_at(sys, senders, x) > bound / r + 1e-9:
+                return "interference at witness node %d broke bound/r at r=%g" % (x, r)
+    return None
 
 
 def _check_fading_annulus(seed):
-    for k in range(2):
-        pts = random_points(20, seed + 9000 + k)
-        space = gen_euclidean(pts, 3.0)
-        est = assouad_estimate(space, C=None)
-        if est.assouad >= 1.0:
-            return False, "growth degree %.3f leaves the convergent range" % est.assouad
+    details = []
+    for s in (0, 1):
+        pts = random_points(64, seed + s)
+        sp = gen_euclidean(pts, 3.0)
+        est = assouad_estimate(sp, C=None, exact_limit=64)
+        if not est.exact or abs(est.assouad - 2.0 / 3.0) > 0.3:
+            return False, "cloud %d: growth degree %.3f (exact %s)" % (s, est.assouad, est.exact)
         bound = fading_bound(est.C, est.assouad)
-        for r in (0.05, 0.2, 1.0):
-            rep = fading_parameter(space, r, exact_limit=20)
-            if rep.exact and rep.gamma > bound + 1e-9:
-                return False, "gamma(%.2f)=%.4f exceeds bound %.4f" % (r, rep.gamma, bound)
-            if rep.witness_set:
-                sys = LinkSystem(space, links=[(0, 1)], params=SinrParams())
-                for x in rep.witness_set:
-                    senders = [y for y in rep.witness_set if y != x]
-                    if not senders:
-                        continue
-                    if interference_at(sys, senders, x) > bound * 1.0 / r + 1e-9:
-                        return False, "interference at node %d broke the annulus bound" % x
-    return True, "fading stayed under the packing-growth bound"
+        f = sp.f
+        sep = np.minimum(f, f.T)
+        n = sp.n
+        for z in range(n):
+            asc = [int(v) for v in np.argsort(f[:, z], kind="stable") if v != z]
+            orders = [list(range(n)), asc]
+            orders += [[y] + [v for v in range(n) if v != y] for y in range(n) if y != z]
+            for r in _R_VALUES:
+                for order in orders:
+                    S = _greedy_separated(sep, z, r, order)
+                    if S and r * float(np.sum(1.0 / f[S, z])) > bound + 1e-9:
+                        return False, "cloud %d: greedy family at z=%d r=%g over bound" % (s, z, r)
+        # on the 20-point subcloud the search is exhaustive, so gamma(r)
+        # really is the supremum over every admissible sender set
+        sub = gen_euclidean(pts[:20], 3.0)
+        est20 = assouad_estimate(sub, C=None, exact_limit=20)
+        bad = (_fading_under(sp, bound, 24, False)
+               or _fading_under(sub, fading_bound(est20.C, est20.assouad), 20, True))
+        if bad:
+            return False, "cloud %d: %s" % (s, bad)
+        details.append("A=%.3f bound %.2f" % (est.assouad, bound))
+    return True, ("two 64-point clouds (%s) and their exhaustive 20-point subclouds: "
+                  "greedy families, gamma(r) and witness interference under the growth "
+                  "bound at r in %s" % ("; ".join(details), _R_VALUES))
 
 
 def _check_interference_transfer(seed):
@@ -338,7 +407,7 @@ def _check_interference_transfer(seed):
         space = gen_euclidean(pts, 3.0)
         z = compute_zeta(space)[1]
         quasi = quasi_distances(space, z)
-        sys = LinkSystem(space, links=[(0, 1)], params=SinrParams())
+        sys = LinkSystem(space, links=[(0, 1)])
         d_own = quasi.d[0, 1]
         R = 2.0 * d_own
         senders = [
@@ -355,18 +424,20 @@ def _check_interference_transfer(seed):
 
 
 def _check_welzl(seed):
-    for n in (4, 5):
+    for n in range(4, 9):
         sp = gen_welzl(n)
-        z = compute_zeta(sp)[1]
-        quasi = quasi_distances(sp, z)
+        quasi = quasi_distances(sp, compute_zeta(sp)[1])
         size, members, exact = independence_at(sp, quasi, 0)
-        if size != n + 1 or not exact:
-            return False, "anchor independence %d at n=%d" % (size, n)
-        for i in range(1, n + 1):
-            ok, _ = two_half_ball_cover(sp, 0, 2.0 ** i)
-            if not ok:
-                return False, "ball at scale 2**%d needs more than two halves" % i
-    return True, "chain independence n+1 and two-half-ball covers hold"
+        if size != n + 1 or not exact or members != tuple(range(1, n + 2)):
+            return False, "anchor independence %d (%s) at n=%d" % (size, members, n)
+        radii = sorted(set(float(v) for v in sp.f.ravel() if v > 0))
+        radii.append(2.0 * radii[-1])
+        for y in range(sp.n):
+            for t in radii:
+                if not two_half_ball_cover(sp, y, t)[0]:
+                    return False, "ball B(%d, %g) needs more than two halves at n=%d" % (y, t, n)
+    return True, ("welzl chains n = 4..8: anchor independence n+1 on the chain, "
+                  "two-half-ball covers at every node and scale")
 
 
 def _check_dimensions(seed):
@@ -386,16 +457,20 @@ def _check_dimensions(seed):
     if est2.assouad != 0.0 or any(gq != 1 for _, gq in est2.samples):
         return False, "two-node estimate %.6f" % est2.assouad
     worst = 0
-    for k in range(5):
-        pts = random_points(20, seed + 12000 + k)
-        space = gen_euclidean(pts, 3.0)
-        z = compute_zeta(space)[1]
-        q = quasi_distances(space, z)
-        for x in range(space.n):
-            worst = max(worst, len(guard_set(space, q, x)))
-    if worst > 6:
-        return False, "a planar guard set needed %d guards" % worst
-    return True, "uniform/two-node dimensions and planar guards (max %d) as expected" % worst
+    for k in range(100):
+        space = gen_euclidean(random_points(20, seed + 80000 + k), 3.0)
+        quasi = quasi_distances(space, compute_zeta(space)[1])
+        d = quasi.d
+        for x in range(20):
+            guards = list(guard_set(space, quasi, x))
+            worst = max(worst, len(guards))
+            if not 1 <= len(guards) <= 6 or x in guards:
+                return False, "guard set %s of node %d in cloud %d" % (guards, x, k)
+            others = [v for v in range(20) if v != x]
+            if not (d[np.ix_(others, guards)] <= d[others, x][:, None]).any(axis=1).all():
+                return False, "guards of node %d miss a node in cloud %d" % (x, k)
+    return True, ("uniform/two-node dimensions as expected; 100 planar clouds: every "
+                  "guard set covers with 1..6 guards (max %d)" % worst)
 
 
 def _check_monotone_power(seed):

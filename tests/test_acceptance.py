@@ -1,388 +1,105 @@
-"""Acceptance gate: one test per release criterion, one printed line each.
+"""Release gate: the `decayspace verify` registry, run once, read as a checklist.
 
-Every test prints "criterion NN PASS/FAIL: detail" before asserting, so
-a plain pytest run of this file reads as a checklist. Tolerances are
-stated inline next to each assertion.
+Every claim lives in decayspace.verify._CHECKS; this file codes none of
+its own. It runs `verify --seed 0` in process while a `python -m
+decayspace verify --seed 0` subprocess runs alongside, then reports one
+test per check, each printing "check NAME PASS/FAIL: detail". The
+criterion tests name the checks that carry each release criterion.
+Criterion 01 also caps every compute_zeta call the registry makes at
+5 s, a timer kept outside the deterministic report; criterion 10
+compares the two runs byte for byte after strip_timing.
 """
 
-import itertools
 import json
-import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
-import numpy as np
+import pytest
 
-from decayspace import (
-    DecaySpace,
-    LinkSystem,
-    assouad_estimate,
-    capacity_oracle,
-    capacity_uniform,
-    check_onezetasep,
-    check_separation,
-    check_separation_set,
-    compute_phi,
-    compute_zeta,
-    fading_bound,
-    fading_parameter,
-    gen_equidecay_graph,
-    gen_euclidean,
-    gen_star,
-    gen_threepoint,
-    gen_twoline,
-    gen_welzl,
-    guard_set,
-    independence_at,
-    independence_dimension,
-    interference_at,
-    is_feasible,
-    pairwise_power_infeasible,
-    quasi_distances,
-    random_graph,
-    random_link_system,
-    random_points,
-    separation_strengthen,
-    signal_strengthen,
-    strip_timing,
-    two_half_ball_cover,
-)
+from decayspace import strip_timing, verify
 from decayspace.cli import main as cli_main
 from decayspace.io import dumps_canonical
 
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ARGV = ["verify", "--seed", "0"]
 
-def check(num, ok, detail):
-    line = "criterion %02d %s: %s" % (num, "PASS" if ok else "FAIL", detail)
+
+@pytest.fixture(scope="module")
+def gate(tmp_path_factory):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen([sys.executable, "-m", "decayspace"] + ARGV, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    zeta_seconds = []
+    compute_zeta = verify.compute_zeta
+
+    def timed_zeta(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return compute_zeta(*args, **kwargs)
+        finally:
+            zeta_seconds.append(time.perf_counter() - t0)
+
+    out = tmp_path_factory.mktemp("verify") / "verify.json"
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "compute_zeta", timed_zeta)
+            code = cli_main(ARGV + ["--out", str(out)])
+        stdout, stderr = proc.communicate(timeout=600)
+    finally:
+        proc.kill()
+    report = json.loads(out.read_text())
+    return {
+        "code": code,
+        "report": report,
+        "items": {it["name"]: it for it in report["results"]["items"]},
+        "zeta_seconds": zeta_seconds,
+        "subprocess": (proc.returncode, stdout, stderr),
+    }
+
+
+@pytest.mark.parametrize("name", [name for name, _ in verify._CHECKS])
+def test_check(gate, name):
+    item = gate["items"][name]
+    line = "check %s %s: %s" % (name, "PASS" if item["ok"] else "FAIL", item["detail"])
     print(line)
-    assert ok, line
+    assert item["ok"], line
 
 
-def instance(k):
-    # the shared deterministic family used by criteria 3 and 4
-    n = 4 + (k % 27)
-    alpha = 2.0 if k % 2 else 3.0
-    beta = 1.0 + (0.5 if k % 3 == 0 else 0.0)
-    noise = 0.02 if k % 5 == 0 else 0.0
-    sys_ = random_link_system(n, 40000 + k, beta=beta, noise=noise, alpha=alpha)
-    return sys_, alpha
+def _carried_by(*names):
+    def test(gate):
+        failed = [name for name in names if not gate["items"][name]["ok"]]
+        assert not failed, "failed checks: %s" % failed
+    return test
 
 
-def sinr_ok(sys_, S):
-    # first-principles re-verification straight off the matrices
-    f = sys_.space.f
-    links = sys_.links
-    P = sys_.powers()
-    beta = sys_.params.beta
-    noise = sys_.params.noise
-    for v in S:
-        sv, rv = links[v]
-        signal = P[v] / f[sv, rv]
-        interf = sum(P[w] / f[links[w][0], rv] for w in S if w != v)
-        if signal < beta * (noise + interf) * (1.0 - 1e-9):
-            return False
-    return True
+def test_criterion_01_planted_clouds_pin_the_exponent(gate):
+    _carried_by("metricity-planar")(gate)
+    slowest = max(gate["zeta_seconds"])
+    print("%d compute_zeta calls, slowest %.2fs (cap 5s)"
+          % (len(gate["zeta_seconds"]), slowest))
+    assert slowest < 5.0
 
 
-def test_criterion_01_planted_clouds_pin_the_exponent():
-    worst_dev, worst_time = 0.0, 0.0
-    for alpha in (1.0, 2.0, 3.0, 6.0):
-        for i in range(20):
-            pts = random_points(50, int(1000 * alpha) + i, plant_collinear=True)
-            sp = gen_euclidean(pts, alpha)
-            t0 = time.perf_counter()
-            zeta = compute_zeta(sp)[1]
-            dt = time.perf_counter() - t0
-            worst_dev = max(worst_dev, abs(zeta - alpha))
-            worst_time = max(worst_time, dt)
-    ok = worst_dev <= 1e-6 and worst_time < 5.0
-    check(1, ok, "80 clouds, max |zeta - alpha| = %.2e (tol 1e-6), "
-          "max %.2fs per cloud (cap 5s)" % (worst_dev, worst_time))
+test_criterion_02_threepoint_splits_the_exponents = _carried_by("metricity-threepoint")
+test_criterion_03_capacity_feasible_and_half = _carried_by("capacity-soundness")
+test_criterion_04_oracle_ratio = _carried_by("capacity-oracle-ratio", "capacity-handtrace")
+test_criterion_05_graph_reductions_are_exact = _carried_by(
+    "hardness-equidecay", "hardness-twoline")
+test_criterion_06_partitions_strengthen = _carried_by(
+    "partition-signal", "partition-separation", "onezetasep")
+test_criterion_07_interference_under_growth_bound = _carried_by(
+    "fading-annulus", "fading-values")
+test_criterion_08_independence_and_guards = _carried_by(
+    "welzl-independence", "dimensions-guards")
+test_criterion_09_star_interference_value = _carried_by("fading-star")
 
 
-def test_criterion_02_threepoint_splits_the_exponents():
-    zs = [compute_zeta(gen_threepoint(float(q)))[1]
-          for q in (2 ** 4, 2 ** 8, 2 ** 16, 2 ** 32)]
-    phi_mult = compute_phi(gen_threepoint(2.0 ** 16))[0]
-    ok = (phi_mult < 2.0
-          and 5.0 < zs[2] < 6.0
-          and zs[0] < zs[1] < zs[2] < zs[3])
-    check(2, ok, "phi_mult(2^16) = %.6f < 2, zeta(2^16) = %.4f in (5, 6), "
-          "zeta strictly increasing over q: %s"
-          % (phi_mult, zs[2], ["%.3f" % z for z in zs]))
-
-
-def test_criterion_03_capacity_feasible_and_half():
-    bad = []
-    for k in range(1000):
-        sys_, alpha = instance(k)
-        cap = capacity_uniform(sys_, alpha)
-        S, X = cap.selected, cap.intermediate
-        if 2 * len(S) < len(X):
-            bad.append(("half", k))
-        elif S and not sinr_ok(sys_, S):
-            bad.append(("sinr", k))
-    check(3, not bad, "1000 planar instances (n <= 30): every selected set "
-          "passes an independent SINR check and |S| >= |X|/2; failures: %s"
-          % bad[:3])
-
-
-def test_criterion_04_oracle_ratio():
-    ratios = []
-    bad = []
-    for k in range(1000):
-        if 4 + (k % 27) > 14:
-            continue
-        sys_, alpha = instance(k)
-        cap = capacity_uniform(sys_, alpha)
-        opt, _ = capacity_oracle(sys_, max_n=14)
-        if not cap.selected or opt < len(cap.selected):
-            bad.append(k)
-            continue
-        ratios.append(opt / len(cap.selected))
-
-    pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [1.0, 0.5], [100.0, 0.0], [101.0, 0.0]]
-    hand = LinkSystem(gen_euclidean(pts, 2.0), links=[(0, 1), (2, 3), (4, 5)])
-    cap = capacity_uniform(hand, 2.0)
-    opt, opt_set = capacity_oracle(hand)
-    trace_ok = (cap.selected == (0, 2) and opt == 3
-                and opt_set == (0, 1, 2) and opt / len(cap.selected) == 1.5)
-
-    ok = not bad and trace_ok and ratios
-    check(4, ok, "%d instances with n <= 14: ratio >= 1 throughout, worst %.3f, "
-          "mean %.3f; hand-traced instance gives S = (0, 2), OPT = 3, ratio 1.5"
-          % (len(ratios), max(ratios), sum(ratios) / len(ratios)))
-
-
-def brute_mis(n, edges):
-    eset = {frozenset(e) for e in edges}
-    for r in range(n, -1, -1):
-        for combo in itertools.combinations(range(n), r):
-            if all(frozenset(p) not in eset for p in itertools.combinations(combo, 2)):
-                return combo
-    return ()
-
-
-def test_criterion_05_graph_reductions_are_exact():
-    mismatches = []
-    for k in range(50):
-        n = 4 + (k % 9)
-        p = 0.15 + 0.07 * (k % 10)
-        _, edges = random_graph(n, p, 5000 + k)
-        sys_ = gen_equidecay_graph(n, edges)
-        opt, members = capacity_oracle(sys_, max_n=12)
-        want = brute_mis(n, edges)
-        if (opt, members) != (len(want), want):
-            mismatches.append(("equidecay", k))
-
-    pair_fail = 0
-    for n in (6, 8, 10):
-        _, edges = random_graph(n, 0.3, 600 + n)
-        sys_ = gen_twoline(n, edges, 2.5)
-        eset = {frozenset(e) for e in edges}
-        for r in range(1, n + 1):
-            for S in itertools.combinations(range(n), r):
-                indep = all(frozenset(p) not in eset
-                            for p in itertools.combinations(S, 2))
-                if is_feasible(sys_, list(S), 1.0)[0] != indep:
-                    mismatches.append(("twoline", n, S))
-        for i, j in edges:
-            if not pairwise_power_infeasible(sys_, i, j):
-                pair_fail += 1
-
-    ok = not mismatches and pair_fail == 0
-    check(5, ok, "50 equidecay graphs (n <= 12) match brute-force independence "
-          "exactly; twoline n = 6, 8, 10: all 2^n subsets agree and every edge "
-          "pair is power-infeasible; mismatches: %s" % mismatches[:3])
-
-
-def test_criterion_06_partitions_strengthen():
-    bad = []
-    harvested = 0
-    for k in range(60):
-        sys_ = random_link_system(6 + (k % 9), 52000 + k, box=5.0)
-        S0 = list(capacity_uniform(sys_, 2.5).selected)
-        if len(S0) < 2 or not is_feasible(sys_, S0, 1.0)[0]:
-            continue
-        harvested += 1
-        part = signal_strengthen(sys_, S0, 1.0, 3.0)
-        classes = [c for c in part.classes if c]
-        if part.bound != 36 or len(classes) > 36:
-            bad.append(("signal-bound", k))
-        if sorted(v for c in classes for v in c) != sorted(S0):
-            bad.append(("signal-members", k))
-        for cls in classes:
-            if not is_feasible(sys_, list(cls), 3.0)[0]:
-                bad.append(("signal-weak", k, cls))
-
-    separated = 0
-    for k in range(20):
-        sys_ = random_link_system(10 + (k % 6), 61000 + k, box=6.0, alpha=3.0)
-        quasi = quasi_distances(sys_.space, 3.0)
-        X = list(capacity_uniform(sys_, 3.0).intermediate)
-        if len(X) < 2:
-            continue
-        separated += 1
-        part = separation_strengthen(sys_, quasi, X, 1.5, 3.0)
-        if sorted(v for c in part.classes for v in c) != sorted(X):
-            bad.append(("sep-members", k))
-        for cls in part.classes:
-            members = list(cls)
-            if not check_separation_set(sys_, quasi, members, 3.0):
-                bad.append(("sep-class", k, cls))
-            for v in members:
-                others = [u for u in members if u != v]
-                if others and not check_separation(sys_, quasi, v, others, 3.0):
-                    bad.append(("sep-node", k, v))
-
-    e2 = math.e ** 2
-    statuses = {"ok": 0, "violation": 0, "inapplicable": 0}
-    for k in range(500):
-        sys_ = random_link_system(10, 70000 + k, box=8.0)
-        zeta = compute_zeta(sys_.space)[1]
-        quasi = quasi_distances(sys_.space, zeta)
-        S = list(range(10))
-        if not is_feasible(sys_, S, e2)[0]:
-            picked = list(capacity_uniform(sys_, zeta).selected)
-            if not picked:
-                continue
-            part = signal_strengthen(sys_, picked, 1.0, e2)
-            S = list(max(part.classes, key=len))
-        status, _ = check_onezetasep(sys_, quasi, zeta, S)
-        statuses[status] += 1
-
-    ok = (not bad and harvested >= 30 and separated >= 10
-          and statuses["violation"] == 0 and statuses["ok"] >= 450)
-    check(6, ok, "signal partitions on %d harvested feasible sets (bound 36, "
-          "classes re-verified 3-feasible); separation partitions on %d sets "
-          "pass per-member checks at eta; 500 separation-hypothesis trials: %s"
-          % (harvested, separated, statuses))
-
-
-R_VALUES = (0.02, 0.1, 0.5, 2.0)
-
-
-def greedy_separated(sep, z, r, order):
-    adm = sep[:, z] >= r
-    adm[z] = False
-    chosen = []
-    for y in order:
-        if adm[y]:
-            chosen.append(y)
-            adm &= sep[:, y] >= r
-    return chosen
-
-
-def test_criterion_07_interference_under_growth_bound():
-    bad = []
-    details = []
-    for seed in (0, 1):
-        pts = random_points(64, seed)
-        sp = gen_euclidean(pts, 3.0)
-        est = assouad_estimate(sp, C=None, exact_limit=64)
-        if not est.exact or abs(est.assouad - 2.0 / 3.0) > 0.3:
-            bad.append(("estimate", seed, est.assouad))
-            continue
-        bound = fading_bound(est.C, est.assouad)
-        details.append("seed %d: A = %.3f, bound = %.2f" % (seed, est.assouad, bound))
-
-        f = sp.f
-        sep = np.minimum(f, f.T)
-        n = 64
-        for z in range(n):
-            asc = [int(v) for v in np.argsort(f[:, z], kind="stable") if v != z]
-            orders = [list(range(n)), asc]
-            orders += [[s] + [y for y in range(n) if y != s]
-                       for s in range(n) if s != z]
-            for r in R_VALUES:
-                for order in orders:
-                    S = greedy_separated(sep, z, r, order)
-                    if S and r * float(np.sum(1.0 / f[S, z])) > bound + 1e-9:
-                        bad.append(("family", seed, z, r))
-
-        for r in R_VALUES:
-            if fading_parameter(sp, r, exact_limit=24).gamma > bound + 1e-9:
-                bad.append(("witness", seed, r))
-
-        # on 20-point subclouds the search is exhaustive, so gamma(r)
-        # really is the supremum over every admissible sender set
-        sub = gen_euclidean(pts[:20], 3.0)
-        est20 = assouad_estimate(sub, C=None, exact_limit=20)
-        bound20 = fading_bound(est20.C, est20.assouad)
-        for r in R_VALUES:
-            rep = fading_parameter(sub, r, exact_limit=20)
-            if not rep.exact or rep.gamma > bound20 + 1e-9:
-                bad.append(("subcloud", seed, r))
-
-    closed = (abs(fading_bound(1.0, 0.5) - 4.560) <= 1e-3
-              and abs(fading_bound(1.0, 0.0) - 2.0 * (math.pi ** 2 / 6.0 - 1.0)) <= 1e-9)
-    if not closed:
-        bad.append(("closed-form",))
-    check(7, not bad, "two 64-point alpha=3 clouds (%s): every greedy maximal "
-          "r-separated family from all start nodes, the greedy witness, and the "
-          "exhaustive 20-point subcloud suprema stay under the growth bound at "
-          "r in %s; fading_bound(1, 0.5) = 4.560 +- 1e-3 and fading_bound(1, 0) "
-          "= 2(pi^2/6 - 1) +- 1e-9; failures: %s"
-          % ("; ".join(details), R_VALUES, bad[:3]))
-
-
-def test_criterion_08_independence_and_guards():
-    bad = []
-    uni = DecaySpace(np.ones((16, 16)) - np.eye(16))
-    dim = independence_dimension(uni, quasi_distances(uni, 1.0))[0]
-    if dim != 1:
-        bad.append(("uniform", dim))
-
-    for n in range(4, 9):
-        sp = gen_welzl(n)
-        quasi = quasi_distances(sp, compute_zeta(sp)[1])
-        size, _, exact = independence_at(sp, quasi, 0)
-        if size != n + 1 or not exact:
-            bad.append(("welzl-size", n, size))
-        for y in range(sp.n):
-            radii = sorted(set(float(v) for v in sp.f[:, y] if v > 0))
-            radii.append(2.0 * max(radii))
-            for t in radii:
-                if not two_half_ball_cover(sp, y, t)[0]:
-                    bad.append(("doubling", n, y, t))
-
-    max_guards = 0
-    for k in range(100):
-        sp = gen_euclidean(random_points(20, 80000 + k), 3.0)
-        quasi = quasi_distances(sp, compute_zeta(sp)[1])
-        d = quasi.d
-        for x in range(20):
-            guards = list(guard_set(sp, quasi, x))
-            max_guards = max(max_guards, len(guards))
-            if len(guards) > 6:
-                bad.append(("guard-count", k, x, len(guards)))
-            others = [v for v in range(20) if v != x]
-            covered = (d[np.ix_(others, guards)]
-                       <= d[others, x][:, None]).any(axis=1)
-            if not covered.all():
-                bad.append(("guard-cover", k, x))
-
-    check(8, not bad, "uniform-16 independence dimension 1; welzl chains reach "
-          "n + 1 at the anchor with two-half-ball doubling for every ball; "
-          "guard sets over 100 clouds max out at %d (cap 6); failures: %s"
-          % (max_guards, bad[:3]))
-
-
-def test_criterion_09_star_interference_value():
-    sys_ = LinkSystem(gen_star(16, 1.0), links=[(1, 0)])
-    got = interference_at(sys_, range(2, 18), 0)
-    dev = abs(got - 16.0 / 257.0)
-    check(9, dev <= 1e-12, "16-leaf star: leaf interference at the stray node "
-          "= %.17g, |dev from 16/257| = %.2e (tol 1e-12)" % (got, dev))
-
-
-def test_criterion_10_verify_is_deterministic(tmp_path):
-    texts = []
-    for i in range(2):
-        out = tmp_path / ("verify%d.json" % i)
-        code = cli_main(["verify", "--seed", "0", "--corpus", "builtin",
-                         "--out", str(out)])
-        rep = json.loads(out.read_text())
-        if code != 0 or rep["results"]["ok"] is not True:
-            check(10, False, "verify run %d failed (exit %d)" % (i, code))
-        texts.append(dumps_canonical(strip_timing(rep)))
-    check(10, texts[0] == texts[1], "two seed-0 builtin verify runs agree "
-          "byte-for-byte after dropping timing (%d bytes)" % len(texts[0]))
+def test_criterion_10_verify_is_deterministic(gate):
+    code, stdout, stderr = gate["subprocess"]
+    assert gate["code"] == 0 and code == 0, stderr
+    here = dumps_canonical(strip_timing(gate["report"]))
+    there = dumps_canonical(strip_timing(json.loads(stdout)))
+    assert here == there

@@ -10,7 +10,6 @@ from decayspace import (
     DecaySpace,
     assouad_estimate,
     ball,
-    compute_zeta,
     fading_bound,
     fading_parameter,
     gen_euclidean,
@@ -181,26 +180,6 @@ def test_fading_bound_closed_forms():
         fading_bound(0.0, 0.5)
 
 
-def test_fading_under_growth_bound_small_cloud():
-    sp = gen_euclidean(random_points(20, 42), 3.0)
-    est = assouad_estimate(sp, C=None)
-    bound = fading_bound(est.C, est.assouad)
-    for r in (0.05, 0.2, 1.0):
-        rep = fading_parameter(sp, r, exact_limit=20)
-        assert rep.exact
-        assert rep.gamma <= bound + 1e-9
-
-
-def test_independence_welzl_chain():
-    for n in (4, 6):
-        sp = gen_welzl(n)
-        z = compute_zeta(sp)[1]
-        quasi = quasi_distances(sp, z)
-        size, members, exact = independence_at(sp, quasi, 0)
-        assert size == n + 1 and exact
-        assert members == tuple(range(1, n + 2))
-
-
 def test_independence_uniform_is_one():
     sp = uniform_space(10)
     quasi = quasi_distances(sp, 1.0)
@@ -210,21 +189,6 @@ def test_independence_uniform_is_one():
     assert independence_at(single, quasi_distances(single, 1.0), 0) == (0, (), True)
     with pytest.raises(ValueError):
         independence_at(sp, quasi, 99)
-
-
-def test_guard_sets_cover():
-    sp = gen_euclidean(random_points(20, 5), 3.0)
-    z = compute_zeta(sp)[1]
-    quasi = quasi_distances(sp, z)
-    d = quasi.d
-    for x in range(sp.n):
-        guards = guard_set(sp, quasi, x)
-        assert 1 <= len(guards) <= 6
-        assert x not in guards
-        for zn in range(sp.n):
-            if zn == x:
-                continue
-            assert any(d[zn, y] <= d[zn, x] for y in guards)
 
 
 def test_guard_set_uniform_needs_one():

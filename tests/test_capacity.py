@@ -21,10 +21,8 @@ from decayspace import (
     compute_zeta,
     gen_equidecay_graph,
     gen_euclidean,
-    gen_twoline,
     is_feasible,
     quasi_distances,
-    random_graph,
     random_link_system,
     separation_strengthen,
     signal_strengthen,
@@ -43,18 +41,6 @@ def hand_instance():
         links=[(0, 1), (2, 3), (4, 5)],
         params=SinrParams(1.0, 0.0),
     )
-
-
-def test_capacity_hand_trace():
-    sys_ = hand_instance()
-    res = capacity_uniform(sys_, zeta=2.0)
-    assert res.intermediate == (0, 2)
-    assert res.selected == (0, 2)
-    assert res.skipped == ()
-    opt, members = capacity_oracle(sys_)
-    assert (opt, members) == (3, (0, 1, 2))
-    assert is_feasible(sys_, members)[0]
-    assert opt / len(res.selected) == 1.5
 
 
 def test_capacity_soundness_sweep():
@@ -104,45 +90,6 @@ def test_capacity_input_checks():
         capacity_uniform(explicit, zeta=2.0)
     with pytest.raises(ValueError):
         capacity_oracle(random_link_system(6, 1), max_n=5)
-
-
-def brute_force_mis(n, edges):
-    import itertools
-
-    adj = set()
-    for i, j in edges:
-        adj.add((min(i, j), max(i, j)))
-    for size in range(n, 0, -1):
-        for combo in itertools.combinations(range(n), size):
-            if not any(
-                (a, b) in adj for a in combo for b in combo if a < b
-            ):
-                return size, combo
-    return 0, ()
-
-
-def test_oracle_matches_graph_independence():
-    for k in range(6):
-        n, edges = random_graph(4 + k, 0.4, 600 + k)
-        sys_ = gen_equidecay_graph(n, edges)
-        opt, members = capacity_oracle(sys_)
-        want_size, want_members = brute_force_mis(n, edges)
-        assert opt == want_size
-        assert members == want_members  # both searches are lex-least
-
-
-def test_twoline_feasibility_is_independence():
-    import itertools
-
-    n, edges = 6, [(0, 1), (1, 2), (3, 4)]
-    sys_ = gen_twoline(n, edges, alpha=2.5)
-    adj = {(min(i, j), max(i, j)) for i, j in edges}
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            indep = not any(
-                (a, b) in adj for a in combo for b in combo if a < b
-            )
-            assert is_feasible(sys_, combo)[0] == indep
 
 
 def one_feasible_set(seed, n=12, min_size=4):

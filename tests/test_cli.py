@@ -170,6 +170,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                        "--params", '{"n": 5}', "--out", out_path)
     assert code == 2  # random edges need a seed
 
+    # parameters of the wrong type, and instances that break the axioms
+    for family, params in [("equidecay", '{"n": 3, "edges": 5}'),
+                           ("euclidean", '{"n": [1], "alpha": 2}'),
+                           ("threepoint", '{"q": 1e400}'),
+                           ("euclidean", '{"points": [[0, 0], [0, 0], [1, 1]], "alpha": 2}')]:
+        code, out, err = run(capsys, "generate", "--family", family,
+                             "--params", params, "--out", out_path)
+        assert code == 2 and out == "" and "error:" in err, (family, params)
+        assert not os.path.exists(out_path)
+
+    cloud = str(tmp_path / "cloud.json")
+    save_space(gen_euclidean(random_points(30, 3), 3.0), cloud)
+    for tol in ("nan", "inf"):
+        assert run(capsys, "analyze", "--space", cloud, "--tol", tol)[0] == 2
+
     good = str(tmp_path / "sys.json")
     assert run(capsys, "generate", "--family", "equidecay",
                "--params", '{"n": 4, "edges": []}', "--out", good)[0] == 0
@@ -244,11 +259,6 @@ def test_generate_random_edges_then_capacity(tmp_path, capsys):
 
 
 def test_verify_cli(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify")
-    assert code == 0
-    res = report(out)["results"]
-    assert res["ok"] and all(item["ok"] for item in res["items"])
-
     good = str(tmp_path / "sp.json")
     save_space(gen_euclidean(random_points(5, 1), 2.0), good)
     code, out, _ = run(capsys, "verify", "--corpus", good)
@@ -276,8 +286,9 @@ def test_out_flag_writes_file(tmp_path, capsys):
 def test_tolerance_env(tmp_path, capsys, monkeypatch):
     space = str(tmp_path / "sp.json")
     save_space(gen_euclidean(random_points(4, 9), 2.0), space)
-    monkeypatch.setenv("DECAYSPACE_TOL", "not-a-number")
-    assert run(capsys, "analyze", "--space", space)[0] == 2
+    for raw in ("not-a-number", "nan", "inf"):
+        monkeypatch.setenv("DECAYSPACE_TOL", raw)
+        assert run(capsys, "analyze", "--space", space)[0] == 2
     monkeypatch.setenv("DECAYSPACE_TOL", "1e-6")
     assert run(capsys, "analyze", "--space", space)[0] == 0
 

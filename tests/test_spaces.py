@@ -100,8 +100,9 @@ def test_zeta_terminates_on_near_ties(name):
 
 
 def test_zeta_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        compute_zeta(sym3(1.0, 1.0, 4.0), tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            compute_zeta(sym3(1.0, 1.0, 4.0), tol=tol)
     with pytest.raises(ValueError):
         compute_zeta(DecaySpace(np.array([[0.0, -1.0], [1.0, 0.0]])))
 
