@@ -29,6 +29,7 @@ from .links import (
     is_feasible,
     link_distance_matrix,
     _index_list,
+    _link_distance_block,
     _noise_margin,
     _separation_violation,
     check_separation_set,
@@ -57,12 +58,11 @@ class Partition:
         return tuple(sorted(out))
 
 
-def _default_quasi(sys, zeta):
-    if sys.space.mode == NODE_SPACE:
-        return quasi_distances(sys.space, zeta)
-    # cross-link tables are not triangle-consistent in general; the
-    # rescaling is still the right length scale for separation tests
-    return quasi_distances(sys.space, zeta, check=False)
+def _default_quasi(space, zeta):
+    # only node-space tables get the triangle check: cross-link tables are
+    # not triangle-consistent in general, and the rescaling is still the
+    # right length scale for separation tests
+    return quasi_distances(space, zeta, check=space.mode == NODE_SPACE)
 
 
 def capacity_uniform(sys, zeta, quasi=None):
@@ -85,7 +85,7 @@ def capacity_uniform(sys, zeta, quasi=None):
     if not (zeta >= 1) or not math.isfinite(zeta):
         raise ValueError("zeta must be finite and at least 1")
     if quasi is None:
-        quasi = _default_quasi(sys, zeta)
+        quasi = _default_quasi(sys.space, zeta)
     skipped = drowned_links(sys)
     dead = set(skipped)
     A = affectance_matrix(sys)
@@ -96,17 +96,12 @@ def capacity_uniform(sys, zeta, quasi=None):
         v = int(v)
         if v in dead:
             continue
-        if X:
-            if not np.all(LD[v, X] >= (zeta / 2.0) * lengths[v]):
-                continue
-            if A[v, X].sum() + A[X, v].sum() > 0.5:
-                continue
+        if not np.all(LD[v, X] >= (zeta / 2.0) * lengths[v]):
+            continue
+        if A[v, X].sum() + A[X, v].sum() > 0.5:
+            continue
         X.append(v)
-    if X:
-        Xa = np.array(X)
-        S = [v for v in X if A[Xa, v].sum() <= 1.0]
-    else:
-        S = []
+    S = [v for v in X if A[X, v].sum() <= 1.0]
     return CapacityResult(
         selected=tuple(sorted(S)),
         intermediate=tuple(sorted(X)),
@@ -124,8 +119,6 @@ def capacity_oracle(sys, max_n=20):
     2**n subset checks; max_n caps n. Returns (size, members).
     """
     n = sys.n_links
-    if n == 0:
-        return 0, ()
     if n > max_n:
         raise ValueError(
             "%d links exceed max_n=%d; sample the system down or raise the cap"
@@ -244,10 +237,9 @@ def separation_strengthen(sys, quasi, S, tau, eta):
     certificate = {"kind": "separation", "level": float(eta)}
     if len(S) == 1:
         return Partition(classes=(tuple(S),), certificate=certificate, bound=1)
-    LD = link_distance_matrix(sys, quasi)
     lengths = sys.link_lengths(quasi)
     k = len(S)
-    sub_ld = LD[np.ix_(S, S)]
+    sub_ld = _link_distance_block(sys, quasi, S, S)
     pair_len = np.maximum.outer(lengths[S], lengths[S])
     clash = sub_ld < eta * pair_len
     np.fill_diagonal(clash, False)
@@ -344,11 +336,8 @@ def amicable_subset(sys, quasi, zeta, S):
     result = tuple(v for v, load in zip(shat, out_load) if load <= 2.0)
     if 2 * len(result) < len(shat):
         raise RuntimeError("survivor count fell below half, please report")
-    if result:
-        res_arr = np.array(result)
-        worst_out = float(A[:, res_arr].sum(axis=1).max())
-    else:
-        worst_out = 0.0
+    # result is non-empty: at least half of the non-empty Shat survives
+    worst_out = float(A[:, np.array(result)].sum(axis=1).max())
     diagnostics = {
         "input_size": len(S),
         "stage1_size": len(stage1),
@@ -356,7 +345,7 @@ def amicable_subset(sys, quasi, zeta, S):
         "stage2_size": len(shat),
         "stage2_classes": n_classes2,
         "output_size": len(result),
-        "shrink": float(len(S)) / len(result) if result else float("inf"),
+        "shrink": float(len(S)) / len(result),
         "max_out_affectance": worst_out,
     }
     return result, diagnostics

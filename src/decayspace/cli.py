@@ -21,7 +21,6 @@ import time
 
 from . import __version__
 from .spaces import (
-    NODE_SPACE,
     analyze_metricity,
     compute_zeta,
     quasi_distances,
@@ -29,6 +28,7 @@ from .spaces import (
 )
 from .links import is_feasible
 from .capacity import (
+    _default_quasi,
     capacity_oracle,
     capacity_uniform,
     separation_strengthen,
@@ -209,7 +209,7 @@ def _cmd_partition(args):
         config = {"system": args.system, "kind": "signal", "p": args.p, "q": args.q}
         return config, results, 0 if not bad else 1
     zeta = _resolve_zeta(args.zeta, sys_.space, args.tol)
-    quasi = quasi_distances(sys_.space, zeta, check=sys_.space.mode == NODE_SPACE)
+    quasi = _default_quasi(sys_.space, zeta)
     tau = args.tau if args.tau is not None else 1.0 / zeta
     eta = args.eta if args.eta is not None else zeta
     try:
@@ -339,7 +339,7 @@ def _cmd_generate(args):
     family = args.family
     try:
         space, system = _gen_instance(family, params, args.seed)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, MemoryError) as exc:
         raise UsageError("generate: bad parameter for %s: %s" % (family, exc))
     if params:
         raise UsageError("generate: unused parameters %s" % sorted(params))
@@ -475,8 +475,12 @@ def main(argv=None):
     text = dumps_canonical(report) + "\n"
     # generate's --out names the instance it writes; its report goes to stdout
     if args.command != "generate" and args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("error: cannot write %s: %s" % (args.out, exc), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -21,6 +21,12 @@ above. A link whose received signal cannot clear the noise floor even
 alone (P_v/f_vv <= beta*N) is called drowned; asking for affectance
 onto a drowned link is an error, and any set containing one is
 infeasible.
+
+Every link quantity reads the decay or quasi-distance table through
+one endpoint map: link i runs from node s_i to node r_i. Node-space
+systems take the map from their link list; a link-gain table is the
+cross-decay table itself, so there link i runs from node i to node i
+and the map is the identity.
 """
 
 import numpy as np
@@ -83,12 +89,12 @@ class PowerAssignment:
 class LinkSystem:
     """Links over a decay space, with SINR parameters and powers.
 
-    In node-space mode, links are (sender, receiver) index pairs into
-    the space and the cross decay from w to v is f(s_w, r_v). In
-    link-gain mode the space's matrix already is that table, entry
-    [w][v] being the decay from w's sender to v's receiver with
-    own-link decays on the diagonal; links stays None and link i is
-    row/column i.
+    Link i runs from sender node s_i to receiver node r_i, and the
+    cross decay from w to v is f(s_w, r_v). In node-space mode, links
+    are the (sender, receiver) index pairs into the space. In
+    link-gain mode the space's matrix already is the cross-decay
+    table, own-link decays on the diagonal; links stays None and the
+    endpoint map is the identity, s_i = r_i = i.
 
     Scheduling code orders links by non-decreasing own decay, ties
     broken by index; order() returns that permutation.
@@ -102,7 +108,7 @@ class LinkSystem:
             if links is not None:
                 raise ValueError("link-gain systems take their links from the matrix")
             self.links = None
-            self._nl = space.n
+            self._s = self._r = np.arange(space.n)
         else:
             if links is None:
                 raise ValueError("node-space systems need an explicit link list")
@@ -115,8 +121,8 @@ class LinkSystem:
                     raise ValueError("link %d has sender equal to receiver" % k)
                 clean.append((s, r))
             self.links = clean
-            self._nl = len(clean)
-        self._P = self.power.vector(self._nl)
+            self._s, self._r = np.array(clean, dtype=int).reshape(-1, 2).T
+        self._P = self.power.vector(self.n_links)
         own = self.own_decays()
         bad = np.where(own <= 0)[0]
         if bad.size:
@@ -126,57 +132,35 @@ class LinkSystem:
 
     @property
     def n_links(self):
-        return self._nl
+        return len(self._s)
 
     def powers(self):
         return self._P
 
     def own_decays(self):
-        if self.space.mode == LINK_GAIN:
-            return np.diag(self.space.f).copy()
-        if not self.links:
-            return np.empty(0)
-        s = np.fromiter((l[0] for l in self.links), dtype=int)
-        r = np.fromiter((l[1] for l in self.links), dtype=int)
-        return self.space.f[s, r]
+        return self.space.f[self._s, self._r]
 
     def cross_decays(self):
         """Matrix F with F[w][v] the decay from w's sender to v's receiver."""
         if self._cross is None:
-            if self.space.mode == LINK_GAIN:
-                self._cross = self.space.f.copy()
-            elif not self.links:
-                self._cross = np.empty((0, 0))
-            else:
-                s = [l[0] for l in self.links]
-                r = [l[1] for l in self.links]
-                self._cross = self.space.f[np.ix_(s, r)]
+            self._cross = self.space.f[np.ix_(self._s, self._r)]
         return self._cross
 
     def order(self):
         """Link indices sorted by (own decay, index)."""
         own = self.own_decays()
-        return np.lexsort((np.arange(self._nl), own))
+        return np.lexsort((np.arange(self.n_links), own))
 
     def link_length(self, quasi, v):
         """Own quasi-distance of link v under the given quasi-metric."""
-        if self.space.mode == LINK_GAIN:
-            return float(quasi.d[v, v])
-        s, r = self.links[v]
-        return float(quasi.d[s, r])
+        return float(self.link_lengths(quasi)[v])
 
     def link_lengths(self, quasi):
-        if self.space.mode == LINK_GAIN:
-            return np.diag(quasi.d).copy()
-        if not self.links:
-            return np.empty(0)
-        s = [l[0] for l in self.links]
-        r = [l[1] for l in self.links]
-        return quasi.d[s, r]
+        return quasi.d[self._s, self._r]
 
     def __repr__(self):
         return "LinkSystem(n_links=%d, %r, power=%s)" % (
-            self._nl,
+            self.n_links,
             self.params,
             self.power.kind,
         )
@@ -202,10 +186,6 @@ def affectance_matrix(sys, capped=True):
     """
     key = bool(capped)
     if key in sys._aff:
-        return sys._aff[key]
-    n = sys.n_links
-    if n == 0:
-        sys._aff[key] = np.empty((0, 0))
         return sys._aff[key]
     margin = _noise_margin(sys)
     with np.errstate(divide="ignore"):
@@ -268,8 +248,6 @@ def aggregate_affectance(sys, S, v, direction="in"):
         for w in S:
             if w != v:
                 _check_not_drowned(sys, w)
-    if not S:
-        return 0.0
     A = affectance_matrix(sys)
     if direction == "in":
         return float(A[S, v].sum())
@@ -313,15 +291,11 @@ def sinr_values(sys, S):
     S = _index_list(S)
     if not S:
         raise ValueError("need at least one link")
-    F = sys.cross_decays()
-    P = sys.powers()
-    own = sys.own_decays()
-    idx = np.array(S)
-    sub = F[np.ix_(S, S)]
     with np.errstate(divide="ignore"):
-        received = P[idx][:, None] / sub
-    signal = P[idx] / own[idx]
-    interference = received.sum(axis=0) - np.diag(received)
+        received = sys.powers()[S][:, None] / sys.cross_decays()[np.ix_(S, S)]
+    # the diagonal is each member's own signal P_v / f_vv
+    signal = np.diag(received)
+    interference = received.sum(axis=0) - signal
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr = signal / (sys.params.noise + interference)
     # 0/0 only when a zero cross decay floods a link; call that 0
@@ -332,48 +306,33 @@ def sinr_values(sys, S):
 def link_distance(sys, quasi, v, w):
     """Quasi-distance between links: the closest endpoint pair.
 
-    Node-space systems take the minimum over the four sender/receiver
-    combinations. Link-gain systems only carry the two cross terms, so
-    the distance falls back to min(d[v][w], d[w][v]). Either way the
-    distance of a link to itself is 0.
+    The minimum over the four sender/receiver combinations. Under the
+    identity endpoint map of a link-gain system that is
+    min(d[v][w], d[w][v]). The distance of a link to itself is 0.
     """
     _check_index(sys, v)
     _check_index(sys, w)
-    if v == w:
-        return 0.0
-    d = quasi.d
-    if sys.space.mode == LINK_GAIN:
-        return float(min(d[v, w], d[w, v]))
-    sv, rv = sys.links[v]
-    sw, rw = sys.links[w]
-    return float(min(d[sv, rw], d[sw, rv], d[sv, sw], d[rv, rw]))
+    return float(_link_distance_block(sys, quasi, [v], [w])[0, 0])
 
 
 def _link_distance_block(sys, quasi, rows, cols):
     # link distances between the links in rows and those in cols
     d = quasi.d
-    if sys.space.mode == LINK_GAIN:
-        out = np.minimum(d[np.ix_(rows, cols)], d[np.ix_(cols, rows)].T)
-    else:
-        s = np.array([l[0] for l in sys.links], dtype=int)
-        r = np.array([l[1] for l in sys.links], dtype=int)
-        sr, rr, sc, rc = s[rows], r[rows], s[cols], r[cols]
-        out = np.minimum.reduce([
-            d[np.ix_(sr, rc)],
-            d[np.ix_(sc, rr)].T,
-            d[np.ix_(sr, sc)],
-            d[np.ix_(rr, rc)],
-        ])
+    sr, rr, sc, rc = sys._s[rows], sys._r[rows], sys._s[cols], sys._r[cols]
+    out = np.minimum.reduce([
+        d[np.ix_(sr, rc)],
+        d[np.ix_(sc, rr)].T,
+        d[np.ix_(sr, sc)],
+        d[np.ix_(rr, rc)],
+    ])
     out[np.equal.outer(rows, cols)] = 0.0
     return out
 
 
 def link_distance_matrix(sys, quasi):
     """All pairwise link distances at once, zero diagonal."""
-    n = sys.n_links
-    if n == 0:
-        return np.empty((0, 0))
-    return _link_distance_block(sys, quasi, np.arange(n), np.arange(n))
+    links = np.arange(sys.n_links)
+    return _link_distance_block(sys, quasi, links, links)
 
 
 def check_separation(sys, quasi, v, L, eta):
@@ -397,8 +356,6 @@ def _separation_violation(sys, quasi, L, eta):
     L = _index_list(L)
     for v in L:
         _check_index(sys, v)
-    if len(L) < 2:
-        return None
     bad = _link_distance_block(sys, quasi, L, L) < eta * sys.link_lengths(quasi)[L][:, None]
     np.fill_diagonal(bad, False)
     hits = np.argwhere(bad)
@@ -445,10 +402,9 @@ def pairwise_power_infeasible(sys, v, w):
     _check_index(sys, w)
     if v == w:
         raise ValueError("need two distinct links")
-    own = sys.own_decays()
     F = sys.cross_decays()
     beta = sys.params.beta
-    return bool(beta * beta * own[v] * own[w] > F[v, w] * F[w, v])
+    return bool(beta * beta * F[v, v] * F[w, w] > F[v, w] * F[w, v])
 
 
 def interference_at(sys, senders, target):
@@ -468,8 +424,6 @@ def interference_at(sys, senders, target):
     senders = sorted(int(y) for y in senders)
     if target in senders:
         raise ValueError("target cannot be one of the senders")
-    if not senders:
-        return 0.0
     for y in senders:
         if not (0 <= y < sys.space.n):
             raise ValueError("sender node %d out of range" % y)

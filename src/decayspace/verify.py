@@ -36,6 +36,7 @@ from .links import (
     pairwise_power_infeasible,
 )
 from .capacity import (
+    _default_quasi,
     amicable_subset,
     capacity_oracle,
     capacity_uniform,
@@ -553,7 +554,7 @@ def _verify_files(paths):
                 continue
             zr, z, _ = compute_zeta(space)
             if math.isfinite(z):
-                quasi_distances(space, z, check=space.mode == "node-space")
+                _default_quasi(space, z)
             items.append({
                 "name": name, "ok": True,
                 "detail": "valid, zeta=%.6g" % z,

@@ -180,10 +180,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert code == 2 and out == "" and "error:" in err, (family, params)
         assert not os.path.exists(out_path)
 
+    # numpy refuses the 6.94 EiB matrix at once; smaller sizes may allocate lazily
+    code, out, err = run(capsys, "generate", "--family", "star",
+                         "--params", '{"k": 1000000000, "r": 1}', "--out", out_path)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not os.path.exists(out_path)
+
     cloud = str(tmp_path / "cloud.json")
     save_space(gen_euclidean(random_points(30, 3), 3.0), cloud)
     for tol in ("nan", "inf"):
         assert run(capsys, "analyze", "--space", cloud, "--tol", tol)[0] == 2
+    code, out, err = run(capsys, "validate", "--space", cloud,
+                         "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 2 and out == "" and err.startswith("error: cannot write ")
 
     good = str(tmp_path / "sys.json")
     assert run(capsys, "generate", "--family", "equidecay",

@@ -29,6 +29,8 @@ from decayspace import (
 )
 from decayspace.links import _separation_violation
 
+import links_reference as ref
+
 
 def pair_system(f01=4.0, f10=2.0, beta=1.0, noise=0.0, power=None):
     f = np.array([[1.0, f01], [f10, 1.0]])
@@ -126,12 +128,9 @@ def test_link_distance_takes_closest_endpoints():
 
 
 def test_link_distance_matrix_matches_scalar():
-    sys_ = random_link_system(7, 99, alpha=2.0)
-    quasi = quasi_distances(sys_.space, 2.0)
-    M = link_distance_matrix(sys_, quasi)
-    for v in range(7):
-        for w in range(7):
-            assert M[v, w] == link_distance(sys_, quasi, v, w)
+    # one fixed system per mode; test_properties.py draws random ones
+    for sys_ in (random_link_system(7, 99, alpha=2.0), pair_system()):
+        ref.assert_link_geometry(sys_, quasi_distances(sys_.space, 2.0, check=False))
 
 
 def test_link_distance_link_gain_mode():
@@ -146,7 +145,7 @@ def _scalar_violation(sys_, quasi, L, eta):
     # reference: the first row-major pair, one scalar distance at a time
     for v in sorted(L):
         for w in sorted(L):
-            if w != v and link_distance(sys_, quasi, v, w) < eta * sys_.link_length(quasi, v):
+            if w != v and ref.link_distance(sys_, quasi, v, w) < eta * ref.link_length(sys_, quasi, v):
                 return (v, w)
     return None
 
@@ -163,7 +162,7 @@ def test_separation_checks_match_scalar_reference():
             sys_ = random_link_system(m, trial, alpha=2.0)
         quasi = quasi_distances(sys_.space, 2.0, check=False)
         # levels at an exact distance/length ratio put pairs on the boundary
-        ratios = [link_distance(sys_, quasi, v, w) / sys_.link_length(quasi, v)
+        ratios = [ref.link_distance(sys_, quasi, v, w) / ref.link_length(sys_, quasi, v)
                   for v in range(m) for w in range(m) if w != v]
         for k in range(6):
             L = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
@@ -172,10 +171,10 @@ def test_separation_checks_match_scalar_reference():
             assert _separation_violation(sys_, quasi, L, eta) == want
             assert check_separation_set(sys_, quasi, L, eta) == (want is None)
             v = int(rng.integers(m))
-            ref = all(link_distance(sys_, quasi, v, w) >= eta * sys_.link_length(quasi, v)
+            sep = all(ref.link_distance(sys_, quasi, v, w) >= eta * ref.link_length(sys_, quasi, v)
                       for w in L)
-            assert check_separation(sys_, quasi, v, L, eta) == ref
-            outcomes.add((sys_.space.mode, want is None, ref))
+            assert check_separation(sys_, quasi, v, L, eta) == sep
+            outcomes.add((sys_.space.mode, want is None, sep))
     assert len(outcomes) == 8  # both modes, both verdicts of both checks
 
 

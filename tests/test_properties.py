@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from decayspace import (
     DecaySpace,
+    LinkSystem,
     affectance_matrix,
     compute_phi,
     compute_zeta,
@@ -16,13 +17,13 @@ from decayspace import (
     gen_euclidean,
     interference_at,
     is_feasible,
-    link_distance,
-    link_distance_matrix,
     packing_number,
     quasi_distances,
     random_link_system,
 )
 from decayspace.search import max_independent_set, max_weight_independent_set
+
+import links_reference as ref
 
 seeds = st.integers(0, 10 ** 6)
 
@@ -188,15 +189,18 @@ def test_canonical_json_ignores_insertion_order(items):
     assert dumps_canonical(dict(items)) == dumps_canonical(dict(reversed(items)))
 
 
-@settings(deadline=None, max_examples=25)
-@given(seeds)
-def test_link_distance_matrix_matches_scalar(seed):
-    sys_ = random_link_system(6, seed, alpha=3.0)
-    quasi = quasi_distances(sys_.space, 3.0)
-    M = link_distance_matrix(sys_, quasi)
-    for v in range(6):
-        for w in range(6):
-            assert M[v, w] == link_distance(sys_, quasi, v, w)
+@settings(deadline=None, max_examples=60)
+@given(seeds, st.integers(0, 7), st.booleans())
+def test_link_distance_matrix_matches_scalar(seed, m, link_gain):
+    # node-space links on random endpoints may share nodes; m = 0 included
+    rng = np.random.default_rng(seed)
+    if link_gain:
+        sys_ = LinkSystem(DecaySpace(rng.uniform(0.5, 10.0, size=(m, m)), mode="link-gain"))
+    else:
+        n = int(rng.integers(2, 2 * m + 3))
+        links = [rng.choice(n, size=2, replace=False) for _ in range(m)]
+        sys_ = LinkSystem(gen_euclidean(rng.uniform(0.0, 4.0, size=(n, 2)), 2.0), links=links)
+    ref.assert_link_geometry(sys_, quasi_distances(sys_.space, 2.0, check=False))
 
 
 @settings(deadline=None, max_examples=30)
