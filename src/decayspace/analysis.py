@@ -20,7 +20,18 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .search import max_independent_set, max_weight_independent_set
+from .search import _branch, _neighbor_masks, max_independent_set, max_weight_independent_set
+from .spaces import _row_blocks
+
+
+def _stack_blocks(count, k):
+    """Ranges over count radii whose (B, k, k) conflict stacks hold about 2**18 entries.
+
+    A row counts at its width padded to whole 64-bit words, and a block
+    holds one radius at least, so a stack never exceeds
+    max(2**18, k * padded width) entries.
+    """
+    return _row_blocks(count, k * (-(-k // 64) * 64))
 
 
 def ball(space, y, t):
@@ -78,6 +89,17 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     estimate feeds capacity or interference bounds. Greedy packings
     past exact_limit make counts lower bounds; exact reports whether
     every packing was exact.
+
+    Each center's column is sorted once (stably), so every ball is a
+    prefix of that order. A packing is searched only when its ball
+    holds more than g(q) nodes, and the exact search starts from g(q)
+    as its floor: it only has to show whether g(q) can be beaten.
+    The conflict matrices of one center and scale are built as one
+    stack per block of radii, sized like the metricity kernels'
+    blocks (about 2**18 entries, a single K x K prefix matrix at
+    least), so memory stays O(n**2). Balls past exact_limit still go
+    through packing_number on the index-sorted ball, so the greedy
+    lower bounds and the exact flag are those of a per-ball call.
     """
     if C is not None and not (C > 0):
         raise ValueError("C must be positive")
@@ -87,28 +109,35 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
         if not (q > 1):
             raise ValueError("every q must exceed 1")
     f = space.f
-    n = space.n
+    S = np.minimum(f, f.T)
     g = {float(q): 1 for q in q_grid}
+    ones = [1.0] * space.n
     all_exact = True
-    radii = set()
-    for x in range(n):
-        col = f[:, x]
-        for d in np.unique(col):
-            d = float(d)
-            if d <= 0:
-                continue
-            radii.add(d)
-            body = [int(i) for i in np.nonzero(col < d)[0]]
-            if not body:
-                continue
-            for q in q_grid:
-                q = float(q)
-                if len(body) <= g[q]:
-                    continue
-                count, exact, _ = packing_number(space, body, d / q, exact_limit)
-                all_exact = all_exact and exact
-                if count > g[q]:
-                    g[q] = count
+    # each g(q) evolves on its own, so the scales can be the middle loop
+    for x in range(space.n):
+        order = np.argsort(f[:, x], kind="stable")
+        col = f[order, x]
+        radii = np.unique(col)
+        radii = radii[radii > 0]
+        # the ball of radius r is order[:k], k the count of decays below r
+        sizes = np.searchsorted(col, radii)
+        exact = sizes <= exact_limit
+        for q in g:
+            todo = np.flatnonzero(exact & (sizes > g[q]))
+            if todo.size:
+                K = int(sizes[todo[-1]])
+                Sx = S[np.ix_(order[:K], order[:K])]
+                for j0, j1 in _stack_blocks(todo.size, K):
+                    sel = todo[j0:j1]
+                    stack = Sx[None] <= (2.0 * (radii[sel] / q))[:, None, None]
+                    for k, masks in zip(sizes[sel].tolist(), _neighbor_masks(stack)):
+                        if k > g[q]:
+                            g[q] = int(_branch(masks[:k], ones, float(g[q]))[1])
+            for k, r in zip(sizes[~exact].tolist(), radii[~exact].tolist()):
+                if k > g[q]:
+                    count, ok, _ = packing_number(space, order[:k], r / q, exact_limit)
+                    all_exact = all_exact and ok
+                    g[q] = max(g[q], count)
     samples = [(float(q), int(g[float(q)])) for q in q_grid]
     if C is None:
         lq = np.log([q for q, _ in samples])
@@ -126,7 +155,7 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
         assouad=float(estimate),
         C=C_out,
         samples=samples,
-        r_grid=tuple(sorted(radii)),
+        r_grid=tuple(float(d) for d in np.unique(f) if d > 0),
         exact=all_exact,
     )
 

@@ -10,6 +10,11 @@ import numpy as np
 from .spaces import DecaySpace, LINK_GAIN, NODE_SPACE
 from .links import LinkSystem, PowerAssignment, SinrParams
 
+# draws a random generator makes before giving up on distinct points
+MAX_RESAMPLES = 100
+# largest star (leaves plus hub and stray): its matrix is 128 MiB
+MAX_STAR_NODES = 4096
+
 
 def random_points(n, seed, plant_collinear=False):
     """Uniform points in the unit square, reproducible by seed.
@@ -17,14 +22,14 @@ def random_points(n, seed, plant_collinear=False):
     plant_collinear overwrites the last three points with an exactly
     collinear, evenly spaced triple on a dyadic grid, so that the
     middle point splits the long distance without floating point
-    error. Points are deduplicated by resampling.
+    error. Points are deduplicated by resampling, at most
+    MAX_RESAMPLES times before a ValueError.
     """
     if n < 1:
         raise ValueError("need at least one point")
     if plant_collinear and n < 3:
         raise ValueError("planting a collinear triple needs n >= 3")
-    attempt = 0
-    while True:
+    for attempt in range(MAX_RESAMPLES):
         rng = np.random.default_rng(seed + 7919 * attempt)
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
         if plant_collinear:
@@ -36,7 +41,7 @@ def random_points(n, seed, plant_collinear=False):
             pts[-1] = base + 2.0 * step
         if len({(p[0], p[1]) for p in pts}) == n:
             return pts
-        attempt += 1
+    raise ValueError("no %d distinct points after %d draws" % (n, MAX_RESAMPLES))
 
 
 def gen_euclidean(points, alpha):
@@ -76,21 +81,21 @@ def gen_star(k, r):
     stray to hub r, stray to leaf r + k**2. Node 0 is the stray, node
     1 the hub, nodes 2..k+1 the leaves. The interesting regime is
     r much smaller than k**2: the stray hears all k leaves at decay
-    just above k**2 each.
+    just above k**2 each. k + 2 is capped at MAX_STAR_NODES.
     """
     if k < 1:
         raise ValueError("need at least one leaf")
+    if k + 2 > MAX_STAR_NODES:
+        raise ValueError("a star has at most %d nodes, got %s leaves" % (MAX_STAR_NODES, k))
     if not (r > 0):
         raise ValueError("r must be positive")
     n = k + 2
-    f = np.zeros((n, n))
     k2 = float(k) ** 2
+    f = np.full((n, n), 2.0 * k2)
+    f[1, :] = f[:, 1] = k2
+    f[0, :] = f[:, 0] = r + k2
     f[0, 1] = f[1, 0] = r
-    for leaf in range(2, n):
-        f[1, leaf] = f[leaf, 1] = k2
-        f[0, leaf] = f[leaf, 0] = r + k2
-        for other in range(2, leaf):
-            f[leaf, other] = f[other, leaf] = 2.0 * k2
+    np.fill_diagonal(f, 0.0)
     labels = ["stray", "hub"] + ["leaf%d" % i for i in range(k)]
     return DecaySpace(f, mode=NODE_SPACE, labels=labels)
 
@@ -223,12 +228,17 @@ def random_link_system(n_links, seed, beta=1.0, noise=0.0, alpha=2.5, box=4.0):
 
     Senders land uniformly in a box of the given side; each receiver
     sits at its sender plus a short random offset. Powers are uniform.
-    The box side tunes interference density.
+    The box side tunes interference density; it must be positive and
+    finite. Coinciding points are resampled, at most MAX_RESAMPLES
+    times, and a box so small that distinct nodes get zero decay is
+    rejected with a ValueError.
     """
     if n_links < 1:
         raise ValueError("need at least one link")
+    if not (0 < box < np.inf):
+        raise ValueError("box must be positive and finite")
     rng = np.random.default_rng(seed)
-    while True:
+    for _ in range(MAX_RESAMPLES):
         senders = rng.uniform(0.0, box, size=(n_links, 2))
         offsets = rng.uniform(-1.0, 1.0, size=(n_links, 2))
         norms = np.sqrt((offsets ** 2).sum(axis=1))
@@ -239,7 +249,12 @@ def random_link_system(n_links, seed, beta=1.0, noise=0.0, alpha=2.5, box=4.0):
             break
         seed += 7919
         rng = np.random.default_rng(seed)
+    else:
+        raise ValueError("no %d distinct links after %d draws" % (n_links, MAX_RESAMPLES))
     space = gen_euclidean(pts, alpha)
+    # the diagonal is zero, so every other entry must be non-zero
+    if np.count_nonzero(space.f) < 2 * n_links * (2 * n_links - 1):
+        raise ValueError("box %g is too small: distinct nodes get zero decay" % box)
     links = [(i, n_links + i) for i in range(n_links)]
     return LinkSystem(
         space,

@@ -343,10 +343,10 @@ def check_separation(sys, quasi, v, L, eta):
     since its self-distance is zero.
     """
     L = _index_list(L)
-    if not L:
-        return True
     for w in [v] + L:
         _check_index(sys, w)
+    if not L:
+        return True
     row = _link_distance_block(sys, quasi, [v], L)[0]
     return not np.any(row < eta * sys.link_length(quasi, v))
 

@@ -3,9 +3,10 @@
 One weighted branch-and-bound serves both public searches; the
 unweighted search is its unit-weight case. Conflicts are bitmasks
 built with np.packbits (an entry in either direction of the matrix is
-a conflict, the diagonal is ignored), and the search runs on an
-explicit stack, so exact_limit is not bounded by Python's recursion
-limit.
+a conflict, the diagonal is ignored), one 64-bit word per column
+block, so a whole stack of conflict matrices converts in one pass.
+The search runs on an explicit stack, so exact_limit is not bounded by
+Python's recursion limit.
 
 Pruning bound: cover the available vertices greedily with cliques,
 each grown from the lowest uncovered vertex through its lowest
@@ -21,16 +22,42 @@ strictly, so the reported optimum is the lexicographically least one.
 Past exact_limit vertices a greedy pass in decreasing weight order
 (ties by index) gives a lower bound, which the callers flag as
 inexact.
+
+Floor contract: _branch(masks, w, floor) starts from floor as its
+incumbent value with no witness, so it returns a set only when one
+beats floor strictly, and otherwise (0, floor). A caller that only
+needs to know whether its running best can be beaten (assouad_estimate
+passes its incumbent g(q)) then never explores a branch that cannot
+win. The witness rule survives the floor: until the lexicographically
+least optimum is reached every incumbent stays below the optimum, so
+no branch holding that set is pruned, and after it only strictly
+heavier sets replace it. The public searches use floor 0.0, which is
+the search without a floor.
 """
 
 import numpy as np
 
 
 def _neighbor_masks(conflict):
-    adj = conflict | conflict.T
-    np.fill_diagonal(adj, False)
-    rows = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    """Bitmask rows of an (n, n) conflict matrix, or one list per matrix of a (B, n, n) stack.
+
+    Bit u of row v is set when v and u conflict in either direction.
+    Rows are padded to whole 64-bit words and read as little-endian
+    integers; past 64 columns the higher words are shifted in.
+    """
+    n = conflict.shape[-1]
+    adj = np.zeros(conflict.shape[:-1] + (-(-n // 64) * 64,), dtype=bool)
+    adj[..., :n] = conflict | np.swapaxes(conflict, -1, -2)
+    idx = np.arange(n)
+    adj[..., idx, idx] = False
+    words = np.packbits(adj, axis=-1, bitorder="little").view("<u8")
+    words = words.reshape(-1, words.shape[-1])
+    masks = words[:, 0].tolist()
+    for i in range(1, words.shape[1]):
+        masks = [m | h << 64 * i for m, h in zip(masks, words[:, i].tolist())]
+    if conflict.ndim == 2:
+        return masks
+    return [masks[j:j + n] for j in range(0, len(masks), n)]
 
 
 def _members(mask):
@@ -59,6 +86,26 @@ def _can_improve(avail, masks, w, val, best):
     return False
 
 
+def _branch(masks, w, floor):
+    """Best (mask, value) over the vertices of masks, improving strictly on floor.
+
+    Returns (0, floor) when no independent set is heavier than floor.
+    """
+    best_val, best_mask = floor, 0
+    stack = [((1 << len(masks)) - 1, 0, 0.0)]
+    while stack:
+        avail, chosen, val = stack.pop()
+        if not avail:
+            if val > best_val:
+                best_val, best_mask = val, chosen
+        elif _can_improve(avail, masks, w, val, best_val):
+            bit = avail & -avail
+            v = bit.bit_length() - 1
+            stack.append((avail ^ bit, chosen, val))
+            stack.append((avail & ~(bit | masks[v]), chosen | bit, val + w[v]))
+    return best_mask, best_val
+
+
 def _search(weights, conflict, exact_limit):
     conflict = np.asarray(conflict, dtype=bool)
     n = conflict.shape[0]
@@ -73,18 +120,7 @@ def _search(weights, conflict, exact_limit):
                 chosen |= 1 << v
         members = _members(chosen)
         return members, float(weights[list(members)].sum()), False
-    best_val, best_mask = 0.0, 0
-    stack = [((1 << n) - 1, 0, 0.0)]
-    while stack:
-        avail, chosen, val = stack.pop()
-        if not avail:
-            if val > best_val:
-                best_val, best_mask = val, chosen
-        elif _can_improve(avail, masks, w, val, best_val):
-            bit = avail & -avail
-            v = bit.bit_length() - 1
-            stack.append((avail ^ bit, chosen, val))
-            stack.append((avail & ~(bit | masks[v]), chosen | bit, val + w[v]))
+    best_mask, best_val = _branch(masks, w, 0.0)
     return _members(best_mask), float(best_val), True
 
 

@@ -127,10 +127,10 @@ _EPS = float(np.finfo(float).eps)
 _LN2 = float(np.log(2.0))
 
 
-def _row_blocks(n):
-    """Ranges of x-rows whose (B, n, n) triple slices hold about _BLOCK entries."""
-    step = max(1, _BLOCK // (n * n))
-    return [(x0, min(n, x0 + step)) for x0 in range(0, n, step)]
+def _row_blocks(rows, per_row):
+    """Ranges of rows whose blocks hold about _BLOCK entries, per_row entries a row."""
+    step = max(1, _BLOCK // per_row)
+    return [(x0, min(rows, x0 + step)) for x0 in range(0, rows, step)]
 
 
 def _distinct(off, x0, x1):
@@ -237,7 +237,7 @@ def compute_zeta(space, tol=1e-9):
     if space.n < 3:
         return 1.0, 1.0, None
     f, n = space.f, space.n
-    blocks = _row_blocks(n)
+    blocks = _row_blocks(n, n * n)
     off = ~np.eye(n, dtype=bool)
     if not f[off].all():
         for x0, x1 in blocks:
@@ -362,7 +362,7 @@ def compute_phi(space):
     f, n = space.f, space.n
     off = ~np.eye(n, dtype=bool)
     best, witness = -1.0, None
-    for x0, x1 in _row_blocks(n):
+    for x0, x1 in _row_blocks(n, n * n):
         # a ratio beyond the float range is inf, and so the maximum
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = f[x0:x1, None, :] / (f[x0:x1, :, None] + f[None])

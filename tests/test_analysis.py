@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
+import analysis_reference as ref
+from decayspace import analysis
 from decayspace import (
     DecaySpace,
     assouad_estimate,
     ball,
     fading_bound,
     fading_parameter,
+    gen_equidecay_graph,
     gen_euclidean,
     gen_star,
     gen_welzl,
@@ -20,6 +23,7 @@ from decayspace import (
     independence_dimension,
     packing_number,
     quasi_distances,
+    random_graph,
     random_points,
     two_half_ball_cover,
     zeta_hat,
@@ -118,6 +122,67 @@ def test_assouad_rejects_bad_inputs():
         assouad_estimate(sp, q_grid=(1.0, 2.0))
     with pytest.raises(ValueError):
         assouad_estimate(DecaySpace(np.empty((0, 0)), mode="link-gain"))
+
+
+def shadowed_cloud(n, seed):
+    # alpha = 3 cloud under independent log-normal shadowing per direction
+    base = gen_euclidean(random_points(n, seed), 3.0)
+    g = np.random.default_rng([seed, 1]).normal(0.0, 1.0, size=(n, n))
+    return DecaySpace(base.f * np.exp(g))
+
+
+def integer_grid(m):
+    return gen_euclidean(np.array([[float(i), float(j)] for i in range(m) for j in range(m)]), 2.0)
+
+
+_REFERENCE_CASES = {
+    "shadowed": lambda: (shadowed_cloud(16, 3), {}),
+    "shadowed-fit": lambda: (shadowed_cloud(20, 4), {"C": None}),
+    "uniform": lambda: (uniform_space(12), {"exact_limit": 12}),
+    "grid": lambda: (integer_grid(4), {"C": None}),
+    "grid-fit": lambda: (integer_grid(5), {"C": None, "exact_limit": 30}),
+    "line": lambda: (line_space(12), {"C": 2.0}),
+    "link-gain-graph": lambda: (gen_equidecay_graph(*random_graph(12, 0.4, 5)).space, {"C": None}),
+    "link-gain-random": lambda: (DecaySpace(np.random.default_rng(8).uniform(0.5, 5.0, (14, 14)),
+                                            mode="link-gain"), {"C": None}),
+    "greedy": lambda: (gen_euclidean(random_points(20, 9), 3.0), {"C": None, "exact_limit": 6}),
+    "multi-word": lambda: (gen_euclidean(random_points(66, 2), 3.0),
+                           {"C": None, "q_grid": (1.5, 2.0), "exact_limit": 66}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_assouad_matches_per_call_reference(case):
+    space, kw = _REFERENCE_CASES[case]()
+    fast, slow = assouad_estimate(space, **kw), ref.assouad_estimate(space, **kw)
+    assert fast.samples == slow.samples and fast.exact == slow.exact
+    assert fast.C == slow.C and fast.assouad == slow.assouad
+    assert fast.r_grid == slow.r_grid
+    if case == "greedy":
+        assert not fast.exact
+    if case == "multi-word":
+        assert fast.exact and max(g for _, g in fast.samples) > 1
+
+
+def test_assouad_conflict_stacks_stay_bounded(monkeypatch):
+    for count, k in ((1, 1), (500, 1), (500, 63), (500, 64), (500, 65), (300, 129), (3, 4000)):
+        blocks = analysis._stack_blocks(count, k)
+        assert blocks[0][0] == 0 and blocks[-1][1] == count
+        assert all(b0 == a1 for (_, a1), (b0, _) in zip(blocks, blocks[1:]))
+        padded = k * (-(-k // 64) * 64)
+        assert all((j1 - j0) * padded <= max(1 << 18, padded) for j0, j1 in blocks)
+    # every stack the estimate builds obeys the same bound; near-uniform
+    # decays make every packing one node, so the searches end at the root
+    shapes = []
+    build = analysis._neighbor_masks
+    monkeypatch.setattr(analysis, "_neighbor_masks", lambda c: shapes.append(c.shape) or build(c))
+    n = 100
+    f = 1.0 + 0.1 * np.random.default_rng(0).random((n, n))
+    np.fill_diagonal(f, 0.0)
+    est = assouad_estimate(DecaySpace(f), q_grid=(1.5,), exact_limit=n)
+    assert est.samples == [(1.5, 1)] and est.exact
+    assert len(shapes) > n  # more than one block per center
+    assert all(b * k * k <= max(1 << 18, k * k) for b, k, _ in shapes)
 
 
 def test_fading_two_node_and_star():

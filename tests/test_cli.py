@@ -180,11 +180,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert code == 2 and out == "" and "error:" in err, (family, params)
         assert not os.path.exists(out_path)
 
-    # numpy refuses the 6.94 EiB matrix at once; smaller sizes may allocate lazily
-    code, out, err = run(capsys, "generate", "--family", "star",
-                         "--params", '{"k": 1000000000, "r": 1}', "--out", out_path)
-    assert code == 2 and out == "" and err.startswith("error: ")
-    assert not os.path.exists(out_path)
+    # stars past the node cap are refused before any matrix is allocated
+    for k in ("100000", "1000000000"):
+        code, out, err = run(capsys, "generate", "--family", "star",
+                             "--params", '{"k": %s, "r": 1}' % k, "--out", out_path)
+        assert code == 2 and out == "" and err.startswith("error: ") and "at most" in err
+        assert not os.path.exists(out_path)
 
     cloud = str(tmp_path / "cloud.json")
     save_space(gen_euclidean(random_points(30, 3), 3.0), cloud)

@@ -1,5 +1,10 @@
 """The construction families: exact tables, reproducibility, guards."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,9 @@ from decayspace import (
     random_points,
     validate_space,
 )
+from decayspace.generators import MAX_STAR_NODES
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def test_random_points_basic():
@@ -80,6 +88,30 @@ def test_gen_star_table():
         gen_star(0, 1.0)
     with pytest.raises(ValueError):
         gen_star(3, 0.0)
+
+
+def _star_by_loops(k, r):
+    # the element-by-element build that the array build replaced
+    n = k + 2
+    f = np.zeros((n, n))
+    k2 = float(k) ** 2
+    f[0, 1] = f[1, 0] = r
+    for leaf in range(2, n):
+        f[1, leaf] = f[leaf, 1] = k2
+        f[0, leaf] = f[leaf, 0] = r + k2
+        for other in range(2, leaf):
+            f[leaf, other] = f[other, leaf] = 2.0 * k2
+    return f
+
+
+def test_gen_star_array_build_matches_loops_and_is_capped():
+    for k in (1, 2, 3, 16, 57, 200):
+        for r in (1e-3, 0.5, 1, 7.25):
+            assert gen_star(k, r).f.tobytes() == _star_by_loops(k, r).tobytes()
+    assert gen_star(MAX_STAR_NODES - 2, 1.0).n == MAX_STAR_NODES
+    for k in (MAX_STAR_NODES - 1, 10 ** 5, 10 ** 18):
+        with pytest.raises(ValueError, match="at most"):
+            gen_star(k, 1.0)
 
 
 def test_gen_welzl_table():
@@ -177,3 +209,36 @@ def test_random_link_system():
     assert np.array_equal(sys.space.f, again.space.f)
     with pytest.raises(ValueError):
         random_link_system(0, 1)
+
+
+# a generator whose draws all coincide, to drive the resample loops to their cap
+_STUCK = """
+class _Stuck:
+    def uniform(self, low, high, size):
+        return np.full(size, low)
+
+    def integers(self, low, high, size):
+        return np.full(size, low)
+
+np.random.default_rng = lambda *args, **kw: _Stuck()
+"""
+
+
+@pytest.mark.parametrize("call, why", [
+    ("random_link_system(5, 1, box=0.0)", "positive and finite"),
+    ("random_link_system(20, 1, box=1e-320)", "zero decay"),
+    ("random_link_system(5, 1, box=float('nan'))", "positive and finite"),
+    ("random_link_system(5, 1, box=float('inf'))", "positive and finite"),
+    ("random_link_system(5, 1, box=-4.0)", "positive and finite"),
+    (_STUCK + "random_link_system(5, 1)", "draws"),
+    (_STUCK + "random_points(5, 1)", "draws"),
+])
+def test_random_generators_reject_or_stop(call, why):
+    # in a child process, so a resample loop that never ends fails on the timeout
+    script = ("import numpy as np\nfrom decayspace import random_link_system, random_points\n"
+              "try:\n" + "".join("    %s\n" % line for line in call.strip().splitlines())
+              + "except ValueError as e:\n    print('ValueError:', e)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert done.stdout.startswith("ValueError: ") and why in done.stdout, done.stdout

@@ -178,6 +178,17 @@ def test_separation_checks_match_scalar_reference():
     assert len(outcomes) == 8  # both modes, both verdicts of both checks
 
 
+def test_check_separation_rejects_bad_link_even_with_empty_set():
+    sys_ = random_link_system(5, 1)
+    quasi = quasi_distances(sys_.space, 2.5, check=False)
+    assert check_separation(sys_, quasi, 4, [], 1.0)
+    for v in (99, -1, 5):
+        with pytest.raises(ValueError):
+            check_separation(sys_, quasi, v, [], 1.0)
+        with pytest.raises(ValueError):
+            check_separation(sys_, quasi, v, [1], 1.0)
+
+
 def test_aggregate_affectance_directions():
     sys_ = pair_system()
     assert aggregate_affectance(sys_, [0, 1], 0, "in") == 0.5
