@@ -20,7 +20,9 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .search import _branch, _neighbor_masks, max_independent_set, max_weight_independent_set
+from .search import (
+    _branch, _can_improve, _neighbor_masks, max_independent_set, max_weight_independent_set,
+)
 from .spaces import _row_blocks
 
 
@@ -32,6 +34,15 @@ def _stack_blocks(count, k):
     max(2**18, k * padded width) entries.
     """
     return _row_blocks(count, k * (-(-k // 64) * 64))
+
+
+def _packing_conflicts(S, t):
+    """Pairs too close to share a packing at scale t: min(f(a,b), f(b,a)) <= 2t.
+
+    S holds the weaker-direction decays min(f, f.T) of a node set. A 1-D
+    array of scales gives one conflict matrix per scale, stacked.
+    """
+    return S <= 2.0 * np.asarray(t, dtype=float)[..., None, None]
 
 
 def ball(space, y, t):
@@ -57,7 +68,7 @@ def packing_number(space, body, t, exact_limit=24):
     if not (t > 0):
         raise ValueError("scale must be positive")
     sub = space.f[np.ix_(body, body)]
-    close = np.minimum(sub, sub.T) <= 2.0 * t
+    close = _packing_conflicts(np.minimum(sub, sub.T), t)
     members, exact = max_independent_set(close, exact_limit)
     chosen = tuple(body[i] for i in members)
     return len(chosen), exact, chosen
@@ -91,15 +102,18 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     every packing was exact.
 
     Each center's column is sorted once (stably), so every ball is a
-    prefix of that order. A packing is searched only when its ball
-    holds more than g(q) nodes, and the exact search starts from g(q)
-    as its floor: it only has to show whether g(q) can be beaten.
-    The conflict matrices of one center and scale are built as one
-    stack per block of radii, sized like the metricity kernels'
-    blocks (about 2**18 entries, a single K x K prefix matrix at
-    least), so memory stays O(n**2). Balls past exact_limit still go
-    through packing_number on the index-sorted ball, so the greedy
-    lower bounds and the exact flag are those of a per-ball call.
+    prefix of that order. A ball is packed only when it holds more than
+    g(q) nodes and can beat g(q): the conflict matrices of its prefix
+    decide that, an exact search with g(q) as its floor that stops at
+    the first larger packing, or, past exact_limit, the search's
+    clique-cover bound alone. Every ball that passes is packed by
+    packing_number, exactly as a per-ball call would pack it, and the
+    others cannot change g(q); a ball past exact_limit that holds more
+    than g(q) nodes clears the exact flag whether or not it is packed,
+    as its greedy call would. The matrices of one center and scale are
+    built as one stack per block of radii, sized like the metricity
+    kernels' blocks (about 2**18 entries, a single K x K prefix matrix
+    at least), so memory stays O(n**2).
     """
     if C is not None and not (C > 0):
         raise ValueError("C must be positive")
@@ -121,23 +135,26 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
         radii = radii[radii > 0]
         # the ball of radius r is order[:k], k the count of decays below r
         sizes = np.searchsorted(col, radii)
-        exact = sizes <= exact_limit
         for q in g:
-            todo = np.flatnonzero(exact & (sizes > g[q]))
-            if todo.size:
-                K = int(sizes[todo[-1]])
-                Sx = S[np.ix_(order[:K], order[:K])]
-                for j0, j1 in _stack_blocks(todo.size, K):
-                    sel = todo[j0:j1]
-                    stack = Sx[None] <= (2.0 * (radii[sel] / q))[:, None, None]
-                    for k, masks in zip(sizes[sel].tolist(), _neighbor_masks(stack)):
-                        if k > g[q]:
-                            g[q] = int(_branch(masks[:k], ones, float(g[q]))[1])
-            for k, r in zip(sizes[~exact].tolist(), radii[~exact].tolist()):
-                if k > g[q]:
-                    count, ok, _ = packing_number(space, order[:k], r / q, exact_limit)
-                    all_exact = all_exact and ok
-                    g[q] = max(g[q], count)
+            todo = np.flatnonzero(sizes > g[q])
+            if not todo.size:
+                continue
+            K = int(sizes[todo[-1]])
+            Sx = S[np.ix_(order[:K], order[:K])]
+            for j0, j1 in _stack_blocks(todo.size, K):
+                sel = todo[j0:j1]
+                stack = _packing_conflicts(Sx, radii[sel] / q)
+                for k, r, masks in zip(sizes[sel].tolist(), radii[sel].tolist(),
+                                       _neighbor_masks(stack)):
+                    if k <= g[q]:
+                        continue
+                    if k > exact_limit:
+                        all_exact = False
+                        wins = _can_improve((1 << k) - 1, masks[:k], ones, 0.0, g[q])
+                    else:
+                        wins = _branch(masks[:k], ones, float(g[q]), first=True)[0] != 0
+                    if wins:
+                        g[q] = max(g[q], packing_number(space, order[:k], r / q, exact_limit)[0])
     samples = [(float(q), int(g[float(q)])) for q in q_grid]
     if C is None:
         lq = np.log([q for q, _ in samples])

@@ -25,14 +25,16 @@ inexact.
 
 Floor contract: _branch(masks, w, floor) starts from floor as its
 incumbent value with no witness, so it returns a set only when one
-beats floor strictly, and otherwise (0, floor). A caller that only
-needs to know whether its running best can be beaten (assouad_estimate
-passes its incumbent g(q)) then never explores a branch that cannot
-win. The witness rule survives the floor: until the lexicographically
-least optimum is reached every incumbent stays below the optimum, so
-no branch holding that set is pruned, and after it only strictly
-heavier sets replace it. The public searches use floor 0.0, which is
-the search without a floor.
+beats floor strictly, and otherwise (0, floor). The witness rule
+survives the floor: until the lexicographically least optimum is
+reached every incumbent stays below the optimum, so no branch holding
+that set is pruned, and after it only strictly heavier sets replace
+it. The public searches use floor 0.0, which is the search without a
+floor. With first=True the search stops at the first set that beats
+floor, which only decides whether floor can be beaten:
+assouad_estimate asks that of each ball with its incumbent g(q) as
+the floor and hands only the balls that can beat it to
+packing_number.
 """
 
 import numpy as np
@@ -86,10 +88,11 @@ def _can_improve(avail, masks, w, val, best):
     return False
 
 
-def _branch(masks, w, floor):
+def _branch(masks, w, floor, first=False):
     """Best (mask, value) over the vertices of masks, improving strictly on floor.
 
     Returns (0, floor) when no independent set is heavier than floor.
+    With first=True the first set found heavier than floor is returned.
     """
     best_val, best_mask = floor, 0
     stack = [((1 << len(masks)) - 1, 0, 0.0)]
@@ -98,6 +101,8 @@ def _branch(masks, w, floor):
         if not avail:
             if val > best_val:
                 best_val, best_mask = val, chosen
+                if first:
+                    break
         elif _can_improve(avail, masks, w, val, best_val):
             bit = avail & -avail
             v = bit.bit_length() - 1

@@ -135,6 +135,13 @@ def integer_grid(m):
     return gen_euclidean(np.array([[float(i), float(j)] for i in range(m) for j in range(m)]), 2.0)
 
 
+def near_uniform_space(n):
+    # decays in [1, 1.1): at q = 1.5 every pair conflicts, so every packing is one node
+    f = 1.0 + 0.1 * np.random.default_rng(0).random((n, n))
+    np.fill_diagonal(f, 0.0)
+    return DecaySpace(f)
+
+
 _REFERENCE_CASES = {
     "shadowed": lambda: (shadowed_cloud(16, 3), {}),
     "shadowed-fit": lambda: (shadowed_cloud(20, 4), {"C": None}),
@@ -146,6 +153,8 @@ _REFERENCE_CASES = {
     "link-gain-random": lambda: (DecaySpace(np.random.default_rng(8).uniform(0.5, 5.0, (14, 14)),
                                             mode="link-gain"), {"C": None}),
     "greedy": lambda: (gen_euclidean(random_points(20, 9), 3.0), {"C": None, "exact_limit": 6}),
+    # every ball past exact_limit fails the bound, yet the estimate is inexact
+    "greedy-bound": lambda: (near_uniform_space(12), {"q_grid": (1.5,), "exact_limit": 4}),
     "multi-word": lambda: (gen_euclidean(random_points(66, 2), 3.0),
                            {"C": None, "q_grid": (1.5, 2.0), "exact_limit": 66}),
 }
@@ -158,10 +167,22 @@ def test_assouad_matches_per_call_reference(case):
     assert fast.samples == slow.samples and fast.exact == slow.exact
     assert fast.C == slow.C and fast.assouad == slow.assouad
     assert fast.r_grid == slow.r_grid
-    if case == "greedy":
+    if case in ("greedy", "greedy-bound"):
         assert not fast.exact
     if case == "multi-word":
         assert fast.exact and max(g for _, g in fast.samples) > 1
+
+
+def test_assouad_packs_only_balls_that_raise_g(monkeypatch):
+    # with every ball exact, a ball reaches packing_number only when it
+    # beats g(q), so each call raises some g(q) by one at least
+    calls = []
+    pack = analysis.packing_number
+    monkeypatch.setattr(analysis, "packing_number", lambda *a: calls.append(a) or pack(*a))
+    space = gen_euclidean(random_points(16, 4), 3.0)
+    est = assouad_estimate(space, C=None, exact_limit=16)
+    assert est.samples == ref.assouad_estimate(space, C=None, exact_limit=16).samples
+    assert 0 < len(calls) <= sum(g - 1 for _, g in est.samples)
 
 
 def test_assouad_conflict_stacks_stay_bounded(monkeypatch):
@@ -171,15 +192,13 @@ def test_assouad_conflict_stacks_stay_bounded(monkeypatch):
         assert all(b0 == a1 for (_, a1), (b0, _) in zip(blocks, blocks[1:]))
         padded = k * (-(-k // 64) * 64)
         assert all((j1 - j0) * padded <= max(1 << 18, padded) for j0, j1 in blocks)
-    # every stack the estimate builds obeys the same bound; near-uniform
-    # decays make every packing one node, so the searches end at the root
+    # every stack the estimate builds obeys the same bound; with every
+    # packing one node the searches end at the root
     shapes = []
     build = analysis._neighbor_masks
     monkeypatch.setattr(analysis, "_neighbor_masks", lambda c: shapes.append(c.shape) or build(c))
     n = 100
-    f = 1.0 + 0.1 * np.random.default_rng(0).random((n, n))
-    np.fill_diagonal(f, 0.0)
-    est = assouad_estimate(DecaySpace(f), q_grid=(1.5,), exact_limit=n)
+    est = assouad_estimate(near_uniform_space(n), q_grid=(1.5,), exact_limit=n)
     assert est.samples == [(1.5, 1)] and est.exact
     assert len(shapes) > n  # more than one block per center
     assert all(b * k * k <= max(1 << 18, k * k) for b, k, _ in shapes)

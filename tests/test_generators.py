@@ -21,6 +21,7 @@ from decayspace import (
     random_points,
     validate_space,
 )
+from decayspace import generators
 from decayspace.generators import MAX_STAR_NODES
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -104,14 +105,18 @@ def _star_by_loops(k, r):
     return f
 
 
-def test_gen_star_array_build_matches_loops_and_is_capped():
+def test_gen_star_array_build_matches_loops_and_is_capped(monkeypatch):
     for k in (1, 2, 3, 16, 57, 200):
         for r in (1e-3, 0.5, 1, 7.25):
             assert gen_star(k, r).f.tobytes() == _star_by_loops(k, r).tobytes()
-    assert gen_star(MAX_STAR_NODES - 2, 1.0).n == MAX_STAR_NODES
     for k in (MAX_STAR_NODES - 1, 10 ** 5, 10 ** 18):
         with pytest.raises(ValueError, match="at most"):
             gen_star(k, 1.0)
+    # the cap admits its boundary, checked on a small cap
+    monkeypatch.setattr(generators, "MAX_STAR_NODES", 12)
+    assert gen_star(10, 1.0).n == 12
+    with pytest.raises(ValueError, match="at most 12"):
+        gen_star(11, 1.0)
 
 
 def test_gen_welzl_table():

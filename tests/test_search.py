@@ -49,3 +49,12 @@ def test_floor_keeps_least_witness_and_reports_no_improvement():
     masks, w = _neighbor_masks(diamond), [2.0, 1.0, 2.0, 1.0]
     assert _branch(masks, w, 0.0) == _branch(masks, w, 1.0) == (0b1, 2.0)
     assert _branch(masks, w, 2.0) == (0, 2.0)
+
+
+def test_first_stops_at_the_first_set_that_beats_the_floor():
+    # include-first reaches {0} (weight 1) before the heavier {1}
+    masks, w = _neighbor_masks(np.array([[False, True], [False, False]])), [1.0, 3.0]
+    assert _branch(masks, w, 0.5) == (0b10, 3.0)
+    assert _branch(masks, w, 0.5, first=True) == (0b1, 1.0)
+    assert _branch(masks, w, 1.0, first=True) == (0b10, 3.0)
+    assert _branch(masks, w, 3.0, first=True) == (0, 3.0)
