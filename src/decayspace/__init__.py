@@ -10,7 +10,7 @@ interference so that SINR feasibility of a link set becomes a row-sum
 test.
 
 On top sit a one-pass capacity scheduler for uniform power with an
-exhaustive oracle to compare against, partition lemmas that trade set
+exact oracle to compare against, partition lemmas that trade set
 size for feasibility margin or separation, and dimension diagnostics
 (ball packing growth, fading, center independence, guard sets) that
 delimit when bounded-degree behavior is available. The generators

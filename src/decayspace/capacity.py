@@ -12,16 +12,19 @@ feasibility margin (signal_strengthen) or wider separation
 (separation_strengthen). amicable_subset chains them to find a large
 subset whose members stay lightly loaded even from outside.
 
-capacity_oracle enumerates subsets exhaustively and is the ground
-truth for small systems.
+capacity_oracle is the ground truth for small systems: the exact
+maximum feasible subset, found as an independent-set search on the
+shared branch-and-bound of decayspace.search, with pairwise SINR
+conflicts as edges and an admission hook that keeps every chosen
+link's uncapped in-affectance at most 1.
 """
 
-import itertools
 import math
 
 import numpy as np
 from dataclasses import dataclass
 
+from .search import _branch, _members, _neighbor_masks
 from .spaces import NODE_SPACE, quasi_distances
 from .links import (
     affectance_matrix,
@@ -110,13 +113,17 @@ def capacity_uniform(sys, zeta, quasi=None):
 
 
 def capacity_oracle(sys, max_n=20):
-    """Exhaustive maximum feasible subset, for small systems.
+    """Maximum feasible subset, for small systems.
 
-    Enumerates subsets in decreasing size, lexicographic within a
-    size, so the first feasible subset found is the lexicographically
-    least maximizer. Subsets containing a pair whose one-on-one
-    uncapped affectance already exceeds 1 are pruned. Worst case is
-    2**n subset checks; max_n caps n. Returns (size, members).
+    A unit-weight run of the shared branch-and-bound (search._branch)
+    over the links that clear the noise floor alone. Two links whose
+    one-on-one uncapped affectance exceeds 1 conflict, and an admission
+    hook keeps the running uncapped in-affectance of every chosen link
+    at most 1; the search module says why that pruning is exact in
+    floating point. The search branches include-first on the lowest
+    link and keeps only strict improvements, so the answer is the
+    lexicographically least maximizer. It is exponential in the worst
+    case; max_n caps the number of links. Returns (size, members).
     """
     n = sys.n_links
     if n > max_n:
@@ -124,22 +131,24 @@ def capacity_oracle(sys, max_n=20):
             "%d links exceed max_n=%d; sample the system down or raise the cap"
             % (n, max_n)
         )
-    margin = _noise_margin(sys)
-    candidates = [v for v in range(n) if margin[v] > 0]
-    if not candidates:
+    candidates = np.flatnonzero(_noise_margin(sys) > 0)
+    if not len(candidates):
         return 0, ()
-    raw = affectance_matrix(sys, capped=False)
-    pairbad = raw > 1.0
-    pairbad = pairbad | pairbad.T
-    np.fill_diagonal(pairbad, False)
-    for k in range(len(candidates), 0, -1):
-        for combo in itertools.combinations(candidates, k):
-            ix = np.ix_(combo, combo)
-            if pairbad[ix].any():
-                continue
-            if np.all(raw[ix].sum(axis=0) <= 1.0):
-                return k, tuple(combo)
-    return 0, ()
+    raw = affectance_matrix(sys, capped=False)[np.ix_(candidates, candidates)]
+
+    def admit(v, chosen, avail, load):
+        load = load + raw[v]
+        # NaN loads count as over, as they fail the column-sum test
+        over = int.from_bytes(np.packbits(~(load <= 1.0), bitorder="little").tobytes(), "little")
+        if over & chosen:
+            return None
+        return avail & ~over, load
+
+    k = len(candidates)
+    best, _ = _branch(_neighbor_masks(raw > 1.0), [1.0] * k, 0.0,
+                      admit=admit, state=np.zeros(k))
+    members = tuple(int(candidates[v]) for v in _members(best))
+    return len(members), members
 
 
 def _first_fit_partition_error(S, p, q):

@@ -82,7 +82,7 @@ def _plain(obj):
 def _read_space(path):
     try:
         return load_space(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError("cannot read space %s: %s" % (path, exc))
 
 
@@ -105,7 +105,7 @@ def _load_space(path):
 def _load_system(path):
     try:
         sys_ = load_system(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError("cannot read system %s: %s" % (path, exc))
     _check_axioms(sys_.space, path)
     return sys_
@@ -407,7 +407,7 @@ def build_parser():
     p.add_argument("--system", required=True, help="link system file")
     p.add_argument("--zeta", default="auto", help="'auto' or a metricity exponent")
     p.add_argument("--oracle", choices=("on", "off", "auto"), default="auto",
-                   help="exhaustive optimum: always, never, or only for small systems")
+                   help="exact optimum: always, never, or only for small systems")
     common(p)
     p.set_defaults(func=_cmd_capacity)
 

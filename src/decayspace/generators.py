@@ -14,6 +14,9 @@ from .links import LinkSystem, PowerAssignment, SinrParams
 MAX_RESAMPLES = 100
 # largest star (leaves plus hub and stray): its matrix is 128 MiB
 MAX_STAR_NODES = 4096
+# largest random_link_system box: doubles near 1e9 lie 1.2e-7 apart, so
+# receiver offsets of 0.1-0.8 keep six digits; near 1e15 they vanish
+MAX_BOX = 1e9
 
 
 def random_points(n, seed, plant_collinear=False):
@@ -229,14 +232,17 @@ def random_link_system(n_links, seed, beta=1.0, noise=0.0, alpha=2.5, box=4.0):
     Senders land uniformly in a box of the given side; each receiver
     sits at its sender plus a short random offset. Powers are uniform.
     The box side tunes interference density; it must be positive and
-    finite. Coinciding points are resampled, at most MAX_RESAMPLES
-    times, and a box so small that distinct nodes get zero decay is
-    rejected with a ValueError.
+    at most MAX_BOX. Coinciding points are resampled, at most
+    MAX_RESAMPLES times, and a box so small that distinct nodes get
+    zero decay is rejected with a ValueError.
     """
     if n_links < 1:
         raise ValueError("need at least one link")
     if not (0 < box < np.inf):
         raise ValueError("box must be positive and finite")
+    if box > MAX_BOX:
+        raise ValueError("box %g exceeds MAX_BOX = %g: receiver offsets of 0.1-0.8 "
+                         "would vanish against the coordinates" % (box, MAX_BOX))
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RESAMPLES):
         senders = rng.uniform(0.0, box, size=(n_links, 2))

@@ -1,6 +1,7 @@
 """Exact independent-set search shared by the diagnostics.
 
-One weighted branch-and-bound serves both public searches; the
+One weighted branch-and-bound, _branch, serves both public searches,
+the packing growth of assouad_estimate and capacity_oracle; the
 unweighted search is its unit-weight case. Conflicts are bitmasks
 built with np.packbits (an entry in either direction of the matrix is
 a conflict, the diagonal is ignored), one 64-bit word per column
@@ -35,6 +36,27 @@ floor, which only decides whether floor can be beaten:
 assouad_estimate asks that of each ball with its incumbent g(q) as
 the floor and hands only the balls that can beat it to
 packing_number.
+
+Admission hook: _branch(..., admit=hook, state=s0) calls
+hook(v, chosen, avail, state) when it includes v and goes on with the
+(avail, state) the hook returns, or drops the include branch on None;
+state starts as s0 and rides on the stack. The search then ranges
+over the independent sets the hook admits at every step. The witness
+rule survives when the admitted sets are closed under subsets: every
+set on the path to the lexicographically least admitted optimum is
+admitted too, and the bound, which ignores the hook, only
+overestimates. capacity_oracle is such a run: unit weights, the
+pairwise conflicts raw > 1 as masks, and as state the running
+in-affectance load[x], the sum of raw[u, x] over the chosen links u.
+It admits v when no chosen link, v included, has a load above 1, and
+drops from avail every link whose load is already above 1. Links are
+included in ascending index order, so each load is the same
+left-to-right float sum that a column sum of the chosen block
+computes, and a sequential float sum of non-negative terms never
+decreases as a term is added. "Every chosen link has load <= 1" is
+therefore closed under subsets in floating point, not only over the
+reals, and pruning at load > 1 is exact. The public independent-set
+searches and assouad_estimate pass no hook.
 """
 
 import numpy as np
@@ -88,16 +110,19 @@ def _can_improve(avail, masks, w, val, best):
     return False
 
 
-def _branch(masks, w, floor, first=False):
+def _branch(masks, w, floor, first=False, admit=None, state=None):
     """Best (mask, value) over the vertices of masks, improving strictly on floor.
 
     Returns (0, floor) when no independent set is heavier than floor.
     With first=True the first set found heavier than floor is returned.
+    admit and state follow the admission hook contract above; v is
+    already in chosen and its neighbours are out of avail when admit
+    sees them.
     """
     best_val, best_mask = floor, 0
-    stack = [((1 << len(masks)) - 1, 0, 0.0)]
+    stack = [((1 << len(masks)) - 1, 0, 0.0, state)]
     while stack:
-        avail, chosen, val = stack.pop()
+        avail, chosen, val, state = stack.pop()
         if not avail:
             if val > best_val:
                 best_val, best_mask = val, chosen
@@ -106,8 +131,14 @@ def _branch(masks, w, floor, first=False):
         elif _can_improve(avail, masks, w, val, best_val):
             bit = avail & -avail
             v = bit.bit_length() - 1
-            stack.append((avail ^ bit, chosen, val))
-            stack.append((avail & ~(bit | masks[v]), chosen | bit, val + w[v]))
+            stack.append((avail ^ bit, chosen, val, state))
+            inc = avail & ~(bit | masks[v])
+            if admit is None:
+                stack.append((inc, chosen | bit, val + w[v], state))
+            else:
+                inc = admit(v, chosen | bit, inc, state)
+                if inc is not None:
+                    stack.append((inc[0], chosen | bit, val + w[v], inc[1]))
     return best_mask, best_val
 
 

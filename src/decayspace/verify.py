@@ -1,7 +1,7 @@
 """The invariant registry behind `decayspace verify`.
 
 _CHECKS is the one place a release claim is coded: exponent recovery
-on planted clouds, capacity soundness and its ratio to the exhaustive
+on planted clouds, capacity soundness and its ratio to the exact
 oracle, the exact graph reductions, both partition lemmas, fading
 under packing growth, independence and guards. Each check builds its
 instances from the seed, so `verify --seed 0` is the release gate and

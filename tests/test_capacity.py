@@ -1,10 +1,13 @@
-"""Greedy capacity against the exhaustive oracle, and the partition
-lemmas with their certificates re-verified from scratch."""
+"""Greedy capacity against the exact oracle, the oracle against the
+exhaustive subset scan it replaced, and the partition lemmas with their
+certificates re-verified from scratch."""
 
 import math
 
 import numpy as np
 import pytest
+
+import capacity_reference as ref
 
 from decayspace import (
     DecaySpace,
@@ -22,7 +25,9 @@ from decayspace import (
     gen_equidecay_graph,
     gen_euclidean,
     is_feasible,
+    link_distance_matrix,
     quasi_distances,
+    random_graph,
     random_link_system,
     separation_strengthen,
     signal_strengthen,
@@ -90,6 +95,57 @@ def test_capacity_input_checks():
         capacity_uniform(explicit, zeta=2.0)
     with pytest.raises(ValueError):
         capacity_oracle(random_link_system(6, 1), max_n=5)
+
+
+def test_oracle_matches_subset_scan_on_random_systems():
+    for k in range(84):
+        sys_ = random_link_system(
+            1 + k % 14, 9000 + k, noise=(0.0, 1e-3, 0.05)[k % 3],
+            alpha=(2.0, 2.5, 4.0)[k // 3 % 3], box=(1.0, 4.0, 10.0)[k // 9 % 3],
+        )
+        assert capacity_oracle(sys_) == ref.capacity_oracle(sys_), k
+
+
+def test_oracle_matches_subset_scan_on_equidecay_graphs():
+    for k in range(40):
+        n = 4 + k % 11
+        _, edges = random_graph(n, 0.1 + 0.06 * (k % 8), 9500 + k)
+        sys_ = gen_equidecay_graph(n, edges)
+        assert capacity_oracle(sys_) == ref.capacity_oracle(sys_), k
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_oracle_matches_subset_scan_on_dense_windows(i):
+    # the 14 links nearest one link of a crowded 250-link system
+    big = random_link_system(250, 40000 + i, alpha=3.0, box=6.0)
+    quasi = quasi_distances(big.space, 3.0, check=False)
+    near = np.argsort(link_distance_matrix(big, quasi)[i], kind="stable")[:14]
+    sys_ = LinkSystem(big.space, links=[big.links[j] for j in sorted(near)], params=big.params)
+    opt = capacity_oracle(sys_)
+    assert opt == ref.capacity_oracle(sys_)
+    assert 1 <= opt[0] < 14
+
+
+@pytest.mark.parametrize("terms, size", [
+    ((0.5, 0.25, 0.25), 4),  # the load lands on 1.0 exactly
+    ((0.5, 0.25, 0.25 + 2 ** -52), 3),  # one ulp above 1.0
+    ((1.0, 2 ** -53, 2 ** -53), 4),  # 1.0 in index order; small terms first give 1 + ulp
+    ((2 ** -53, 2 ** -53, 1.0), 3),  # 1 + ulp in index order; the large term first gives 1.0
+], ids=["exact", "ulp-above", "large-first", "large-last"])
+@pytest.mark.parametrize("receiver", [0, 3])
+def test_oracle_sums_loads_in_index_order(terms, size, receiver):
+    # link-gain, unit decays on the receiver's column and 1e300 elsewhere:
+    # the uncapped affectance of sender w on the receiver is its power, exactly
+    senders = [v for v in range(4) if v != receiver]
+    f = np.full((4, 4), 1e300)
+    np.fill_diagonal(f, 1.0)
+    f[senders, receiver] = 1.0
+    powers = np.ones(4)
+    powers[senders] = terms
+    sys_ = LinkSystem(DecaySpace(f, mode="link-gain"), power=PowerAssignment.explicit(powers))
+    got = capacity_oracle(sys_)
+    assert got == ref.capacity_oracle(sys_)
+    assert got == (size, (0, 1, 2, 3)[:size])
 
 
 def one_feasible_set(seed, n=12, min_size=4):

@@ -144,6 +144,28 @@ def test_commands_reject_invalid_inputs(tmp_path, capsys, argv):
     assert "violates the decay axioms: non-finite at (" in err
 
 
+def _with_field(field, value):
+    doc = json.loads(NAN_SYSTEM.replace("NaN", "4"))
+    doc[field] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("system", _with_field("beta", None)),  # TypeError in the loader
+    ("system", _with_field("noise", [1])),  # TypeError
+    ("system", _with_field("power", "uniform")),  # AttributeError
+    ("space", '{"mode": "node-space", "n": 2, "f": [[0, {}], [1, 0]]}'),  # TypeError
+], ids=["beta-null", "noise-list", "power-string", "space-entry-object"])
+def test_malformed_fields_exit_two(tmp_path, capsys, kind, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = (["capacity", "--system", str(path), "--zeta", "2.5"] if kind == "system"
+            else ["validate", "--space", str(path)])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read %s " % kind)
+
+
 def test_capacity_oracle_keeps_its_size_cap(tmp_path, capsys):
     path = str(tmp_path / "big.json")
     save_system(random_link_system(25, 1), path)

@@ -22,7 +22,7 @@ from decayspace import (
     validate_space,
 )
 from decayspace import generators
-from decayspace.generators import MAX_STAR_NODES
+from decayspace.generators import MAX_BOX, MAX_STAR_NODES
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -214,6 +214,10 @@ def test_random_link_system():
     assert np.array_equal(sys.space.f, again.space.f)
     with pytest.raises(ValueError):
         random_link_system(0, 1)
+    # the largest box still keeps every drawn length in 0.1-0.8
+    big = random_link_system(20, 1, alpha=2.0, box=MAX_BOX)
+    lengths = np.sqrt(big.own_decays())
+    assert np.all((0.1 - 1e-6 <= lengths) & (lengths <= 0.8 + 1e-6))
 
 
 # a generator whose draws all coincide, to drive the resample loops to their cap
@@ -235,12 +239,16 @@ np.random.default_rng = lambda *args, **kw: _Stuck()
     ("random_link_system(5, 1, box=float('nan'))", "positive and finite"),
     ("random_link_system(5, 1, box=float('inf'))", "positive and finite"),
     ("random_link_system(5, 1, box=-4.0)", "positive and finite"),
+    ("random_link_system(20, 1, box=1e150)", "box 1e+150 exceeds MAX_BOX"),
+    ("random_link_system(20, 1, box=1e300)", "box 1e+300 exceeds MAX_BOX"),
+    ("random_link_system(20, 1, box=MAX_BOX * (1 + 2 ** -52))", "exceeds MAX_BOX"),
     (_STUCK + "random_link_system(5, 1)", "draws"),
     (_STUCK + "random_points(5, 1)", "draws"),
 ])
 def test_random_generators_reject_or_stop(call, why):
     # in a child process, so a resample loop that never ends fails on the timeout
     script = ("import numpy as np\nfrom decayspace import random_link_system, random_points\n"
+              "from decayspace.generators import MAX_BOX\n"
               "try:\n" + "".join("    %s\n" % line for line in call.strip().splitlines())
               + "except ValueError as e:\n    print('ValueError:', e)\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

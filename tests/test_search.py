@@ -58,3 +58,67 @@ def test_first_stops_at_the_first_set_that_beats_the_floor():
     assert _branch(masks, w, 0.5, first=True) == (0b1, 1.0)
     assert _branch(masks, w, 1.0, first=True) == (0b10, 3.0)
     assert _branch(masks, w, 3.0, first=True) == (0, 3.0)
+
+
+def _brute_branch(conflict, w, floor, first, max_size=None):
+    # every independent set, in the include-first order the engine walks:
+    # at the first vertex where two sets differ, the one holding it comes first
+    n = len(w)
+    sets = [s for s in range(1 << n)
+            if not any(conflict[a, b] for a in range(n) for b in range(a) if s >> a & s >> b & 1)
+            and (max_size is None or bin(s).count("1") <= max_size)]
+    sets.sort(key=lambda s: [0 if s >> v & 1 else 1 for v in range(n)])
+    val = lambda s: sum(w[v] for v in range(n) if s >> v & 1)
+    better = [s for s in sets if val(s) > floor]
+    if not better:
+        return 0, floor
+    pick = better[0] if first else max(better, key=lambda s: (val(s), -better.index(s)))
+    return pick, float(val(pick))
+
+
+def _random_graphs():
+    rng = np.random.default_rng(7)
+    for k in range(40):
+        n = 1 + k % 10
+        conflict = rng.random((n, n)) < (0.1, 0.3, 0.6)[k % 3]
+        w = [1.0] * n if k % 2 else [float(x) for x in rng.integers(1, 4, n)]
+        yield conflict, w
+
+
+def test_branch_without_hook_matches_include_first_enumeration():
+    passthrough = lambda v, chosen, avail, state: (avail, state)
+    for conflict, w in _random_graphs():
+        masks = _neighbor_masks(conflict)
+        for floor in (0.0, 1.0, 2.5):
+            for first in (False, True):
+                want = _brute_branch(conflict | conflict.T, w, floor, first)
+                assert _branch(masks, w, floor, first) == want
+                assert _branch(masks, w, floor, first, admit=None) == want
+                assert _branch(masks, w, floor, first, admit=passthrough, state=0) == want
+
+
+def test_hook_that_rejects_everything_leaves_the_floor():
+    reject = lambda v, chosen, avail, state: None
+    for conflict, w in _random_graphs():
+        masks = _neighbor_masks(conflict)
+        for floor in (0.0, 1.5):
+            assert _branch(masks, w, floor, admit=reject) == (0, floor)
+
+
+def test_narrowing_hook_is_an_extra_conflict_and_state_rides_the_stack():
+    rng = np.random.default_rng(11)
+    for conflict, w in _random_graphs():
+        n = len(w)
+        later = np.triu(rng.random((n, n)) < 0.3, 1)  # including v drops the u > v in row v
+        drop = [sum(1 << int(u) for u in np.flatnonzero(later[v])) for v in range(n)]
+        narrow = lambda v, chosen, avail, state: (avail & ~drop[v], state)
+        got, val = _branch(_neighbor_masks(conflict), w, 0.0, admit=narrow)
+        members = [v for v in range(n) if got >> v & 1]
+        assert not any(later[a, b] for a in members for b in members)
+        assert (got, val) == _branch(_neighbor_masks(conflict | later), w, 0.0)
+        # a size cap kept in the state: the first independent set of that size
+        for cap in (1, 2, 3):
+            capped = lambda v, chosen, avail, size: (avail, size + 1) if size < cap else None
+            want = _brute_branch(conflict | conflict.T, [1.0] * n, 0.0, False, max_size=cap)
+            assert _branch(_neighbor_masks(conflict), [1.0] * n, 0.0,
+                           admit=capped, state=0) == want
