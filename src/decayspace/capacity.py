@@ -43,8 +43,6 @@ from .links import (
 class CapacityResult:
     selected: tuple
     intermediate: tuple
-    opt: object = None
-    ratio: object = None
     skipped: tuple = ()
 
 
@@ -79,9 +77,6 @@ def capacity_uniform(sys, zeta, quasi=None):
     within X is at most 1; at least half of X survives, and the
     survivors are feasible. Links drowned by noise are skipped and
     reported in the result.
-
-    Returns a CapacityResult; opt and ratio stay None until filled in
-    against capacity_oracle by the caller.
     """
     if sys.power.kind != "uniform":
         raise ValueError("capacity_uniform is defined for uniform power")
@@ -192,27 +187,22 @@ def signal_strengthen(sys, S, p, q):
     limit = 1.0 / (2.0 * q)
     own = sys.own_decays()
     longest_first = sorted(S, key=lambda v: (-own[v], v))
-    classes = [[] for _ in range(m)]
-    for v in longest_first:
-        for cls in classes:
-            if raw[cls, v].sum() <= limit:
-                cls.append(v)
-                break
-        else:
-            _first_fit_partition_error(S, p, q)
-    final = []
-    for cls in classes:
-        if not cls:
-            continue
-        subs = [[] for _ in range(m)]
-        for v in reversed(cls):
-            for sub in subs:
-                if raw[sub, v].sum() <= limit:
-                    sub.append(v)
+
+    def first_fit(order):
+        # the non-empty classes of one pass, in class order
+        classes = [[] for _ in range(m)]
+        for v in order:
+            for cls in classes:
+                if raw[cls, v].sum() <= limit:
+                    cls.append(v)
                     break
             else:
                 _first_fit_partition_error(S, p, q)
-        final.extend(tuple(sorted(sub)) for sub in subs if sub)
+        return [cls for cls in classes if cls]
+
+    final = []
+    for cls in first_fit(longest_first):
+        final.extend(tuple(sorted(sub)) for sub in first_fit(reversed(cls)))
     for cls in final:
         if not is_feasible(sys, cls, K=q)[0]:
             _first_fit_partition_error(S, p, q)
@@ -290,8 +280,8 @@ def check_onezetasep(sys, quasi, zeta, S):
     """
     if sys.power.kind != "uniform":
         raise ValueError("defined for uniform power")
-    if not (zeta >= 1):
-        raise ValueError("zeta must be at least 1")
+    if not (zeta >= 1) or not math.isfinite(zeta):
+        raise ValueError("zeta must be finite and at least 1")
     S = _index_list(S)
     if len(S) <= 1:
         return ("ok", None)

@@ -1,21 +1,21 @@
 """Command-line front end for decay-space analysis.
 
 Every command handler loads its inputs, calls the library and returns
-(config, results, exit code); main resolves the tolerance, times the
-handler and prints one canonical JSON report: {"command", "config",
-"version", "results", "timing"}. Reports are deterministic for a fixed
-config and seed once the timing block is dropped. Exit codes: 0 for a
-clean run, 1 when a checked property is violated, 2 for usage or input
-errors.
+(config, results, exit code); main times the handler and prints one
+canonical JSON report: {"command", "config", "version", "results",
+"timing"}. Reports are deterministic for a fixed config and seed once
+the timing block is dropped. Exit codes: 0 for a clean run, 1 when a
+checked property is violated, 2 for usage or input errors.
 
-The default tolerance for metricity searches can be set through the
-DECAYSPACE_TOL environment variable; flags override it.
+INPUT_ERRORS is the one list of exceptions that mean a missing or
+malformed input file: the commands turn them into exit 2 through
+_read, and `verify --corpus` into a failed item.
 """
 
 import argparse
 import dataclasses
 import json
-import os
+import math
 import sys
 import time
 
@@ -51,22 +51,12 @@ from .verify import run_verify
 
 ORACLE_AUTO_LIMIT = 14
 
+# what the loaders raise on a missing, unparsable or malformed file
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
 
 class UsageError(Exception):
     pass
-
-
-def _default_tol():
-    raw = os.environ.get("DECAYSPACE_TOL")
-    if raw is None:
-        return 1e-9
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise UsageError("DECAYSPACE_TOL is not a number: %r" % raw)
-    if not (tol > 0):
-        raise UsageError("DECAYSPACE_TOL must be positive")
-    return tol
 
 
 def _plain(obj):
@@ -79,11 +69,11 @@ def _plain(obj):
     return obj
 
 
-def _read_space(path):
+def _read(load, what, path):
     try:
-        return load_space(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise UsageError("cannot read space %s: %s" % (path, exc))
+        return load(path)
+    except INPUT_ERRORS as exc:
+        raise UsageError("cannot read %s %s: %s" % (what, path, exc))
 
 
 def _check_axioms(space, path):
@@ -97,16 +87,13 @@ def _check_axioms(space, path):
 
 
 def _load_space(path):
-    space = _read_space(path)
+    space = _read(load_space, "space", path)
     _check_axioms(space, path)
     return space
 
 
 def _load_system(path):
-    try:
-        sys_ = load_system(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise UsageError("cannot read system %s: %s" % (path, exc))
+    sys_ = _read(load_system, "system", path)
     _check_axioms(sys_.space, path)
     return sys_
 
@@ -124,7 +111,7 @@ def _resolve_zeta(flag, space, tol):
 
 
 def _cmd_validate(args):
-    space = _read_space(args.space)
+    space = _read(load_space, "space", args.space)
     res = validate_space(space)
     results = {
         "ok": res.ok,
@@ -369,31 +356,65 @@ def _cmd_generate(args):
     return config, results, 0
 
 
+def _corpus_space(path):
+    # a JSON object with a "space" key is a system, anything else a space
+    if path.endswith(".json"):
+        with open(path) as fh:
+            doc = json.load(fh)
+        if isinstance(doc, dict) and "space" in doc:
+            return load_system(path).space
+    return load_space(path)
+
+
+def _verify_file(path):
+    # one corpus item: a malformed file is a failed item, not an abort
+    name = "file:%s" % path
+    try:
+        space = _corpus_space(path)
+    except INPUT_ERRORS as exc:
+        return {"name": name, "ok": False, "detail": str(exc)}
+    try:
+        res = validate_space(space)
+        if not res.ok:
+            return {"name": name, "ok": False,
+                    "detail": "axiom violations: %s" % res.violations[:3]}
+        z = compute_zeta(space)[1]
+        if math.isfinite(z):
+            _default_quasi(space, z)
+    except ValueError as exc:
+        return {"name": name, "ok": False, "detail": str(exc)}
+    return {"name": name, "ok": True, "detail": "valid, zeta=%.6g" % z}
+
+
 def _cmd_verify(args):
-    corpus = "builtin" if args.corpus == ["builtin"] else list(args.corpus)
-    rep = run_verify(seed=args.seed, corpus=corpus)
-    results = {"ok": rep["ok"], "items": rep["items"]}
-    return {"seed": args.seed, "corpus": corpus}, results, 0 if rep["ok"] else 1
+    if args.corpus == ["builtin"]:
+        corpus, items = "builtin", run_verify(args.seed)
+    else:
+        corpus = list(args.corpus)
+        items = [_verify_file(path) for path in corpus]
+    items.sort(key=lambda it: it["name"])
+    ok = all(it["ok"] for it in items)
+    return {"seed": args.seed, "corpus": corpus}, {"ok": ok, "items": items}, 0 if ok else 1
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="decayspace",
         description="Analyze decay spaces: metricity, capacity, partitions, fading.",
-        epilog="Exit codes: 0 clean, 1 property violation, 2 usage or input error. "
-        "DECAYSPACE_TOL sets the default tolerance.",
+        epilog="Exit codes: 0 clean, 1 property violation, 2 usage or input error.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=True):
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--tol", type=float, default=None,
-                       help="numeric tolerance (default: DECAYSPACE_TOL or 1e-9)")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9,
+                           help="tolerance of the metricity searches (default 1e-9)")
 
     p = sub.add_parser("validate", help="check the decay-space axioms of a matrix")
     p.add_argument("--space", required=True, help="space file (.json or .csv)")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("analyze", help="metricity exponents and quasi-distance check")
@@ -450,7 +471,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corpus", nargs="+", default=["builtin"],
                    help="'builtin' or instance files")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=_cmd_verify)
     return parser
 
@@ -459,8 +480,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if getattr(args, "tol", 0) is None:  # generate has no --tol
-            args.tol = _default_tol()
         config, results, code = args.func(args)
     except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -35,15 +35,15 @@ from .spaces import NODE_SPACE, LINK_GAIN
 
 
 class SinrParams:
-    """SINR threshold beta >= 1 and ambient noise N >= 0."""
+    """SINR threshold beta >= 1 and ambient noise N >= 0, both finite."""
 
     def __init__(self, beta=1.0, noise=0.0):
         beta = float(beta)
         noise = float(noise)
-        if beta < 1:
-            raise ValueError("beta must be at least 1")
-        if noise < 0:
-            raise ValueError("noise must be non-negative")
+        if not (1 <= beta < np.inf):
+            raise ValueError("beta must be finite and at least 1")
+        if not (0 <= noise < np.inf):
+            raise ValueError("noise must be finite and non-negative")
         self.beta = beta
         self.noise = noise
 
@@ -52,28 +52,32 @@ class SinrParams:
 
 
 class PowerAssignment:
-    """Transmit powers, either one shared level or one per link."""
+    """Transmit powers, either one shared level or one per link.
+
+    Every level must be positive and finite, however the assignment is
+    built.
+    """
 
     def __init__(self, kind, value):
-        if kind not in ("uniform", "explicit"):
+        if kind == "uniform":
+            value = float(value)
+        elif kind == "explicit":
+            value = np.array(value, dtype=float)
+            if value.ndim != 1:
+                raise ValueError("explicit powers must be a vector")
+        else:
             raise ValueError("kind must be 'uniform' or 'explicit'")
+        if not np.all((0 < value) & (value < np.inf)):
+            raise ValueError("powers must be positive and finite")
         self.kind = kind
         self.value = value
 
     @classmethod
     def uniform(cls, level=1.0):
-        level = float(level)
-        if level <= 0:
-            raise ValueError("power level must be positive")
         return cls("uniform", level)
 
     @classmethod
     def explicit(cls, powers):
-        powers = np.array(powers, dtype=float)
-        if powers.ndim != 1:
-            raise ValueError("explicit powers must be a vector")
-        if np.any(powers <= 0):
-            raise ValueError("powers must be positive")
         return cls("explicit", powers)
 
     def vector(self, n_links):

@@ -257,8 +257,9 @@ def test_onezetasep_outcomes():
     status, pair = check_onezetasep(sys_, QuasiMetric(4, d, 1.0), 1.0, [0, 1])
     assert status == "violation" and pair == (0, 1)
 
-    with pytest.raises(ValueError):
-        check_onezetasep(far, quasi, 0.5, [0, 1])
+    for zeta in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            check_onezetasep(far, quasi, zeta, [0, 1])
 
 
 def test_amicable_subset_keeps_half():

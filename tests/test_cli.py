@@ -150,20 +150,48 @@ def _with_field(field, value):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("kind, text", [
-    ("system", _with_field("beta", None)),  # TypeError in the loader
-    ("system", _with_field("noise", [1])),  # TypeError
-    ("system", _with_field("power", "uniform")),  # AttributeError
-    ("space", '{"mode": "node-space", "n": 2, "f": [[0, {}], [1, 0]]}'),  # TypeError
-], ids=["beta-null", "noise-list", "power-string", "space-entry-object"])
-def test_malformed_fields_exit_two(tmp_path, capsys, kind, text):
-    path = tmp_path / "bad.json"
-    path.write_text(text)
-    argv = (["capacity", "--system", str(path), "--zeta", "2.5"] if kind == "system"
-            else ["validate", "--space", str(path)])
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: cannot read %s " % kind)
+# name: (document kind, file text, a fragment of the loader's message);
+# a JSON list is neither kind, so every file command reads it
+MALFORMED = {
+    "beta-null": ("system", _with_field("beta", None), "'NoneType'"),  # TypeError
+    "noise-list": ("system", _with_field("noise", [1]), "'list'"),  # TypeError
+    "noise-nan": ("system", _with_field("noise", float("nan")),
+                  "noise must be finite and non-negative"),
+    "power-inf": ("system", _with_field("power", {"kind": "uniform", "level": float("inf")}),
+                  "powers must be positive and finite"),
+    "power-string": ("system", _with_field("power", "uniform"), "'get'"),  # AttributeError
+    "space-entry-object": ("space", '{"mode": "node-space", "n": 2, "f": [[0, {}], [1, 0]]}',
+                           "'dict'"),  # TypeError
+    "json-list": (None, "[1, 2]", "space document must be a JSON object"),
+}
+FILE_COMMANDS = {
+    "system": (["capacity", "--zeta", "2.5", "--system"],
+               ["partition", "--kind", "signal", "--system"]),
+    "space": (["validate", "--space"], ["analyze", "--space"], ["fading", "--r", "1", "--space"]),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_fields_exit_two(tmp_path, capsys, name):
+    # every command that reads the file exits 2 with the loader's message,
+    # and verify --corpus reports it as a failed item
+    kind, text, cause = MALFORMED[name]
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    for what, commands in FILE_COMMANDS.items():
+        if kind not in (what, None):
+            continue
+        for argv in commands:
+            code, out, err = run(capsys, *argv, path)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: cannot read %s %s: " % (what, path)), argv
+            if kind:
+                assert cause in err
+    code, out, err = run(capsys, "verify", "--corpus", path)
+    assert code == 1 and err == ""
+    [item] = report(out)["results"]["items"]
+    assert item["name"] == "file:" + path and not item["ok"] and cause in item["detail"]
 
 
 def test_capacity_oracle_keeps_its_size_cap(tmp_path, capsys):
@@ -315,14 +343,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert rep["command"] == "validate" and rep["results"]["ok"]
 
 
-def test_tolerance_env(tmp_path, capsys, monkeypatch):
+def test_tolerance_flag(tmp_path, capsys):
     space = str(tmp_path / "sp.json")
     save_space(gen_euclidean(random_points(4, 9), 2.0), space)
-    for raw in ("not-a-number", "nan", "inf"):
-        monkeypatch.setenv("DECAYSPACE_TOL", raw)
-        assert run(capsys, "analyze", "--space", space)[0] == 2
-    monkeypatch.setenv("DECAYSPACE_TOL", "1e-6")
-    assert run(capsys, "analyze", "--space", space)[0] == 0
+    code, out, _ = run(capsys, "analyze", "--space", space)
+    assert code == 0 and report(out)["config"]["tol"] == 1e-9
+    code, out, _ = run(capsys, "analyze", "--space", space, "--tol", "1e-6")
+    assert code == 0 and report(out)["config"]["tol"] == 1e-6
+    # validate and verify run no metricity search, so they take no --tol
+    for argv in (["validate", "--space", space], ["verify", "--corpus", space]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--tol", "1e-6"])
 
 
 def test_main_requires_subcommand(capsys):

@@ -281,3 +281,14 @@ def test_power_and_param_validation():
         SinrParams(beta=0.5)
     with pytest.raises(ValueError):
         SinrParams(noise=-1.0)
+    nan, inf = float("nan"), float("inf")
+    # non-finite values, and the direct constructor, get the same checks
+    for make in (lambda: SinrParams(beta=nan), lambda: SinrParams(beta=inf),
+                 lambda: SinrParams(noise=nan), lambda: SinrParams(noise=inf),
+                 lambda: PowerAssignment.uniform(nan), lambda: PowerAssignment.uniform(inf),
+                 lambda: PowerAssignment.explicit([1.0, nan]),
+                 lambda: PowerAssignment.explicit([1.0, inf]),
+                 lambda: PowerAssignment("uniform", -3),
+                 lambda: PowerAssignment("explicit", [[1.0, 2.0]])):
+        with pytest.raises(ValueError):
+            make()
