@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .search import (
     _branch, _can_improve, _neighbor_masks, max_independent_set, max_weight_independent_set,
 )
-from .spaces import _row_blocks
+from .spaces import _node_index, _row_blocks
 
 
 def _stack_blocks(count, k):
@@ -49,9 +49,7 @@ def ball(space, y, t):
     """Nodes whose decay toward y is strictly below t."""
     if not (t > 0):
         raise ValueError("radius must be positive")
-    y = int(y)
-    if not (0 <= y < space.n):
-        raise ValueError("center out of range")
+    y = _node_index(space, y)
     return tuple(int(i) for i in np.where(space.f[:, y] < t)[0])
 
 
@@ -65,6 +63,8 @@ def packing_number(space, body, t, exact_limit=24):
     body = sorted(set(int(i) for i in body))
     if not body:
         raise ValueError("cannot pack an empty body")
+    for end in (body[0], body[-1]):  # the body is sorted, so its ends bound it
+        _node_index(space, end)
     if not (t > 0):
         raise ValueError("scale must be positive")
     sub = space.f[np.ix_(body, body)]
@@ -279,9 +279,7 @@ def independence_at(space, quasi, x, exact_limit=24):
     other than either is from x, strictly, in quasi-distance. Returns
     (size, members, exact).
     """
-    x = int(x)
-    if not (0 <= x < space.n):
-        raise ValueError("center out of range")
+    x = _node_index(space, x)
     d = quasi.d
     cand = [z for z in range(space.n) if z != x]
     if not cand:
@@ -323,9 +321,7 @@ def guard_set(space, quasi, x):
     quasi-metric has a zero diagonal, so the greedy pass terminates on
     node-space inputs.
     """
-    x = int(x)
-    if not (0 <= x < space.n):
-        raise ValueError("center out of range")
+    x = _node_index(space, x)
     d = quasi.d
     others = [z for z in range(space.n) if z != x]
     if not others:

@@ -31,8 +31,8 @@ from .links import (
     drowned_links,
     is_feasible,
     link_distance_matrix,
-    _index_list,
     _link_distance_block,
+    _link_set,
     _noise_margin,
     _separation_violation,
     check_separation_set,
@@ -66,6 +66,14 @@ def _default_quasi(space, zeta):
     return quasi_distances(space, zeta, check=space.mode == NODE_SPACE)
 
 
+def _check_uniform(sys, zeta):
+    # the greedy and the lemmas it rests on assume uniform power and zeta >= 1
+    if sys.power.kind != "uniform":
+        raise ValueError("defined for uniform power")
+    if not (1 <= zeta < math.inf):
+        raise ValueError("zeta must be finite and at least 1")
+
+
 def capacity_uniform(sys, zeta, quasi=None):
     """One-pass greedy capacity under uniform power.
 
@@ -78,10 +86,7 @@ def capacity_uniform(sys, zeta, quasi=None):
     survivors are feasible. Links drowned by noise are skipped and
     reported in the result.
     """
-    if sys.power.kind != "uniform":
-        raise ValueError("capacity_uniform is defined for uniform power")
-    if not (zeta >= 1) or not math.isfinite(zeta):
-        raise ValueError("zeta must be finite and at least 1")
+    _check_uniform(sys, zeta)
     if quasi is None:
         quasi = _default_quasi(sys.space, zeta)
     skipped = drowned_links(sys)
@@ -156,7 +161,9 @@ def _first_fit_partition_error(S, p, q):
 def signal_strengthen(sys, S, p, q):
     """Split a p-feasible set into at most ceil(2q/p)**2 q-feasible classes.
 
-    Two first-fit passes with m = ceil(2q/p) classes each. The first
+    Two first-fit passes with m = ceil(2q/p) classes each, or one per
+    link when a pass has fewer links, since an empty class always
+    accepts; so 0 < p <= q with 2q/p finite is all a call needs. The first
     walks links from longest to shortest and admits a link to the
     first class whose current members (all at least as long) load it
     with at most 1/(2q) of uncapped in-affectance. The second walks
@@ -168,13 +175,11 @@ def signal_strengthen(sys, S, p, q):
     above m/(2q) >= 1/p, contradicting p-feasibility. Input that is
     already q-feasible returns a single class.
     """
-    S = _index_list(S)
+    S = _link_set(sys, S)
     if not S:
         raise ValueError("cannot partition an empty set")
-    if not (p > 0 and q > 0):
-        raise ValueError("p and q must be positive")
-    if q < p:
-        raise ValueError("q must be at least p")
+    if not (0 < p <= q and math.isfinite(2.0 * q / p)):
+        raise ValueError("need 0 < p <= q with 2q/p finite, got p=%g, q=%g" % (p, q))
     ok, wit = is_feasible(sys, S, K=p)
     if not ok:
         raise ValueError("input set is not %g-feasible (worst link %d)" % (p, wit))
@@ -190,7 +195,7 @@ def signal_strengthen(sys, S, p, q):
 
     def first_fit(order):
         # the non-empty classes of one pass, in class order
-        classes = [[] for _ in range(m)]
+        classes = [[] for _ in range(min(m, len(order)))]
         for v in order:
             for cls in classes:
                 if raw[cls, v].sum() <= limit:
@@ -202,7 +207,7 @@ def signal_strengthen(sys, S, p, q):
 
     final = []
     for cls in first_fit(longest_first):
-        final.extend(tuple(sorted(sub)) for sub in first_fit(reversed(cls)))
+        final.extend(tuple(sorted(sub)) for sub in first_fit(cls[::-1]))
     for cls in final:
         if not is_feasible(sys, cls, K=q)[0]:
             _first_fit_partition_error(S, p, q)
@@ -221,7 +226,7 @@ def separation_strengthen(sys, quasi, S, tau, eta):
     each link only competes with the shorter clashers already colored.
     Classes are re-verified before returning.
     """
-    S = _index_list(S)
+    S = _link_set(sys, S)
     if not S:
         raise ValueError("cannot partition an empty set")
     if not (tau > 0):
@@ -278,11 +283,8 @@ def check_onezetasep(sys, quasi, zeta, S):
     ("violation", (v, w)) with a counterexample pair when it fails,
     and ("inapplicable", None) when the hypothesis does not hold for S.
     """
-    if sys.power.kind != "uniform":
-        raise ValueError("defined for uniform power")
-    if not (zeta >= 1) or not math.isfinite(zeta):
-        raise ValueError("zeta must be finite and at least 1")
-    S = _index_list(S)
+    _check_uniform(sys, zeta)
+    S = _link_set(sys, S)
     if len(S) <= 1:
         return ("ok", None)
     K = math.e ** 2 / sys.params.beta
@@ -306,11 +308,8 @@ def amicable_subset(sys, quasi, zeta, S):
     shrink factor and the worst capped out-affectance any link of the
     whole system puts on the result.
     """
-    if sys.power.kind != "uniform":
-        raise ValueError("defined for uniform power")
-    if not (zeta >= 1) or not math.isfinite(zeta):
-        raise ValueError("zeta must be finite and at least 1")
-    S = _index_list(S)
+    _check_uniform(sys, zeta)
+    S = _link_set(sys, S)
     if not S:
         raise ValueError("need a non-empty feasible set")
     ok, wit = is_feasible(sys, S)

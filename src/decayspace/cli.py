@@ -105,8 +105,8 @@ def _resolve_zeta(flag, space, tol):
         zeta = float(flag)
     except ValueError:
         raise UsageError("--zeta takes 'auto' or a number, got %r" % flag)
-    if not (zeta >= 1):
-        raise UsageError("--zeta must be at least 1")
+    if not (1 <= zeta < math.inf):
+        raise UsageError("--zeta must be finite and at least 1")
     return zeta
 
 
@@ -177,10 +177,7 @@ def _cmd_partition(args):
     sys_ = _load_system(args.system)
     S = list(range(sys_.n_links))
     if args.kind == "signal":
-        try:
-            part = signal_strengthen(sys_, S, args.p, args.q)
-        except ValueError as exc:
-            raise UsageError("signal partition rejected the input: %s" % exc)
+        part = signal_strengthen(sys_, S, args.p, args.q)
         bad = [
             i
             for i, cls in enumerate(part.classes)
@@ -199,10 +196,7 @@ def _cmd_partition(args):
     quasi = _default_quasi(sys_.space, zeta)
     tau = args.tau if args.tau is not None else 1.0 / zeta
     eta = args.eta if args.eta is not None else zeta
-    try:
-        part = separation_strengthen(sys_, quasi, S, tau, eta)
-    except ValueError as exc:
-        raise UsageError("separation partition rejected the input: %s" % exc)
+    part = separation_strengthen(sys_, quasi, S, tau, eta)
     results = {
         "kind": "separation",
         "classes": part.classes,
@@ -222,8 +216,6 @@ def _cmd_partition(args):
 
 def _cmd_fading(args):
     space = _load_space(args.space)
-    if not (args.r > 0):
-        raise UsageError("--r must be positive")
     quasi = None
     if args.separation == "quasi":
         zeta = float(compute_zeta(space, tol=args.tol)[1])

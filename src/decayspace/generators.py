@@ -12,11 +12,28 @@ from .links import LinkSystem, PowerAssignment, SinrParams
 
 # draws a random generator makes before giving up on distinct points
 MAX_RESAMPLES = 100
-# largest star (leaves plus hub and stray): its matrix is 128 MiB
-MAX_STAR_NODES = 4096
+# most nodes a construction builds: a 4096-node matrix takes 128 MiB
+MAX_NODES = 4096
 # largest random_link_system box: doubles near 1e9 lie 1.2e-7 apart, so
 # receiver offsets of 0.1-0.8 keep six digits; near 1e15 they vanish
 MAX_BOX = 1e9
+
+
+def _check_nodes(what, n):
+    # called before any allocation, so an oversized request costs nothing
+    if n > MAX_NODES:
+        raise ValueError("%s has at most %d nodes, got %d" % (what, MAX_NODES, n))
+
+
+def _edge_array(n, edges):
+    """Edges as an (m, 2) int array, rejecting loops and endpoints outside 0..n-1."""
+    out = []
+    for i, j in edges:
+        i, j = int(i), int(j)
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ValueError("bad edge (%d, %d)" % (i, j))
+        out.append((i, j))
+    return np.array(out, dtype=int).reshape(-1, 2)
 
 
 def random_points(n, seed, plant_collinear=False):
@@ -48,10 +65,11 @@ def random_points(n, seed, plant_collinear=False):
 
 
 def gen_euclidean(points, alpha):
-    """Planar points under geometric path loss: f = distance**alpha."""
+    """Planar points under geometric path loss, f = distance**alpha; at most MAX_NODES."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must be a non-empty 2d array")
+    _check_nodes("a point cloud", len(pts))
     if not (alpha >= 1):
         raise ValueError("alpha must be at least 1")
     diff = pts[:, None, :] - pts[None, :, :]
@@ -84,12 +102,11 @@ def gen_star(k, r):
     stray to hub r, stray to leaf r + k**2. Node 0 is the stray, node
     1 the hub, nodes 2..k+1 the leaves. The interesting regime is
     r much smaller than k**2: the stray hears all k leaves at decay
-    just above k**2 each. k + 2 is capped at MAX_STAR_NODES.
+    just above k**2 each. k + 2 is capped at MAX_NODES.
     """
     if k < 1:
         raise ValueError("need at least one leaf")
-    if k + 2 > MAX_STAR_NODES:
-        raise ValueError("a star has at most %d nodes, got %s leaves" % (MAX_STAR_NODES, k))
+    _check_nodes("a star", k + 2)
     if not (r > 0):
         raise ValueError("r must be positive")
     n = k + 2
@@ -134,21 +151,19 @@ def gen_equidecay_graph(n_vertices, edges, far_decay=None):
     count) between non-adjacent ones, in both directions. With beta=1,
     no noise and uniform power, a link set is feasible exactly when it
     is independent in the graph, and adjacent pairs are infeasible
-    under every power assignment.
+    under every power assignment. n is capped at MAX_NODES.
     """
     n = int(n_vertices)
     if n < 1:
         raise ValueError("need at least one vertex")
+    _check_nodes("an equidecay graph", n)
     far = float(far_decay) if far_decay is not None else float(n)
     if not (far > 1):
         raise ValueError("far decay must exceed 1")
+    e = _edge_array(n, edges)
     f = np.full((n, n), far)
     np.fill_diagonal(f, 1.0)
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise ValueError("bad edge (%d, %d)" % (i, j))
-        f[i, j] = f[j, i] = 0.5
+    f[e[:, 0], e[:, 1]] = f[e[:, 1], e[:, 0]] = 0.5
     space = DecaySpace(f, mode=LINK_GAIN)
     return LinkSystem(
         space,
@@ -166,41 +181,30 @@ def gen_twoline(n_vertices, edges, alpha, delta=0.25):
     non-adjacent cross decay n**(a+1), all symmetric. Under uniform
     power (beta=1, no noise) a link set is feasible exactly when it is
     independent, and adjacent pairs stay infeasible under every power
-    assignment since n**(2a) > (n**a - delta)**2.
+    assignment since n**(2a) > (n**a - delta)**2. 2n is capped at
+    MAX_NODES.
     """
     n = int(n_vertices)
     if n < 2:
         raise ValueError("need at least two vertices")
+    _check_nodes("a twoline construction", 2 * n)
     if not (alpha > 1):
         raise ValueError("alpha must exceed 1")
     if not (0 < delta < 0.5):
         raise ValueError("delta must lie in (0, 1/2)")
+    e = _edge_array(n, edges)
     a = float(alpha) - 1.0
     na = float(n) ** a
+    # Python's pow, once per distance, keeps every entry of the loop build
+    gap = np.arange(n)
+    within = np.array([float(k) ** a for k in range(n)])[abs(gap[:, None] - gap)]
+    cross = np.full((n, n), na * n)
+    cross[e[:, 0], e[:, 1]] = cross[e[:, 1], e[:, 0]] = na - delta
+    np.fill_diagonal(cross, na)
     f = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            within = float(abs(i - j)) ** a
-            f[i, j] = within
-            f[n + i, n + j] = within
-    adj = set()
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise ValueError("bad edge (%d, %d)" % (i, j))
-        adj.add((min(i, j), max(i, j)))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                cross = na
-            elif (min(i, j), max(i, j)) in adj:
-                cross = na - delta
-            else:
-                cross = na * n
-            f[i, n + j] = cross
-            f[n + j, i] = cross
+    f[:n, :n] = f[n:, n:] = within
+    f[:n, n:] = cross
+    f[n:, :n] = cross.T
     space = DecaySpace(f, mode=NODE_SPACE)
     links = [(i, n + i) for i in range(n)]
     return LinkSystem(

@@ -82,12 +82,17 @@ def system_from_dict(obj, base_dir="."):
         space = space_from_dict(raw_space)
     links = obj.get("links")
     if links is not None:
+        for k, pair in enumerate(links):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError("system document link %d is not a [sender, receiver] pair" % k)
         links = [(int(s), int(r)) for s, r in links]
     params = SinrParams(beta=obj.get("beta", 1.0), noise=obj.get("noise", 0.0))
     power = obj.get("power", {"kind": "uniform", "level": 1.0})
     if power.get("kind") == "uniform":
         pw = PowerAssignment.uniform(power.get("level", 1.0))
     elif power.get("kind") == "explicit":
+        if "levels" not in power:
+            raise ValueError("explicit power missing 'levels'")
         pw = PowerAssignment.explicit(power["levels"])
     else:
         raise ValueError("unknown power kind %r" % power.get("kind"))

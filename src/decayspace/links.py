@@ -31,7 +31,7 @@ and the map is the identity.
 
 import numpy as np
 
-from .spaces import NODE_SPACE, LINK_GAIN
+from .spaces import NODE_SPACE, LINK_GAIN, _node_index
 
 
 class SinrParams:
@@ -118,9 +118,7 @@ class LinkSystem:
                 raise ValueError("node-space systems need an explicit link list")
             clean = []
             for k, (s, r) in enumerate(links):
-                s, r = int(s), int(r)
-                if not (0 <= s < space.n and 0 <= r < space.n):
-                    raise ValueError("link %d endpoint out of range" % k)
+                s, r = _node_index(space, s), _node_index(space, r)
                 if s == r:
                     raise ValueError("link %d has sender equal to receiver" % k)
                 clean.append((s, r))
@@ -206,9 +204,15 @@ def affectance_matrix(sys, capped=True):
     return out
 
 
-def _check_index(sys, v):
-    if not (0 <= v < sys.n_links):
-        raise ValueError("link index %d out of range" % v)
+def _link_set(sys, S):
+    """S as a sorted list of distinct link indices, each in 0..n_links-1."""
+    out = sorted(int(v) for v in S)
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            raise ValueError("duplicate link index %d" % a)
+    if out and not (0 <= out[0] and out[-1] < sys.n_links):
+        raise ValueError("link index %d out of range" % (out[0] if out[0] < 0 else out[-1]))
+    return out
 
 
 def _check_not_drowned(sys, v):
@@ -218,20 +222,11 @@ def _check_not_drowned(sys, v):
 
 def affectance(sys, w, v):
     """a_w(v): the capped disturbance of link w on link v."""
-    _check_index(sys, w)
-    _check_index(sys, v)
+    _link_set(sys, {w, v})  # a set, as w == v is allowed
     if w == v:
         return 0.0
     _check_not_drowned(sys, v)
     return float(affectance_matrix(sys)[w, v])
-
-
-def _index_list(S):
-    out = sorted(int(v) for v in S)
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise ValueError("duplicate link index %d" % a)
-    return out
 
 
 def aggregate_affectance(sys, S, v, direction="in"):
@@ -240,10 +235,8 @@ def aggregate_affectance(sys, S, v, direction="in"):
     direction "in" gives a_S(v), the total S inflicts on v; "out"
     gives a_v(S). Self terms vanish, so v may be a member of S.
     """
-    S = _index_list(S)
-    for w in S:
-        _check_index(sys, w)
-    _check_index(sys, v)
+    S = _link_set(sys, S)
+    _link_set(sys, [v])
     if direction not in ("in", "out"):
         raise ValueError("direction must be 'in' or 'out'")
     if direction == "in":
@@ -268,11 +261,9 @@ def is_feasible(sys, S, K=1.0):
     noise alone defeats a link. K above 1 tightens the test, K in
     (0, 1) relaxes it.
     """
-    S = _index_list(S)
+    S = _link_set(sys, S)
     if not S:
         raise ValueError("feasibility of the empty set is undefined")
-    for v in S:
-        _check_index(sys, v)
     if not (K > 0):
         raise ValueError("K must be positive")
     margin = _noise_margin(sys)
@@ -292,7 +283,7 @@ def sinr_values(sys, S):
     affectance rewriting: signal over noise plus the sum of received
     interfering powers. Returns (members, sinr_array).
     """
-    S = _index_list(S)
+    S = _link_set(sys, S)
     if not S:
         raise ValueError("need at least one link")
     with np.errstate(divide="ignore"):
@@ -314,8 +305,7 @@ def link_distance(sys, quasi, v, w):
     identity endpoint map of a link-gain system that is
     min(d[v][w], d[w][v]). The distance of a link to itself is 0.
     """
-    _check_index(sys, v)
-    _check_index(sys, w)
+    _link_set(sys, {v, w})  # a set, as v == w is allowed
     return float(_link_distance_block(sys, quasi, [v], [w])[0, 0])
 
 
@@ -346,9 +336,8 @@ def check_separation(sys, quasi, v, L, eta):
     Empty L is vacuously separated; v itself should not appear in L
     since its self-distance is zero.
     """
-    L = _index_list(L)
-    for w in [v] + L:
-        _check_index(sys, w)
+    L = _link_set(sys, L)
+    _link_set(sys, [v])
     if not L:
         return True
     row = _link_distance_block(sys, quasi, [v], L)[0]
@@ -357,9 +346,7 @@ def check_separation(sys, quasi, v, L, eta):
 
 def _separation_violation(sys, quasi, L, eta):
     # first (lexicographic) ordered pair violating mutual separation
-    L = _index_list(L)
-    for v in L:
-        _check_index(sys, v)
+    L = _link_set(sys, L)
     bad = _link_distance_block(sys, quasi, L, L) < eta * sys.link_lengths(quasi)[L][:, None]
     np.fill_diagonal(bad, False)
     hits = np.argwhere(bad)
@@ -402,10 +389,7 @@ def pairwise_power_infeasible(sys, v, w):
     Tests beta^2 * f_vv * f_ww > f_vw * f_wv strictly. Exact for zero
     ambient noise; with noise it stays a sufficient certificate.
     """
-    _check_index(sys, v)
-    _check_index(sys, w)
-    if v == w:
-        raise ValueError("need two distinct links")
+    _link_set(sys, [v, w])
     F = sys.cross_decays()
     beta = sys.params.beta
     return bool(beta * beta * F[v, v] * F[w, w] > F[v, w] * F[w, v])
@@ -422,15 +406,10 @@ def interference_at(sys, senders, target):
         raise ValueError("interference_at needs a node-space system")
     if sys.power.kind != "uniform":
         raise ValueError("interference_at is defined for uniform power")
-    target = int(target)
-    if not (0 <= target < sys.space.n):
-        raise ValueError("target node out of range")
-    senders = sorted(int(y) for y in senders)
+    target = _node_index(sys.space, target)
+    senders = sorted(_node_index(sys.space, y) for y in senders)
     if target in senders:
         raise ValueError("target cannot be one of the senders")
-    for y in senders:
-        if not (0 <= y < sys.space.n):
-            raise ValueError("sender node %d out of range" % y)
     col = sys.space.f[senders, target]
     with np.errstate(divide="ignore"):
         terms = sys.power.value / col

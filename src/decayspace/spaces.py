@@ -79,6 +79,14 @@ class DecaySpace:
         return "DecaySpace(n=%d, mode=%r)" % (self.n, self.mode)
 
 
+def _node_index(space, y):
+    """y as a node index of the space, rejecting any outside 0..n-1."""
+    y = int(y)
+    if not (0 <= y < space.n):
+        raise ValueError("node %d out of range" % y)
+    return y
+
+
 @dataclass
 class ValidationResult:
     ok: bool

@@ -83,6 +83,18 @@ def test_packing_number_rejects_bad_inputs():
         packing_number(sp, [0, 1], 0.0)
 
 
+def test_every_node_argument_is_checked_alike():
+    sp = line_space(4)
+    quasi = quasi_distances(sp, 1.0)
+    for call in (lambda y: ball(sp, y, 1.0),
+                 lambda y: packing_number(sp, [1, y], 1.0),
+                 lambda y: independence_at(sp, quasi, y),
+                 lambda y: guard_set(sp, quasi, y)):
+        for y in (-1, sp.n):
+            with pytest.raises(ValueError, match="node %d out of range" % y):
+                call(y)
+
+
 def test_assouad_degenerate_spaces():
     two = DecaySpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
     est = assouad_estimate(two)

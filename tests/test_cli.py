@@ -12,6 +12,7 @@ import pytest
 from decayspace import (
     LinkSystem,
     check_separation_set,
+    gen_equidecay_graph,
     gen_euclidean,
     load_system,
     quasi_distances,
@@ -160,6 +161,10 @@ MALFORMED = {
     "power-inf": ("system", _with_field("power", {"kind": "uniform", "level": float("inf")}),
                   "powers must be positive and finite"),
     "power-string": ("system", _with_field("power", "uniform"), "'get'"),  # AttributeError
+    "levels-missing": ("system", _with_field("power", {"kind": "explicit"}),
+                       "explicit power missing 'levels'"),
+    "link-short": ("system", _with_field("links", [[0, 2], [1]]),
+                   "link 1 is not a [sender, receiver] pair"),
     "space-entry-object": ("space", '{"mode": "node-space", "n": 2, "f": [[0, {}], [1, 0]]}',
                            "'dict'"),  # TypeError
     "json-list": (None, "[1, 2]", "space document must be a JSON object"),
@@ -251,6 +256,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "capacity", "--system", good, "--zeta", "abc")[0] == 2
     assert run(capsys, "capacity", "--system", good, "--zeta", "0.5")[0] == 2
 
+    # an exponent or level the library cannot use is a usage error, not a
+    # failed property or a traceback
+    for argv in (["analyze", "--space", cloud, "--zeta", "inf"],
+                 ["capacity", "--system", good, "--zeta", "inf"],
+                 ["partition", "--system", good, "--kind", "signal", "--q", "inf"],
+                 ["partition", "--system", good, "--kind", "signal", "--q", "1e308"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+
 
 def test_partition_signal_cli(tmp_path, capsys):
     path = str(tmp_path / "even.json")
@@ -268,7 +282,27 @@ def test_partition_signal_cli(tmp_path, capsys):
     assert run(capsys, "generate", "--family", "equidecay",
                "--params", '{"n": 2, "edges": [[0, 1]]}', "--out", clash)[0] == 0
     code, _, err = run(capsys, "partition", "--system", clash, "--kind", "signal")
-    assert code == 2 and "rejected" in err
+    assert code == 2 and err == "error: input set is not 1-feasible (worst link 0)\n"
+
+
+def test_signal_partition_opens_no_more_classes_than_links(tmp_path):
+    # q = 1e12 asks for 2e12 first-fit classes; in a child process under a
+    # 600 MB address-space cap, so building them fails the test cleanly
+    path = str(tmp_path / "even.json")
+    save_system(gen_equidecay_graph(6, []), path)
+    cap = ("import resource, runpy, sys; "
+           "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20)); "
+           "sys.argv = ['decayspace'] + sys.argv[1:]; "
+           "runpy.run_module('decayspace', run_name='__main__')")
+    # one BLAS thread, so that numpy's own per-thread buffers fit under the cap
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", cap, "partition", "--system", path,
+                           "--kind", "signal", "--q", "1e12"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    res = report(proc.stdout)["results"]
+    assert res["classes"] == [[v] for v in range(6)]
+    assert res["bound"] == 2 * 10 ** 12 * 2 * 10 ** 12 and res["violating_classes"] == []
 
 
 def test_partition_separation_cli(tmp_path, capsys):

@@ -22,7 +22,7 @@ from decayspace import (
     validate_space,
 )
 from decayspace import generators
-from decayspace.generators import MAX_BOX, MAX_STAR_NODES
+from decayspace.generators import MAX_BOX, MAX_NODES
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -63,6 +63,8 @@ def test_gen_euclidean_path_loss():
         gen_euclidean(np.empty((0, 2)), 2.0)
     with pytest.raises(ValueError):
         gen_euclidean([1.0, 2.0], 2.0)
+    with pytest.raises(ValueError, match="at most"):
+        gen_euclidean(np.zeros((MAX_NODES + 1, 2)), 2.0)
 
 
 def test_gen_threepoint_table():
@@ -109,14 +111,75 @@ def test_gen_star_array_build_matches_loops_and_is_capped(monkeypatch):
     for k in (1, 2, 3, 16, 57, 200):
         for r in (1e-3, 0.5, 1, 7.25):
             assert gen_star(k, r).f.tobytes() == _star_by_loops(k, r).tobytes()
-    for k in (MAX_STAR_NODES - 1, 10 ** 5, 10 ** 18):
+    for k in (MAX_NODES - 1, 10 ** 5, 10 ** 18):
         with pytest.raises(ValueError, match="at most"):
             gen_star(k, 1.0)
     # the cap admits its boundary, checked on a small cap
-    monkeypatch.setattr(generators, "MAX_STAR_NODES", 12)
+    monkeypatch.setattr(generators, "MAX_NODES", 12)
     assert gen_star(10, 1.0).n == 12
     with pytest.raises(ValueError, match="at most 12"):
         gen_star(11, 1.0)
+
+
+def _equidecay_by_loops(n, edges, far):
+    # the element-by-element builds that the array builds replaced
+    f = np.full((n, n), far)
+    np.fill_diagonal(f, 1.0)
+    for i, j in edges:
+        f[i, j] = f[j, i] = 0.5
+    return f
+
+
+def _twoline_by_loops(n, edges, alpha, delta):
+    a = float(alpha) - 1.0
+    na = float(n) ** a
+    f = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                f[i, j] = f[n + i, n + j] = float(abs(i - j)) ** a
+    adj = {(min(i, j), max(i, j)) for i, j in edges}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                cross = na
+            elif (min(i, j), max(i, j)) in adj:
+                cross = na - delta
+            else:
+                cross = na * n
+            f[i, n + j] = f[n + j, i] = cross
+    return f
+
+
+def test_graph_array_builds_match_loops_and_are_capped(monkeypatch):
+    for n in (1, 2, 3, 9, 17, 40):
+        for p, seed in ((0.0, 1), (0.3, 2), (1.0, 3)):
+            edges = random_graph(n, p, seed)[1]
+            edges = edges + [(j, i) for i, j in edges[::3]]  # both orientations
+            for far in (None, 1.5, 1e6)[n == 1:]:  # far defaults to n, and must exceed 1
+                got = gen_equidecay_graph(n, edges, far_decay=far).space.f
+                want = _equidecay_by_loops(n, edges, float(n) if far is None else far)
+                assert got.tobytes() == want.tobytes(), (n, p, far)
+            if n < 2:
+                continue
+            for alpha in (1.5, 2.5, 3.0, 4.75):
+                for delta in (0.25, 0.49):
+                    got = gen_twoline(n, edges, alpha, delta).space.f
+                    want = _twoline_by_loops(n, edges, alpha, delta)
+                    assert got.tobytes() == want.tobytes(), (n, p, alpha, delta)
+    # both share the star's node cap, checked before the matrix is built
+    for n in (MAX_NODES + 1, 10 ** 18):
+        with pytest.raises(ValueError, match="at most"):
+            gen_equidecay_graph(n, [])
+        with pytest.raises(ValueError, match="at most"):
+            gen_twoline(n // 2 + 1, [], 2.5)
+    monkeypatch.setattr(generators, "MAX_NODES", 12)
+    assert gen_equidecay_graph(12, []).n_links == 12
+    assert gen_twoline(6, [], 2.5).space.n == 12
+    with pytest.raises(ValueError, match="at most 12"):
+        gen_equidecay_graph(13, [])
+    with pytest.raises(ValueError, match="at most 12"):
+        gen_twoline(7, [], 2.5)
 
 
 def test_gen_welzl_table():

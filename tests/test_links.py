@@ -11,6 +11,8 @@ from decayspace import (
     affectance,
     affectance_matrix,
     aggregate_affectance,
+    amicable_subset,
+    check_onezetasep,
     check_separation,
     check_separation_set,
     drowned_links,
@@ -25,6 +27,8 @@ from decayspace import (
     pairwise_power_infeasible,
     quasi_distances,
     random_link_system,
+    separation_strengthen,
+    signal_strengthen,
     sinr_values,
 )
 from decayspace.links import _separation_violation
@@ -187,6 +191,35 @@ def test_check_separation_rejects_bad_link_even_with_empty_set():
             check_separation(sys_, quasi, v, [], 1.0)
         with pytest.raises(ValueError):
             check_separation(sys_, quasi, v, [1], 1.0)
+
+
+def test_every_link_set_argument_is_checked_alike():
+    sys_ = random_link_system(4, 3)
+    quasi = quasi_distances(sys_.space, 3.0)
+    n = sys_.n_links
+    takes_a_set = {
+        "aggregate_affectance": lambda S: aggregate_affectance(sys_, S, 0),
+        "is_feasible": lambda S: is_feasible(sys_, S),
+        "sinr_values": lambda S: sinr_values(sys_, S),
+        "check_separation": lambda S: check_separation(sys_, quasi, 0, S, 0.5),
+        "check_separation_set": lambda S: check_separation_set(sys_, quasi, S, 0.5),
+        "signal_strengthen": lambda S: signal_strengthen(sys_, S, 1.0, 3.0),
+        "separation_strengthen": lambda S: separation_strengthen(sys_, quasi, S, 1e-9, 0.5),
+        "check_onezetasep": lambda S: check_onezetasep(sys_, quasi, 3.0, S),
+        "amicable_subset": lambda S: amicable_subset(sys_, quasi, 3.0, S),
+    }
+    for name, call in takes_a_set.items():
+        for S, why in (([-1], "out of range"), ([n], "out of range"), ([1, -1], "out of range"),
+                       ([1, n], "out of range"), ([1, 1], "duplicate")):
+            with pytest.raises(ValueError, match=why):
+                call(S)
+                pytest.fail("%s accepted %r" % (name, S))
+    # the two functions of a link pair check both indices the same way
+    for call in (lambda v, w: affectance(sys_, v, w),
+                 lambda v, w: pairwise_power_infeasible(sys_, v, w)):
+        for v, w in ((-1, 0), (0, -1), (n, 0), (0, n)):
+            with pytest.raises(ValueError, match="out of range"):
+                call(v, w)
 
 
 def test_aggregate_affectance_directions():
