@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .search import (
     _branch, _can_improve, _neighbor_masks, max_independent_set, max_weight_independent_set,
 )
-from .spaces import _node_index, _row_blocks
+from .spaces import _node_index, _quasi_table, _row_blocks
 
 
 def _stack_blocks(count, k):
@@ -115,8 +115,8 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     kernels' blocks (about 2**18 entries, a single K x K prefix matrix
     at least), so memory stays O(n**2).
     """
-    if C is not None and not (C > 0):
-        raise ValueError("C must be positive")
+    if C is not None and not (0 < C < math.inf):
+        raise ValueError("C must be positive and finite")
     if space.n < 1:
         raise ValueError("empty space")
     for q in q_grid:
@@ -206,7 +206,7 @@ def fading_parameter(space, r, exact_limit=24, quasi=None):
         raise ValueError("r must be positive")
     if space.n < 1:
         raise ValueError("empty space")
-    M = space.f if quasi is None else quasi.d
+    M = space.f if quasi is None else _quasi_table(space, quasi)
     n = space.n
     sep = np.minimum(M, M.T)
     f = space.f
@@ -264,8 +264,8 @@ def fading_bound(C, A):
     stays at most C * 2**(A+1) * (zeta_hat(2 - A) - 1). Raises for
     A >= 1, where the underlying series diverges.
     """
-    if not (C > 0):
-        raise ValueError("C must be positive")
+    if not (0 < C < math.inf):
+        raise ValueError("C must be positive and finite")
     A = float(A)
     if A >= 1:
         raise ValueError("bound diverges for growth degree A >= 1")
@@ -280,7 +280,7 @@ def independence_at(space, quasi, x, exact_limit=24):
     (size, members, exact).
     """
     x = _node_index(space, x)
-    d = quasi.d
+    d = _quasi_table(space, quasi)
     cand = [z for z in range(space.n) if z != x]
     if not cand:
         return 0, (), True
@@ -322,7 +322,7 @@ def guard_set(space, quasi, x):
     node-space inputs.
     """
     x = _node_index(space, x)
-    d = quasi.d
+    d = _quasi_table(space, quasi)
     others = [z for z in range(space.n) if z != x]
     if not others:
         return ()

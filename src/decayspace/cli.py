@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -45,7 +46,16 @@ from .generators import (
     random_graph,
     random_points,
 )
-from .io import dumps_canonical, load_space, load_system, save_space, save_system
+from .io import (
+    _read_doc,
+    dumps_canonical,
+    load_space,
+    load_system,
+    save_space,
+    save_system,
+    space_from_dict,
+    system_from_dict,
+)
 from .verify import run_verify
 
 
@@ -350,12 +360,12 @@ def _cmd_generate(args):
 
 def _corpus_space(path):
     # a JSON object with a "space" key is a system, anything else a space
-    if path.endswith(".json"):
-        with open(path) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict) and "space" in doc:
-            return load_system(path).space
-    return load_space(path)
+    if not path.endswith(".json"):
+        return load_space(path)
+    doc = _read_doc(path)
+    if isinstance(doc, dict) and "space" in doc:
+        return system_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path))).space
+    return space_from_dict(doc)
 
 
 def _verify_file(path):

@@ -127,18 +127,21 @@ def gen_welzl(n, eps=1e-6):
     Chain distances d(v_j, v_i) = 2**i for j < i; the anchor sits at
     2**i - eps from each v_i. Symmetric. Every chain node is then
     independent with respect to the anchor, so center independence
-    reaches n + 1 while ball packings stay modest.
+    reaches n + 1 while ball packings stay modest. The largest decay
+    2**n must be a finite float, so n is at most 1023 (and n + 2 stays
+    within MAX_NODES).
     """
     if n < 1:
         raise ValueError("need a chain of at least two nodes")
+    if n > 1023:
+        raise ValueError("a welzl chain has n at most 1023 (2**n must be finite), got %d" % n)
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
-    m = n + 2
-    f = np.zeros((m, m))
-    for i in range(0, n + 1):
-        f[0, 1 + i] = f[1 + i, 0] = 2.0 ** i - eps
-        for j in range(0, i):
-            f[1 + j, 1 + i] = f[1 + i, 1 + j] = 2.0 ** i
+    scale = 2.0 ** np.arange(n + 1)
+    f = np.zeros((n + 2, n + 2))
+    f[1:, 1:] = np.maximum.outer(scale, scale)
+    np.fill_diagonal(f, 0.0)
+    f[0, 1:] = f[1:, 0] = scale - eps
     labels = ["anchor"] + ["v%d" % i for i in range(n + 1)]
     return DecaySpace(f, mode=NODE_SPACE, labels=labels)
 

@@ -10,15 +10,33 @@ identical bytes: keys sorted, floats printed with repr-faithful 17
 significant digits, non-finite floats as the strings "inf", "-inf"
 and "nan" (JSON has no literals for them). Timing always sits in one
 top-level key that determinism comparisons strip.
+
+One encoder (_encode) turns every value into its canonical text on a
+single path, reports and the dense decay tables of input files alike.
+One writer saves every file and one reader parses every JSON file.
 """
 
 import json
+import math
 import os
 
 import numpy as np
 
 from .spaces import DecaySpace, NODE_SPACE
 from .links import LinkSystem, PowerAssignment, SinrParams
+
+
+def _read_doc(path):
+    # the one JSON file reader behind load_space, load_system and load_graph
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _write_doc(doc, path):
+    # the one file writer: canonical text and a closing newline
+    with open(path, "w") as fh:
+        fh.write(dumps_canonical(doc))
+        fh.write("\n")
 
 
 def space_to_dict(space):
@@ -45,14 +63,11 @@ def load_space(path):
     if path.endswith(".csv"):
         f = np.loadtxt(path, delimiter=",", ndmin=2)
         return DecaySpace(f, mode=NODE_SPACE)
-    with open(path) as fh:
-        return space_from_dict(json.load(fh))
+    return space_from_dict(_read_doc(path))
 
 
 def save_space(space, path):
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(space_to_dict(space)))
-        fh.write("\n")
+    _write_doc(space_to_dict(space), path)
 
 
 def system_to_dict(sys):
@@ -100,20 +115,15 @@ def system_from_dict(obj, base_dir="."):
 
 
 def load_system(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    return system_from_dict(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    return system_from_dict(_read_doc(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def save_system(sys, path):
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(system_to_dict(sys)))
-        fh.write("\n")
+    _write_doc(system_to_dict(sys), path)
 
 
 def load_graph(path):
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_doc(path)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph document needs 'n' and 'edges'")
     n = int(obj["n"])
@@ -121,53 +131,29 @@ def load_graph(path):
     return n, edges
 
 
-def _canon_fragment(obj, parts):
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+def _encode(obj):
+    # one path for every value; floats lead, as they fill the decay tables
+    if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if np.isnan(x):
-            parts.append('"nan"')
-        elif np.isinf(x):
-            parts.append('"inf"' if x > 0 else '"-inf"')
-        else:
-            parts.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for k, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError("canonical JSON keys must be strings")
-            if k:
-                parts.append(",")
-            parts.append(json.dumps(key))
-            parts.append(":")
-            _canon_fragment(obj[key], parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+        return format(x, ".17g") if math.isfinite(x) else '"%r"' % x
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        parts.append("[")
-        for k, item in enumerate(seq):
-            if k:
-                parts.append(",")
-            _canon_fragment(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError("cannot serialize %r canonically" % type(obj))
+        return "[" + ",".join(map(_encode, seq)) + "]"
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        if not all(isinstance(k, str) for k in keys):
+            raise TypeError("canonical JSON keys must be strings")
+        return "{" + ",".join(json.dumps(k) + ":" + _encode(obj[k]) for k in keys) + "}"
+    raise TypeError("cannot serialize %r canonically" % type(obj))
 
 
 def dumps_canonical(obj):
     """Deterministic JSON text for a report-like object."""
-    parts = []
-    _canon_fragment(obj, parts)
-    return "".join(parts)
+    return _encode(obj)
 
 
 def strip_timing(report):

@@ -31,7 +31,7 @@ and the map is the identity.
 
 import numpy as np
 
-from .spaces import NODE_SPACE, LINK_GAIN, _node_index
+from .spaces import NODE_SPACE, LINK_GAIN, _node_index, _quasi_table
 
 
 class SinrParams:
@@ -158,7 +158,7 @@ class LinkSystem:
         return float(self.link_lengths(quasi)[v])
 
     def link_lengths(self, quasi):
-        return quasi.d[self._s, self._r]
+        return _quasi_table(self.space, quasi)[self._s, self._r]
 
     def __repr__(self):
         return "LinkSystem(n_links=%d, %r, power=%s)" % (
@@ -311,7 +311,7 @@ def link_distance(sys, quasi, v, w):
 
 def _link_distance_block(sys, quasi, rows, cols):
     # link distances between the links in rows and those in cols
-    d = quasi.d
+    d = _quasi_table(sys.space, quasi)
     sr, rr, sc, rc = sys._s[rows], sys._r[rows], sys._s[cols], sys._r[cols]
     out = np.minimum.reduce([
         d[np.ix_(sr, rc)],

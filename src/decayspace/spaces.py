@@ -407,6 +407,14 @@ class QuasiMetric:
     zeta: float
 
 
+def _quasi_table(space, quasi):
+    """quasi.d, after checking that the quasi-metric was built on this space's nodes."""
+    if quasi.d.shape != (space.n, space.n):
+        raise ValueError("quasi-metric has %d nodes but the space has %d"
+                         % (quasi.d.shape[0], space.n))
+    return quasi.d
+
+
 def triangle_violation(quasi, tol=1e-7):
     """Lexicographically least violating triple (x, z, y), or None.
 

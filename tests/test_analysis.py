@@ -130,6 +130,8 @@ def test_assouad_rejects_bad_inputs():
     sp = line_space(3)
     with pytest.raises(ValueError):
         assouad_estimate(sp, C=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        assouad_estimate(sp, C=math.inf)
     with pytest.raises(ValueError):
         assouad_estimate(sp, q_grid=(1.0, 2.0))
     with pytest.raises(ValueError):
@@ -274,6 +276,8 @@ def test_fading_bound_closed_forms():
         fading_bound(1.0, 1.0)
     with pytest.raises(ValueError):
         fading_bound(0.0, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        fading_bound(math.inf, 0.5)
 
 
 def test_independence_uniform_is_one():

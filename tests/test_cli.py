@@ -235,11 +235,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert code == 2 and out == "" and "error:" in err, (family, params)
         assert not os.path.exists(out_path)
 
-    # stars past the node cap are refused before any matrix is allocated
-    for k in ("100000", "1000000000"):
-        code, out, err = run(capsys, "generate", "--family", "star",
-                             "--params", '{"k": %s, "r": 1}' % k, "--out", out_path)
-        assert code == 2 and out == "" and err.startswith("error: ") and "at most" in err
+    # stars past the node cap, and welzl chains whose 2**n overflows, are
+    # refused before any matrix is allocated
+    for family, params, limit in (("star", '{"k": 100000, "r": 1}', "at most"),
+                                  ("star", '{"k": 1000000000, "r": 1}', "at most"),
+                                  ("welzl", '{"n": 1100}', "at most 1023")):
+        code, out, err = run(capsys, "generate", "--family", family,
+                             "--params", params, "--out", out_path)
+        assert code == 2 and out == "" and err.startswith("error: ") and limit in err
         assert not os.path.exists(out_path)
 
     cloud = str(tmp_path / "cloud.json")
@@ -261,7 +264,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for argv in (["analyze", "--space", cloud, "--zeta", "inf"],
                  ["capacity", "--system", good, "--zeta", "inf"],
                  ["partition", "--system", good, "--kind", "signal", "--q", "inf"],
-                 ["partition", "--system", good, "--kind", "signal", "--q", "1e308"]):
+                 ["partition", "--system", good, "--kind", "signal", "--q", "1e308"],
+                 ["fading", "--space", cloud, "--r", "1", "--C", "inf"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), argv
 
@@ -352,13 +356,26 @@ def test_generate_random_edges_then_capacity(tmp_path, capsys):
     assert res["selected_feasible"] is True
 
 
-def test_verify_cli(tmp_path, capsys):
+def test_verify_cli(tmp_path, capsys, monkeypatch):
     good = str(tmp_path / "sp.json")
     save_space(gen_euclidean(random_points(5, 1), 2.0), good)
     code, out, _ = run(capsys, "verify", "--corpus", good)
     assert code == 0
     items = report(out)["results"]["items"]
     assert items[0]["name"] == "file:%s" % good and items[0]["ok"]
+
+    # a system file, with its space inline or by a relative path, is
+    # parsed once: the corpus reads each file through the io reader
+    inline = str(tmp_path / "inline.json")
+    save_system(random_link_system(3, 2), inline)
+    by_path = tmp_path / "by_path.json"
+    by_path.write_text(json.dumps({"space": "sp.json", "links": [[0, 1]]}))
+    parsed = []
+    real_load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: parsed.append(fh.name) or real_load(fh))
+    code, out, _ = run(capsys, "verify", "--corpus", inline, str(by_path))
+    assert code == 0 and all(it["ok"] for it in report(out)["results"]["items"])
+    assert sorted(parsed) == sorted([inline, str(by_path), good])
 
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -182,7 +182,25 @@ def test_graph_array_builds_match_loops_and_are_capped(monkeypatch):
         gen_twoline(7, [], 2.5)
 
 
+def _welzl_by_loops(n, eps):
+    # the element-by-element build that the array build replaced
+    f = np.zeros((n + 2, n + 2))
+    for i in range(0, n + 1):
+        f[0, 1 + i] = f[1 + i, 0] = 2.0 ** i - eps
+        for j in range(0, i):
+            f[1 + j, 1 + i] = f[1 + i, 1 + j] = 2.0 ** i
+    return f
+
+
 def test_gen_welzl_table():
+    for n in range(1, 65):
+        for eps in (1e-6, 0.3):
+            assert gen_welzl(n, eps).f.tobytes() == _welzl_by_loops(n, eps).tobytes()
+    # the largest decay 2**n must stay a finite float
+    assert np.isfinite(gen_welzl(1023).f).all()
+    for n in (1024, 1100, 10 ** 18):
+        with pytest.raises(ValueError, match="at most 1023"):
+            gen_welzl(n)
     eps = 1e-6
     sp = gen_welzl(3, eps)
     assert sp.n == 5

@@ -1,10 +1,13 @@
 """File formats and the canonical JSON used for deterministic reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import io_reference as ref
 from decayspace import (
     DecaySpace,
     LinkSystem,
@@ -124,6 +127,51 @@ def test_canonical_json_basics():
     assert dumps_canonical(np.int64(5)) == "5"
     assert dumps_canonical(np.float64(0.25)) == "0.25"
     assert dumps_canonical(np.array([1.0, 2.0])) == "[1,2]"
+    assert dumps_canonical(-0.0) == "-0"
+    assert dumps_canonical(5e-324) == "4.9406564584124654e-324"
+    assert dumps_canonical(-1e300) == "-1.0000000000000001e+300"
+    assert dumps_canonical(np.float32(0.1)) == "0.10000000149011612"
+    assert dumps_canonical((1, [np.float32("-inf")])) == '[1,["-inf"]]'
+
+
+_FLOATS = st.one_of(
+    st.floats(),  # nan, inf and subnormals included
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-310, 1e300, -1e300]),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+)
+_ARRAYS = st.one_of(
+    st.lists(_FLOATS, max_size=5).map(lambda xs: np.array(xs, dtype=float)),
+    st.integers(0, 3).flatmap(lambda c: st.lists(
+        st.lists(_FLOATS, min_size=c, max_size=c), min_size=1, max_size=3)).map(
+        lambda rows: np.array(rows, dtype=float)),
+)
+# a few values, and non-string keys, that both encoders must refuse
+_EXOTIC = st.sampled_from([np.bool_(True), {1, 2}, b"x", np.array(2.5), {1: 0.5}])
+_DOCUMENTS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+              st.text(max_size=3), _FLOATS, _ARRAYS, _EXOTIC),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _canonical_or_type_error(dumps, obj):
+    try:
+        return dumps(obj)
+    except TypeError:
+        return TypeError
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_canonical_json_matches_the_recursive_reference(doc):
+    want = _canonical_or_type_error(ref.dumps_canonical, doc)
+    assert _canonical_or_type_error(dumps_canonical, doc) == want
 
 
 def test_canonical_json_round_trips_floats():
@@ -146,6 +194,8 @@ def test_canonical_json_rejects_exotic_objects():
         dumps_canonical({"a": {2, 3}})
     with pytest.raises(TypeError):
         dumps_canonical({"flag": np.bool_(True)})
+    with pytest.raises(TypeError):
+        dumps_canonical([np.array(1.5)])  # a 0-d array is not a sequence
 
 
 def test_strip_timing_is_shallow():

@@ -12,13 +12,17 @@ from decayspace import (
     affectance_matrix,
     aggregate_affectance,
     amicable_subset,
+    capacity_uniform,
     check_onezetasep,
     check_separation,
     check_separation_set,
     drowned_links,
+    fading_parameter,
     gen_equidecay_graph,
     gen_euclidean,
     gen_star,
+    guard_set,
+    independence_at,
     interference_at,
     is_feasible,
     is_monotone_power,
@@ -27,6 +31,7 @@ from decayspace import (
     pairwise_power_infeasible,
     quasi_distances,
     random_link_system,
+    random_points,
     separation_strengthen,
     signal_strengthen,
     sinr_values,
@@ -220,6 +225,31 @@ def test_every_link_set_argument_is_checked_alike():
         for v, w in ((-1, 0), (0, -1), (n, 0), (0, n)):
             with pytest.raises(ValueError, match="out of range"):
                 call(v, w)
+
+
+def test_every_quasi_argument_must_match_its_space():
+    # a quasi-metric of another system reads the wrong table quietly
+    # unless its node count is checked where it meets a space
+    sys_ = random_link_system(5, 1)
+    cloud = gen_euclidean(random_points(6, 2), 3.0)
+    for other in (random_link_system(9, 2).space, random_link_system(2, 4).space):
+        quasi = quasi_distances(other, 3.0)
+        calls = {
+            "capacity_uniform": lambda: capacity_uniform(sys_, 3.0, quasi=quasi),
+            "check_separation_set": lambda: check_separation_set(sys_, quasi, [0, 1, 2], 0.5),
+            "check_separation": lambda: check_separation(sys_, quasi, 0, [1], 0.5),
+            "link_distance": lambda: link_distance(sys_, quasi, 0, 1),
+            "link_lengths": lambda: sys_.link_lengths(quasi),
+            "separation_strengthen": lambda: separation_strengthen(sys_, quasi, [0, 1], 0.5, 0.5),
+            "check_onezetasep": lambda: check_onezetasep(sys_, quasi, 3.0, [0, 1]),
+            "independence_at": lambda: independence_at(cloud, quasi, 0),
+            "guard_set": lambda: guard_set(cloud, quasi, 0),
+            "fading_parameter": lambda: fading_parameter(cloud, 1.0, quasi=quasi),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="has %d nodes but the space has" % other.n):
+                call()
+                pytest.fail("%s accepted a %d-node quasi-metric" % (name, other.n))
 
 
 def test_aggregate_affectance_directions():
