@@ -237,15 +237,15 @@ def fading_parameter(space, r, exact_limit=24, quasi=None):
 
 
 def zeta_hat(s, tol=1e-9):
-    """Riemann zeta for real s > 1, by Euler-Maclaurin.
+    """Riemann zeta for real finite s > 1, by Euler-Maclaurin.
 
     Partial sum to M terms plus the tail corrections
     M**(1-s)/(s-1) - M**(-s)/2 + s*M**(-s-1)/12; M doubles until the
     next correction term bounds the error below tol.
     """
     s = float(s)
-    if not (s > 1):
-        raise ValueError("zeta_hat needs s > 1")
+    if not (1 < s < math.inf):
+        raise ValueError("zeta_hat needs a finite s > 1")
     if not (tol > 0):
         raise ValueError("tol must be positive")
     M = 32
@@ -262,11 +262,13 @@ def fading_bound(C, A):
 
     With ball packings bounded by C * q**A for A < 1, every gamma(r)
     stays at most C * 2**(A+1) * (zeta_hat(2 - A) - 1). Raises for
-    A >= 1, where the underlying series diverges.
+    A >= 1, where the underlying series diverges, and for a non-finite A.
     """
     if not (0 < C < math.inf):
         raise ValueError("C must be positive and finite")
     A = float(A)
+    if not math.isfinite(A):
+        raise ValueError("growth degree A must be finite")
     if A >= 1:
         raise ValueError("bound diverges for growth degree A >= 1")
     return float(C * 2.0 ** (A + 1.0) * (zeta_hat(2.0 - A) - 1.0))

@@ -28,6 +28,16 @@ compute_zeta makes one pass that bounds the least critical exponent
 and collects the few candidate triples that can bind near it, then
 bisects on those alone; every other triple provably passes at every
 exponent the bisection probes.
+
+When f equals its transpose exactly (_symmetric), the three kernels
+scan only the outer pairs whose first index is the smaller: (x, y) of
+the triangle check and of zeta, (x, z) of phi. A triple and its mirror
+((x, z, y) and (y, z, x)) then read the same numbers with the legs
+swapped, and float + and np.logaddexp are commutative to the bit, so
+the mirror passes, fails or ties exactly as the triple does. Of the two
+the lexicographically least has the smaller outer index first, so the
+half scan returns the same values and the same least witnesses, and
+does about half the work.
 """
 
 import numpy as np
@@ -68,6 +78,12 @@ class DecaySpace:
         return self.f.shape[0]
 
     def is_symmetric(self, rtol=1e-12):
+        """True when f is within relative tolerance rtol of its transpose.
+
+        A tolerance test, for reporting. The metricity kernels do not use
+        it: they take their symmetric half scan only on a matrix that
+        equals its transpose exactly, where it cannot change a witness.
+        """
         return bool(np.allclose(self.f, self.f.T, rtol=rtol, atol=0.0))
 
     def off_diagonal(self):
@@ -135,21 +151,55 @@ _EPS = float(np.finfo(float).eps)
 _LN2 = float(np.log(2.0))
 
 
+def _symmetric(f):
+    """True when f equals its transpose exactly, with no entry of negative sign.
+
+    A mirrored triple then reads the same numbers, so it computes the
+    same sums, logaddexps and ratios to the bit. The sign test keeps out
+    -0.0: it compares equal to 0.0 but flips the sign of a quotient by
+    zero. This is an exact test, not the tolerance of
+    DecaySpace.is_symmetric, so a near-symmetric matrix takes the
+    general path and keeps its witnesses.
+    """
+    return bool(np.array_equal(f, f.T) and not np.signbit(f).any())
+
+
 def _row_blocks(rows, per_row):
     """Ranges of rows whose blocks hold about _BLOCK entries, per_row entries a row."""
     step = max(1, _BLOCK // per_row)
     return [(x0, min(rows, x0 + step)) for x0 in range(0, rows, step)]
 
 
-def _distinct(off, x0, x1):
-    """(B, n, n) mask of the triples with x in x0:x1 whose three indices differ."""
-    return off[x0:x1, :, None] & off[None] & off[x0:x1, None, :]
+def _target_blocks(n, sym, rows):
+    """(x0, x1, c0, mask) for each range x0:x1 of x-rows in rows.
+
+    The target pairs (x, y) of a block lie in the columns c0: of its
+    rows, as the (B, n - c0) mask: every y != x in general (c0 = 0),
+    and only y > x on a symmetric matrix, where c0 = x0 + 1 skips the
+    columns no row of the block needs. A block with no target column is
+    left out.
+    """
+    i = np.arange(n)
+    targets = i[:, None] < i if sym else i[:, None] != i
+    for x0, x1 in rows:
+        c0 = x0 + 1 if sym else 0
+        if c0 < n:
+            yield x0, x1, c0, targets[x0:x1, c0:]
 
 
-def _triple(key, n):
-    """Triple at C-order flat index key of the (n, n, n) triple cube."""
-    x, rest = divmod(int(key), n * n)
-    return (x, rest // n, rest % n)
+def _distinct(off, x0, x1, c0, mask):
+    """(B, n, n - c0) mask of the triples (x, m, y) with m apart from x and y, (x, y) a target."""
+    return off[x0:x1, :, None] & off[None, :, c0:] & mask[:, None, :]
+
+
+def _triple(i, n, x0=0, c0=0):
+    """Triple at C-order flat index i of the (B, n, n - c0) block of rows x0.. and columns c0..
+
+    The defaults read a key of the whole (n, n, n) triple cube.
+    """
+    x, rest = divmod(int(i), n * (n - c0))
+    m, y = divmod(rest, n - c0)
+    return (x0 + x, m, c0 + y)
 
 
 def _gap(la, lb, lc, t):
@@ -236,6 +286,16 @@ def compute_zeta(space, tol=1e-9):
     n**2 entries, or rounding error at these exponents is too large to
     tell K from the rest, the bisection tests every triple block by
     block instead. Both give the same probes, result and witness.
+
+    On a symmetric f every pass scans only the triples with x < y, the
+    hopeless pre-pass and the constrained filter alike. The mirror
+    (y, z, x) of a triple swaps its legs, and the tests that decide the
+    result read them through max, min and np.logaddexp, which are
+    commutative to the bit: the mirror is hopeless, passes or fails at
+    every probe exactly when the triple does. So the probes see the same
+    outcomes as over all triples, and the least binding or hopeless
+    triple has x < y. T and K are then taken over the scanned triples,
+    for which the argument above holds as for any set of triples.
     """
     _require_valid(space)
     if not (0 < tol < np.inf):
@@ -245,37 +305,40 @@ def compute_zeta(space, tol=1e-9):
     if space.n < 3:
         return 1.0, 1.0, None
     f, n = space.f, space.n
-    blocks = _row_blocks(n, n * n)
+    blocks = list(_target_blocks(n, _symmetric(f), _row_blocks(n, n * n)))
     off = ~np.eye(n, dtype=bool)
     if not f[off].all():
-        for x0, x1 in blocks:
-            a, b, c = f[x0:x1, :, None], f[None], f[x0:x1, None, :]
-            hopeless = (c > np.maximum(a, b)) & (np.minimum(a, b) == 0) & _distinct(off, x0, x1)
+        for x0, x1, c0, mask in blocks:
+            a, b, c = f[x0:x1, :, None], f[None, :, c0:], f[x0:x1, None, c0:]
+            hopeless = ((c > np.maximum(a, b)) & (np.minimum(a, b) == 0)
+                        & _distinct(off, x0, x1, c0, mask))
             if hopeless.any():
-                w = _triple(x0 * n * n + int(np.argmax(hopeless)), n)
+                w = _triple(np.argmax(hopeless), n, x0, c0)
                 return float("inf"), float("inf"), w
     logf = np.log(f)
     flat = logf.ravel()
     scale = float(np.abs(logf[np.isfinite(logf)]).max())
 
-    def constrained(x0, x1, t):
-        # [la, lb, lc, key] of the constrained triples with x in x0:x1
-        # whose bound ln2 / mean(u, v) lies below t; key is the C-order
-        # index in the triple cube. With z = x or z = y a leg equals
-        # f(x,y), so only x != y needs a mask.
-        la, lb, lc = logf[x0:x1, :, None], logf[None], logf[x0:x1, None, :]
-        keys = np.flatnonzero((2 * lc - la - lb > 2 * _LN2 / t) & off[x0:x1, None, :])
-        keys += x0 * n * n
-        xz, y = np.divmod(keys, n)
+    def constrained(x0, x1, c0, mask, t):
+        # [la, lb, lc, key] of the block's constrained triples whose
+        # bound ln2 / mean(u, v) lies below t; key is the C-order index
+        # in the triple cube. With z = x or z = y a leg equals f(x,y),
+        # so only the target mask is needed.
+        la, lb, lc = logf[x0:x1, :, None], logf[None, :, c0:], logf[x0:x1, None, c0:]
+        keys = np.flatnonzero((2 * lc - la - lb > 2 * _LN2 / t) & mask[:, None, :])
+        xz, y = np.divmod(keys, n - c0)
+        xz += x0 * n
+        y += c0
         z = xz % n
+        keys = xz * n + y
         la, lb, lc = flat[xz], flat[z * n + y], flat[xz - z + y]
         keep = (lc > la) & (lc > lb)
         return [la[keep], lb[keep], lc[keep], keys[keep]]
 
     T, store, size = np.inf, [], 0
-    for x0, x1 in blocks:
+    for x0, x1, c0, mask in blocks:
         tk, _, err = _cuts(T, tol, scale)
-        part = constrained(x0, x1, tk * (1 + _MARGIN))
+        part = constrained(x0, x1, c0, mask, tk * (1 + _MARGIN))
         if not len(part[3]):
             continue
         if T == np.inf:
@@ -317,7 +380,7 @@ def compute_zeta(space, tol=1e-9):
     def triples():
         if cache is not None:
             return [cache]
-        return (constrained(x0, x1, np.inf) for x0, x1 in blocks)
+        return (constrained(*block, np.inf) for block in blocks)
 
     def satisfied(t):
         # logaddexp keeps the test overflow-safe for extreme exponents
@@ -362,7 +425,10 @@ def compute_phi(space):
     (B, n, n) slices of f, so memory stays O(n**2). The running best
     moves only on a strict improvement, and within a block argmax
     returns the first maximum in (x, y, z) order, so the witness is the
-    first maximizing triple.
+    first maximizing triple. On a symmetric f only the triples with
+    x < z are scanned: the mirror (z, y, x) has the same numerator and
+    the same denominator terms in swapped order, so the same ratio to
+    the bit, and the least maximizing triple has x < z.
     """
     _require_valid(space)
     if space.n < 3:
@@ -370,16 +436,16 @@ def compute_phi(space):
     f, n = space.f, space.n
     off = ~np.eye(n, dtype=bool)
     best, witness = -1.0, None
-    for x0, x1 in _row_blocks(n, n * n):
+    for x0, x1, c0, mask in _target_blocks(n, _symmetric(f), _row_blocks(n, n * n)):
         # a ratio beyond the float range is inf, and so the maximum
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = f[x0:x1, None, :] / (f[x0:x1, :, None] + f[None])
+            ratio = f[x0:x1, None, c0:] / (f[x0:x1, :, None] + f[None, :, c0:])
         # 0/0 only arises in link-gain mode; such a triple constrains nothing
         ratio[np.isnan(ratio)] = 0.0
-        ratio[~_distinct(off, x0, x1)] = -1.0
+        ratio[~_distinct(off, x0, x1, c0, mask)] = -1.0
         i = int(np.argmax(ratio))
         if ratio.flat[i] > best:
-            best, witness = float(ratio.flat[i]), _triple(x0 * n * n + i, n)
+            best, witness = float(ratio.flat[i]), _triple(i, n, x0, c0)
     phi = float(np.log2(best)) if best > 0 else float("-inf")
     return best, phi, witness
 
@@ -422,12 +488,18 @@ def triangle_violation(quasi, tol=1e-7):
     tol. Diagonal targets are skipped; for off-diagonal targets the
     intermediates z = x and z = y reproduce d(x,y) itself whenever the
     diagonal is zero, so they never report spurious violations.
+
+    Each row x of best = min over z of d(x,z) + d(z,y) is one min-plus
+    product. On a symmetric d it covers only the targets y > x:
+    d(x,z) + d(z,y) and d(y,z) + d(z,x) are the same sums in swapped
+    order, so (x, y) violates exactly when (y, x) does, and the least
+    violating pair has x < y. The pairs left out keep best = inf, which
+    no entry exceeds.
     """
-    d = quasi.d
-    n = quasi.n
-    best = np.empty_like(d)
-    for x in range(n):
-        best[x] = (d[x][:, None] + d).min(axis=0)
+    d, n = quasi.d, quasi.n
+    best = np.full(d.shape, np.inf)
+    for x, _, c0, _ in _target_blocks(n, _symmetric(d), ((r, r + 1) for r in range(n))):
+        best[x, c0:] = (d[x][:, None] + d[:, c0:]).min(axis=0)
     slack = tol * np.maximum(1.0, d)
     viol = d > best + slack
     np.fill_diagonal(viol, False)

@@ -3,8 +3,10 @@
 These are the meshgrid implementations of compute_zeta and compute_phi
 that the blocked kernels replaced, kept verbatim: they build every
 ordered triple as O(n**3) index arrays and bisect over all constrained
-triples at every probe. The differential tests compare the blocked
-kernels against them for exact equality of the returned tuples.
+triples at every probe. triangle_violation is the full per-row
+min-plus check that scans every ordered pair, symmetric matrix or not.
+The differential tests compare the kernels against them for exact
+equality of the returned tuples.
 """
 
 import numpy as np
@@ -108,8 +110,9 @@ def compute_phi(space):
     f = space.f
     xs, ms, zs = _triple_arrays(space.n)
     num = f[xs, zs]
-    den = f[xs, ms] + f[ms, zs]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a sum or ratio beyond the float range is inf, as in the kernel
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = f[xs, ms] + f[ms, zs]
         ratio = num / den
     # 0/0 only arises in link-gain mode; such a triple constrains nothing
     ratio = np.where(np.isnan(ratio), 0.0, ratio)
@@ -118,3 +121,29 @@ def compute_phi(space):
     witness = _least_triple(xs[at], ms[at], zs[at], space.n)
     phi = float(np.log2(best)) if best > 0 else float("-inf")
     return best, phi, witness
+
+
+def triangle_violation(quasi, tol=1e-7):
+    """Lexicographically least violating triple (x, z, y), or None.
+
+    A violation means d(x,y) > d(x,z) + d(z,y) beyond relative slack
+    tol. Diagonal targets are skipped; for off-diagonal targets the
+    intermediates z = x and z = y reproduce d(x,y) itself whenever the
+    diagonal is zero, so they never report spurious violations.
+    """
+    d = quasi.d
+    n = quasi.n
+    best = np.empty_like(d)
+    for x in range(n):
+        best[x] = (d[x][:, None] + d).min(axis=0)
+    slack = tol * np.maximum(1.0, d)
+    viol = d > best + slack
+    np.fill_diagonal(viol, False)
+    if not viol.any():
+        return None
+    xs, ys = np.nonzero(viol)
+    key = xs * n + ys
+    i = int(np.argmin(key))
+    x, y = int(xs[i]), int(ys[i])
+    z = int(np.argmin(d[x] + d[:, y]))
+    return (x, z, y)

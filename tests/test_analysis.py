@@ -280,6 +280,20 @@ def test_fading_bound_closed_forms():
         fading_bound(math.inf, 0.5)
 
 
+def test_zeta_hat_requires_finite_s():
+    # the tail term s * M**(-s - 1) is inf * 0 = nan at s = inf
+    for s in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite s > 1"):
+            zeta_hat(s)
+
+
+def test_fading_bound_requires_finite_degree():
+    # A = -inf reached zeta_hat(inf) and returned nan
+    for A in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            fading_bound(1.0, A)
+
+
 def test_independence_uniform_is_one():
     sp = uniform_space(10)
     quasi = quasi_distances(sp, 1.0)

@@ -1,17 +1,21 @@
-"""The blocked metricity kernels against the meshgrid reference.
+"""The metricity kernels against the slow reference.
 
 metricity_reference.py keeps the O(n**3) implementations that the
-blocked kernels replaced; every returned tuple must match exactly:
-zeta_raw, phi_mult and the lexicographically least witnesses.
+blocked kernels replaced, and the triangle check that scans every
+ordered pair; every returned tuple must match exactly: zeta_raw,
+phi_mult and the lexicographically least witnesses. Symmetric inputs
+take the kernels' half scan, so each value set runs on both kinds.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from decayspace import DecaySpace, compute_phi, compute_zeta, gen_euclidean, random_points
-from decayspace.spaces import LINK_GAIN, NODE_SPACE
+from decayspace import (DecaySpace, QuasiMetric, compute_phi, compute_zeta, gen_euclidean,
+                        random_points, triangle_violation)
+from decayspace.spaces import LINK_GAIN, NODE_SPACE, _symmetric
 
 import metricity_reference as ref
 
@@ -21,13 +25,23 @@ def assert_matches_reference(space):
     assert compute_phi(space) == ref.compute_phi(space)
 
 
+def _matrix(draw, entries, n, symmetric):
+    """n x n draws of entries; a symmetric one mirrors its upper triangle, zeros included."""
+    if not symmetric:
+        return np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    k = n * (n - 1) // 2
+    f = np.zeros((n, n))
+    f[np.triu_indices(n, 1)] = draw(st.lists(entries, min_size=k, max_size=k))
+    return f + f.T
+
+
 @st.composite
-def spaces(draw, values):
+def spaces(draw, values, symmetric=False):
     """Node-space matrices, and link-gain ones whose off-diagonal may hold zeros."""
     n = draw(st.integers(3, 10))
     mode = draw(st.sampled_from([NODE_SPACE, LINK_GAIN]))
     entries = values | st.just(0.0) if mode == LINK_GAIN else values
-    f = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    f = _matrix(draw, entries, n, symmetric)
     np.fill_diagonal(f, 0.0 if mode == NODE_SPACE else draw(values))
     return DecaySpace(f, mode)
 
@@ -60,6 +74,45 @@ def test_blocked_kernels_match_reference_on_ties(space):
     assert_matches_reference(space)
 
 
+VALUES = {"decays": decays, "magnitudes": magnitudes, "integers": integers}
+
+
+@pytest.mark.parametrize("values", sorted(VALUES))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_blocked_kernels_match_reference_on_symmetric_spaces(values, data):
+    space = data.draw(spaces(VALUES[values], symmetric=True))
+    assert _symmetric(space.f)
+    assert_matches_reference(space)
+
+
+def test_signed_zeros_take_the_full_scan():
+    # -0.0 equals 0.0, so f equals its transpose, yet the quotient by the
+    # sum -0.0 + -0.0 is -inf where its mirror's is +inf: only the full
+    # scan finds the maximizing triple (2, 1, 0)
+    f = np.array([[1.0, -0.0, 1.0], [0.0, 1.0, -0.0], [1.0, 0.0, 1.0]])
+    assert np.array_equal(f, f.T) and not _symmetric(f)
+    space = DecaySpace(f, LINK_GAIN)
+    assert compute_phi(space) == (np.inf, np.inf, (2, 1, 0))
+    assert_matches_reference(space)
+
+
+@st.composite
+def quasi_metrics(draw, symmetric):
+    """Zero-diagonal tables of ties (small integers) or of spread values."""
+    n = draw(st.integers(2, 10))
+    values = draw(st.sampled_from([integers, st.floats(1.0, 3.0).map(lambda v: round(v, 2))]))
+    d = _matrix(draw, values, n, symmetric)
+    np.fill_diagonal(d, 0.0)
+    return QuasiMetric(n, d, 1.0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.booleans().flatmap(quasi_metrics), st.sampled_from([0.0, 1e-9, 1e-7, 0.01, 0.5]))
+def test_triangle_violation_matches_reference(quasi, tol):
+    assert triangle_violation(quasi, tol) == ref.triangle_violation(quasi, tol)
+
+
 def test_blocked_kernels_match_reference_on_fixed_spaces():
     # a shadowed cloud: alpha=3 decays times symmetric log-normal factors
     base = gen_euclidean(random_points(40, 11), 3.0).f
@@ -78,13 +131,18 @@ def test_blocked_kernels_match_reference_on_fixed_spaces():
 
 
 def test_kernels_memory_stays_quadratic():
-    # the reference's meshgrid index arrays alone take about 190 MB here
-    space = gen_euclidean(random_points(200, 7), 3.0)
-    for kernel in (compute_zeta, compute_phi):
-        tracemalloc.start()
-        try:
-            kernel(space)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20, (kernel.__name__, peak)
+    # the reference's meshgrid index arrays alone take about 190 MB here;
+    # both clouds are symmetric, the shadowed one far from metric
+    cloud = gen_euclidean(random_points(200, 7), 3.0)
+    g = np.triu(np.random.default_rng(7).normal(0.0, 1.0, size=(200, 200)), 1)
+    shadowed = DecaySpace(cloud.f * np.exp(g + g.T))
+    assert _symmetric(cloud.f) and _symmetric(shadowed.f)
+    for space in (cloud, shadowed):
+        for kernel in (compute_zeta, compute_phi):
+            tracemalloc.start()
+            try:
+                kernel(space)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2 ** 20, (kernel.__name__, peak)
