@@ -46,7 +46,8 @@ def space_to_dict(space):
     return out
 
 
-def space_from_dict(obj):
+def _space_fields(obj):
+    """(f, mode, labels) of a space document, before the axioms are checked."""
     if not isinstance(obj, dict):
         raise ValueError("space document must be a JSON object")
     for key in ("mode", "n", "f"):
@@ -55,15 +56,23 @@ def space_from_dict(obj):
     f = np.array(obj["f"], dtype=float)
     if f.ndim != 2 or f.shape != (obj["n"], obj["n"]):
         raise ValueError("decay matrix shape does not match n=%s" % obj["n"])
-    return DecaySpace(f, mode=obj["mode"], labels=obj.get("labels"))
+    return f, obj["mode"], obj.get("labels")
+
+
+def _read_space(path):
+    """(f, mode, labels) of a .json or .csv space file, before the axioms are checked."""
+    if path.endswith(".csv"):
+        return np.loadtxt(path, delimiter=",", ndmin=2), NODE_SPACE, None
+    return _space_fields(_read_doc(path))
+
+
+def space_from_dict(obj):
+    return DecaySpace(*_space_fields(obj))
 
 
 def load_space(path):
     """Read a space from .json or .csv (CSV means a node-space matrix)."""
-    if path.endswith(".csv"):
-        f = np.loadtxt(path, delimiter=",", ndmin=2)
-        return DecaySpace(f, mode=NODE_SPACE)
-    return space_from_dict(_read_doc(path))
+    return DecaySpace(*_read_space(path))
 
 
 def save_space(space, path):

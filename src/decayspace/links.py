@@ -98,7 +98,8 @@ class LinkSystem:
     are the (sender, receiver) index pairs into the space. In
     link-gain mode the space's matrix already is the cross-decay
     table, own-link decays on the diagonal; links stays None and the
-    endpoint map is the identity, s_i = r_i = i.
+    endpoint map is the identity, s_i = r_i = i. Either way the axioms
+    of the space keep every own decay positive.
 
     Scheduling code orders links by non-decreasing own decay, ties
     broken by index; order() returns that permutation.
@@ -125,10 +126,6 @@ class LinkSystem:
             self.links = clean
             self._s, self._r = np.array(clean, dtype=int).reshape(-1, 2).T
         self._P = self.power.vector(self.n_links)
-        own = self.own_decays()
-        bad = np.where(own <= 0)[0]
-        if bad.size:
-            raise ValueError("own decay of link %d is not positive" % int(bad[0]))
         self._cross = None
         self._aff = {}
 

@@ -6,6 +6,13 @@ p to q. Decays generalize powered distances: planar points under
 geometric path loss have f = d2**alpha. The matrix need not be
 symmetric and need not satisfy the triangle inequality.
 
+The decay axioms (finite, non-negative entries, a diagonal fixed by
+the mode) are an invariant of the type, checked in one place:
+validate_space collects every violation of a raw matrix, and
+DecaySpace refuses a matrix with any. A DecaySpace keeps a read-only
+copy with every -0.0 turned into +0.0, so no function that takes a
+space checks the axioms again.
+
 Two scalars measure how far the matrix is from a metric:
 
 * zeta, the smallest exponent such that the rescaled values
@@ -56,15 +63,19 @@ class DecaySpace:
     zero and distinct nodes must have positive decay. mode "link-gain"
     treats the matrix as a cross-link decay table whose diagonal holds
     own-link decays (positive); off-diagonal entries are unconstrained,
-    zeros included.
+    zeros included. f is copied, and a matrix that breaks the axioms
+    of its mode is refused (see validate_space).
     """
 
     def __init__(self, f, mode=NODE_SPACE, labels=None):
         f = np.array(f, dtype=float)
-        if f.ndim != 2 or f.shape[0] != f.shape[1]:
-            raise ValueError("decay matrix must be square, got shape %s" % (f.shape,))
-        if mode not in _MODES:
-            raise ValueError("unknown mode %r" % (mode,))
+        f += 0.0  # -0.0 + 0.0 is +0.0
+        violations = validate_space(f, mode).violations
+        if violations:
+            shown = ", ".join("%s at (%d, %d)" % v for v in violations[:10])
+            more = " and %d more" % (len(violations) - 10) if len(violations) > 10 else ""
+            raise ValueError("decay matrix violates the decay axioms: %s%s" % (shown, more))
+        f.flags.writeable = False
         if labels is not None:
             labels = [str(s) for s in labels]
             if len(labels) != f.shape[0]:
@@ -76,15 +87,6 @@ class DecaySpace:
     @property
     def n(self):
         return self.f.shape[0]
-
-    def is_symmetric(self, rtol=1e-12):
-        """True when f is within relative tolerance rtol of its transpose.
-
-        A tolerance test, for reporting. The metricity kernels do not use
-        it: they take their symmetric half scan only on a matrix that
-        equals its transpose exactly, where it cannot change a witness.
-        """
-        return bool(np.allclose(self.f, self.f.T, rtol=rtol, atol=0.0))
 
     def off_diagonal(self):
         """All off-diagonal decay values as a flat array."""
@@ -109,38 +111,31 @@ class ValidationResult:
     violations: list
 
 
-def validate_space(space):
-    """Check the decay axioms, collecting every violation.
+def validate_space(f, mode=NODE_SPACE):
+    """Check a raw decay matrix against the axioms of mode, collecting every violation.
 
-    Violations are (code, i, j) tuples. Codes: "non-finite" for a NaN
-    or infinite entry, "non-negativity" for a negative entry,
+    Raises ValueError on a matrix that is not square or a mode that is
+    not known. Violations are (code, i, j) tuples. Codes: "non-finite"
+    for a NaN or infinite entry, "non-negativity" for a negative entry,
     "indiscernibles" for a zero off-diagonal entry in node-space mode,
     "diagonal" for a nonzero diagonal entry in node-space mode or a
     non-positive one in link-gain mode.
     """
-    f = space.f
-    n = space.n
-    violations = []
-    for i, j in np.argwhere(~np.isfinite(f)):
-        violations.append(("non-finite", int(i), int(j)))
-    for i, j in np.argwhere(f < 0):
-        violations.append(("non-negativity", int(i), int(j)))
-    off = ~np.eye(n, dtype=bool)
-    if space.mode == NODE_SPACE:
-        for i, j in np.argwhere((f == 0) & off):
-            violations.append(("indiscernibles", int(i), int(j)))
-        for i in np.where(np.diag(f) != 0)[0]:
-            violations.append(("diagonal", int(i), int(i)))
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 2 or f.shape[0] != f.shape[1]:
+        raise ValueError("decay matrix must be square, got shape %s" % (f.shape,))
+    if mode not in _MODES:
+        raise ValueError("unknown mode %r" % (mode,))
+    diag = np.diag(f)
+    masks = [("non-finite", ~np.isfinite(f)), ("non-negativity", f < 0)]
+    if mode == NODE_SPACE:
+        off = ~np.eye(len(f), dtype=bool)
+        masks += [("indiscernibles", (f == 0) & off), ("diagonal", np.diag(diag != 0))]
     else:
-        for i in np.where(np.diag(f) <= 0)[0]:
-            violations.append(("diagonal", int(i), int(i)))
+        masks.append(("diagonal", np.diag(diag <= 0)))
+    violations = [(code, int(i), int(j)) for code, mask in masks if mask.any()
+                  for i, j in np.argwhere(mask)]
     return ValidationResult(not violations, violations)
-
-
-def _require_valid(space):
-    res = validate_space(space)
-    if not res.ok:
-        raise ValueError("invalid decay space, first violations: %s" % (res.violations[:3],))
 
 
 # triple entries per (B, n, n) block of x-rows: a few MB per array
@@ -152,16 +147,18 @@ _LN2 = float(np.log(2.0))
 
 
 def _symmetric(f):
-    """True when f equals its transpose exactly, with no entry of negative sign.
+    """True when f equals its transpose exactly.
 
     A mirrored triple then reads the same numbers, so it computes the
-    same sums, logaddexps and ratios to the bit. The sign test keeps out
-    -0.0: it compares equal to 0.0 but flips the sign of a quotient by
-    zero. This is an exact test, not the tolerance of
-    DecaySpace.is_symmetric, so a near-symmetric matrix takes the
-    general path and keeps its witnesses.
+    same sums, logaddexps and ratios to the bit. Equality does not see
+    the sign of a zero, and that is enough: phi is the only kernel that
+    divides, where -0.0 would flip the sign of a quotient by zero, and
+    it reads DecaySpace.f, which holds no -0.0. The triangle check on a
+    QuasiMetric uses only sums, minima and comparisons, where the sign
+    of a zero changes nothing. The test is exact, so a near-symmetric
+    matrix takes the general path and keeps its witnesses.
     """
-    return bool(np.array_equal(f, f.T) and not np.signbit(f).any())
+    return bool(np.array_equal(f, f.T))
 
 
 def _row_blocks(rows, per_row):
@@ -297,7 +294,6 @@ def compute_zeta(space, tol=1e-9):
     triple has x < y. T and K are then taken over the scanned triples,
     for which the argument above holds as for any set of triples.
     """
-    _require_valid(space)
     if not (0 < tol < np.inf):
         raise ValueError("tol must be positive and finite")
     if space.n < 2:
@@ -430,7 +426,6 @@ def compute_phi(space):
     the same denominator terms in swapped order, so the same ratio to
     the bit, and the least maximizing triple has x < z.
     """
-    _require_valid(space)
     if space.n < 3:
         return 0.0, float("-inf"), None
     f, n = space.f, space.n

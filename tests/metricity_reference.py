@@ -11,8 +11,6 @@ equality of the returned tuples.
 
 import numpy as np
 
-from decayspace.spaces import _require_valid
-
 
 def _triple_arrays(n):
     # ordered triples (x, z, y) of pairwise distinct indices; z plays
@@ -48,7 +46,6 @@ def compute_zeta(space, tol=1e-9):
     zeta**2 * tol. A constrained triple with a zero leg can never be
     satisfied; the result is then inf with that triple as witness.
     """
-    _require_valid(space)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if space.n < 2:
@@ -104,7 +101,6 @@ def compute_phi(space):
     with fewer than three nodes have no triples and report
     phi_mult = 0, phi = -inf, witness None.
     """
-    _require_valid(space)
     if space.n < 3:
         return 0.0, float("-inf"), None
     f = space.f

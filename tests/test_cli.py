@@ -211,6 +211,13 @@ def test_capacity_oracle_keeps_its_size_cap(tmp_path, capsys):
 def test_usage_errors_exit_two(tmp_path, capsys):
     miss = str(tmp_path / "nope.json")
     assert run(capsys, "validate", "--space", miss)[0] == 2
+    # validate lists violations, but a matrix it cannot check is an input error
+    wide, odd = tmp_path / "wide.csv", tmp_path / "odd.json"
+    wide.write_text("0,1,2\n1,0,2\n")
+    odd.write_text('{"mode": "metric", "n": 1, "f": [[0]]}')
+    for path, cause in ((wide, "must be square"), (odd, "unknown mode")):
+        code, out, err = run(capsys, "validate", "--space", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ") and cause in err
 
     out_path = str(tmp_path / "x.json")
     code, _, err = run(capsys, "generate", "--family", "threepoint",
@@ -381,6 +388,16 @@ def test_verify_cli(tmp_path, capsys, monkeypatch):
     bad.write_text("{not json")
     code, out, _ = run(capsys, "verify", "--corpus", str(bad))
     assert code == 1
+
+    # a matrix that breaks the axioms fails in the loader, whose message
+    # is the item's detail
+    for name, text in sorted(NON_FINITE.items()):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, _ = run(capsys, "verify", "--corpus", str(path))
+        [item] = report(out)["results"]["items"]
+        assert code == 1 and not item["ok"], name
+        assert "violates the decay axioms: non-finite at (" in item["detail"], name
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

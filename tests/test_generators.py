@@ -56,7 +56,7 @@ def test_gen_euclidean_path_loss():
     sp = gen_euclidean([[0.0, 0.0], [3.0, 4.0]], 2.0)
     assert sp.f[0, 1] == 25.0 and sp.f[1, 0] == 25.0
     assert sp.f[0, 0] == 0.0
-    assert validate_space(sp).ok
+    assert validate_space(sp.f, sp.mode).ok
     with pytest.raises(ValueError):
         gen_euclidean([[0.0, 0.0], [1.0, 0.0]], 0.5)
     with pytest.raises(ValueError):
@@ -290,7 +290,7 @@ def test_random_link_system():
     assert sys.links == [(i, 5 + i) for i in range(5)]
     assert sys.params.beta == 2.0 and sys.params.noise == 0.1
     assert sys.power.kind == "uniform"
-    assert validate_space(sys.space).ok
+    assert validate_space(sys.space.f, sys.space.mode).ok
     again = random_link_system(5, 11, beta=2.0, noise=0.1, alpha=3.0, box=6.0)
     assert np.array_equal(sys.space.f, again.space.f)
     with pytest.raises(ValueError):
@@ -316,7 +316,7 @@ np.random.default_rng = lambda *args, **kw: _Stuck()
 
 @pytest.mark.parametrize("call, why", [
     ("random_link_system(5, 1, box=0.0)", "positive and finite"),
-    ("random_link_system(20, 1, box=1e-320)", "zero decay"),
+    ("random_link_system(20, 1, box=1e-320)", "indiscernibles"),
     ("random_link_system(5, 1, box=float('nan'))", "positive and finite"),
     ("random_link_system(5, 1, box=float('inf'))", "positive and finite"),
     ("random_link_system(5, 1, box=-4.0)", "positive and finite"),

@@ -86,15 +86,21 @@ def test_blocked_kernels_match_reference_on_symmetric_spaces(values, data):
     assert_matches_reference(space)
 
 
-def test_signed_zeros_take_the_full_scan():
-    # -0.0 equals 0.0, so f equals its transpose, yet the quotient by the
-    # sum -0.0 + -0.0 is -inf where its mirror's is +inf: only the full
-    # scan finds the maximizing triple (2, 1, 0)
+def test_signed_zeros_are_normalised():
+    # -0.0 equals 0.0 yet flips the sign of a quotient by zero; DecaySpace
+    # stores +0.0, so the kernels read the same matrix for either sign
     f = np.array([[1.0, -0.0, 1.0], [0.0, 1.0, -0.0], [1.0, 0.0, 1.0]])
-    assert np.array_equal(f, f.T) and not _symmetric(f)
-    space = DecaySpace(f, LINK_GAIN)
-    assert compute_phi(space) == (np.inf, np.inf, (2, 1, 0))
+    space, plain = DecaySpace(f, LINK_GAIN), DecaySpace(np.abs(f), LINK_GAIN)
+    assert not np.signbit(space.f).any()
+    assert compute_phi(space) == compute_phi(plain) == (np.inf, np.inf, (0, 1, 2))
+    assert compute_zeta(space) == compute_zeta(plain)
     assert_matches_reference(space)
+    # a quasi-metric table keeps its -0.0, which the triangle check's sums,
+    # minima and comparisons do not see
+    d = np.array([[0.0, -0.0, 2.0], [0.0, -0.0, 1.0], [2.0, 1.0, 0.0]])
+    quasi = QuasiMetric(3, d, 1.0)
+    assert _symmetric(d) and np.signbit(d).any()
+    assert triangle_violation(quasi) == ref.triangle_violation(quasi) == (0, 1, 2)
 
 
 @st.composite

@@ -2,13 +2,16 @@
 independent root finder, plus the axioms and quasi-metric plumbing."""
 
 import ast
+import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from decayspace import (
@@ -19,12 +22,17 @@ from decayspace import (
     compute_zeta,
     gen_euclidean,
     gen_threepoint,
+    load_space,
+    load_system,
     quasi_distances,
     random_points,
+    space_from_dict,
     triangle_violation,
     validate_space,
     zeta_upper_bound,
 )
+
+NAN, INF = float("nan"), float("inf")
 
 
 def sym3(a, b, c):
@@ -158,26 +166,97 @@ def test_triangle_violation_reports_least_triple():
 
 
 def test_validate_collects_every_code():
-    res = validate_space(DecaySpace(np.array([[0.0, 1.0], [-2.0, 0.0]])))
+    res = validate_space(np.array([[0.0, 1.0], [-2.0, 0.0]]))
     assert not res.ok and ("non-negativity", 1, 0) in res.violations
 
-    zero_off = DecaySpace(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    zero_off = np.array([[0.0, 0.0], [1.0, 0.0]])
     assert ("indiscernibles", 0, 1) in validate_space(zero_off).violations
 
-    hot_diag = DecaySpace(np.array([[2.0, 1.0], [1.0, 0.0]]))
-    assert ("diagonal", 0, 0) in validate_space(hot_diag).violations
+    hot_diag = np.array([[2.0, 1.0], [1.0, 0.0]])
+    assert ("diagonal", 0, 0) in validate_space(hot_diag, "node-space").violations
 
-    lg = DecaySpace(np.array([[0.0, 1.0], [1.0, 1.0]]), mode="link-gain")
-    assert ("diagonal", 0, 0) in validate_space(lg).violations
+    lg = np.array([[0.0, 1.0], [1.0, 1.0]])
+    assert ("diagonal", 0, 0) in validate_space(lg, "link-gain").violations
 
     for bad in (np.nan, np.inf, -np.inf):
-        node = DecaySpace(np.array([[0.0, bad], [1.0, 0.0]]))
-        link = DecaySpace(np.array([[1.0, bad], [1.0, 1.0]]), mode="link-gain")
-        for space in (node, link):
-            assert ("non-finite", 0, 1) in validate_space(space).violations
+        node = np.array([[0.0, bad], [1.0, 0.0]])
+        link = np.array([[1.0, bad], [1.0, 1.0]])
+        for f, mode in ((node, "node-space"), (link, "link-gain")):
+            assert ("non-finite", 0, 1) in validate_space(f, mode).violations
 
-    clean = validate_space(sym3(1.0, 1.0, 1.0))
+    clean = validate_space(sym3(1.0, 1.0, 1.0).f)
     assert clean.ok and clean.violations == []
+    with pytest.raises(ValueError, match="square"):
+        validate_space(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="unknown mode"):
+        validate_space(np.zeros((2, 2)), "nonsense")
+
+
+# name: (mode, matrix, code and cell the error must name)
+BAD_SPACES = {
+    "nan": ("node-space", [[0, 1, 2], [1, 0, NAN], [2, 1, 0]], "non-finite at (1, 2)"),
+    "inf": ("link-gain", [[1, 2, 2], [2, 1, 2], [INF, 2, 1]], "non-finite at (2, 0)"),
+    "minus-inf": ("node-space", [[0, -INF, 2], [1, 0, 1], [2, 1, 0]], "non-finite at (0, 1)"),
+    "negative": ("link-gain", [[1, 2, 2], [-2, 1, 2], [2, 2, 1]], "non-negativity at (1, 0)"),
+    "zero-off-diagonal": ("node-space", [[0, 1, 2], [1, 0, 1], [0, 1, 0]],
+                          "indiscernibles at (2, 0)"),
+    "hot-diagonal": ("node-space", [[0, 1, 2], [1, 3, 1], [2, 1, 0]], "diagonal at (1, 1)"),
+    "cold-diagonal": ("link-gain", [[1, 2, 2], [2, 1, 2], [2, 2, 0]], "diagonal at (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPACES))
+def test_constructor_enforces_the_axioms(tmp_path, name):
+    mode, rows, named = BAD_SPACES[name]
+    doc = {"mode": mode, "n": 3, "f": rows}
+    builds = [lambda: DecaySpace(np.array(rows, dtype=float), mode),
+              lambda: space_from_dict(doc)]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    builds.append(lambda: load_space(str(path)))
+    if mode == "node-space":
+        csv = tmp_path / "space.csv"
+        np.savetxt(csv, np.array(rows, dtype=float), delimiter=",")
+        builds.append(lambda: load_space(str(csv)))
+    system = tmp_path / "system.json"
+    links = [[0, 1]] if mode == "node-space" else None
+    system.write_text(json.dumps({"space": doc, "links": links}))
+    builds.append(lambda: load_system(str(system)))
+    for build in builds:
+        with pytest.raises(ValueError, match="violates the decay axioms: .*" + re.escape(named)):
+            build()
+
+
+def test_space_matrix_is_read_only():
+    sp = sym3(1.0, 2.0, 3.0)
+    with pytest.raises(ValueError):
+        sp.f[0, 1] = 1.0
+    # the space keeps its own copy, so the caller's matrix stays writable
+    f = np.array([[0.0, 1.0], [1.0, 0.0]])
+    DecaySpace(f)
+    f[0, 1] = 2.0
+
+
+_ENTRIES = st.floats(0.5, 10.0) | st.sampled_from([0.0, -0.0, -1.0, NAN, INF, -INF])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_constructor_raises_exactly_on_violations(data):
+    n = data.draw(st.integers(1, 4))
+    mode = data.draw(st.sampled_from(["node-space", "link-gain"]))
+    f = np.full((n, n), 2.0)
+    np.fill_diagonal(f, 0.0 if mode == "node-space" else 1.0)
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for (i, j), v in data.draw(st.lists(st.tuples(cells, _ENTRIES), max_size=3)):
+        f[i, j] = v
+    res = validate_space(f, mode)
+    if res.ok:
+        space = DecaySpace(f, mode)
+        assert np.array_equal(space.f, f) and not np.signbit(space.f).any()
+    else:
+        with pytest.raises(ValueError, match="violates the decay axioms"):
+            DecaySpace(f, mode)
 
 
 def test_space_constructor_checks():
@@ -185,10 +264,13 @@ def test_space_constructor_checks():
         DecaySpace(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         DecaySpace(np.zeros((2, 2)), mode="nonsense")
-    with pytest.raises(ValueError):
-        DecaySpace(np.zeros((2, 2)), labels=["just one"])
+    with pytest.raises(ValueError, match="labels"):
+        DecaySpace(np.ones((2, 2)) - np.eye(2), labels=["just one"])
+    # the message shows the first 10 of the 12 zero decays and counts the rest
+    with pytest.raises(ValueError, match=r"indiscernibles at \(3, 0\) and 2 more$"):
+        DecaySpace(np.zeros((4, 4)))
     sp = sym3(1.0, 2.0, 3.0)
-    assert sp.n == 3 and sp.is_symmetric()
+    assert sp.n == 3
     assert sorted(sp.off_diagonal()) == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
 
 
