@@ -34,10 +34,8 @@ def main():
     print("triangle violation in d:", triangle_violation(q))
 
     too_small = rep.zeta * 0.9
-    d_bad = sp.f ** (1.0 / too_small)
-    from decayspace import QuasiMetric
     print("at 0.9 * zeta the repair fails, violation:",
-          triangle_violation(QuasiMetric(3, d_bad, too_small)))
+          triangle_violation(quasi_distances(sp, too_small, check=False)))
 
     print()
     print("== geometric clouds recover the path-loss exponent ==")

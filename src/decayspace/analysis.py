@@ -93,13 +93,13 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     decay direction).
 
     With a numeric C the estimate is the largest log_q(g(q)/C) over
-    the grid. With C=None the model g(q) = C * q^A is fitted by least
-    squares on the log-log grid samples and the fitted pair is
-    returned; the fit discounts the scale-free multiplicity that a
-    fixed C cannot absorb, so it is the variant to use when the
-    estimate feeds capacity or interference bounds. Greedy packings
-    past exact_limit make counts lower bounds; exact reports whether
-    every packing was exact.
+    the grid of finite q > 1. With C=None the model g(q) = C * q^A is
+    fitted by least squares on the log-log grid samples, which needs at
+    least two distinct q, and the fitted pair is returned; the fit
+    discounts the scale-free multiplicity that a fixed C cannot absorb,
+    so it is the variant to use when the estimate feeds capacity or
+    interference bounds. Greedy packings past exact_limit make counts
+    lower bounds; exact reports whether every packing was exact.
 
     Each center's column is sorted once (stably), so every ball is a
     prefix of that order. A ball is packed only when it holds more than
@@ -119,9 +119,10 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
         raise ValueError("C must be positive and finite")
     if space.n < 1:
         raise ValueError("empty space")
-    for q in q_grid:
-        if not (q > 1):
-            raise ValueError("every q must exceed 1")
+    if len(q_grid) == 0 or not all(1 < q < math.inf for q in q_grid):
+        raise ValueError("q_grid must be a non-empty grid of finite q > 1")
+    if C is None and len(set(q_grid)) < 2:
+        raise ValueError("fitting C needs at least two distinct q")
     f = space.f
     S = np.minimum(f, f.T)
     g = {float(q): 1 for q in q_grid}
@@ -159,10 +160,7 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     if C is None:
         lq = np.log([q for q, _ in samples])
         lg = np.log([gq for _, gq in samples])
-        if len(samples) >= 2 and np.ptp(lq) > 0:
-            slope, intercept = np.polyfit(lq, lg, 1)
-        else:
-            slope, intercept = 0.0, float(lg.max(initial=0.0))
+        slope, intercept = np.polyfit(lq, lg, 1)
         estimate = max(0.0, float(slope))
         C_out = max(1.0, float(math.exp(intercept)))
     else:

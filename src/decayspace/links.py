@@ -326,6 +326,13 @@ def link_distance_matrix(sys, quasi):
     return _link_distance_block(sys, quasi, links, links)
 
 
+def _separation_level(eta):
+    # a NaN level would fail every comparison and so pass every set
+    if not (eta >= 0):
+        raise ValueError("separation level eta must be non-negative, got %r" % (eta,))
+    return eta
+
+
 def check_separation(sys, quasi, v, L, eta):
     """True when link v is eta-separated from every link in L.
 
@@ -335,6 +342,7 @@ def check_separation(sys, quasi, v, L, eta):
     """
     L = _link_set(sys, L)
     _link_set(sys, [v])
+    eta = _separation_level(eta)
     if not L:
         return True
     row = _link_distance_block(sys, quasi, [v], L)[0]
@@ -344,6 +352,7 @@ def check_separation(sys, quasi, v, L, eta):
 def _separation_violation(sys, quasi, L, eta):
     # first (lexicographic) ordered pair violating mutual separation
     L = _link_set(sys, L)
+    eta = _separation_level(eta)
     bad = _link_distance_block(sys, quasi, L, L) < eta * sys.link_lengths(quasi)[L][:, None]
     np.fill_diagonal(bad, False)
     hits = np.argwhere(bad)

@@ -11,7 +11,8 @@ the mode) are an invariant of the type, checked in one place:
 validate_space collects every violation of a raw matrix, and
 DecaySpace refuses a matrix with any. A DecaySpace keeps a read-only
 copy with every -0.0 turned into +0.0, so no function that takes a
-space checks the axioms again.
+space checks the axioms again. The invariant covers quasi-metrics too:
+a QuasiMetric is the DecaySpace of the rescaled matrix.
 
 Two scalars measure how far the matrix is from a metric:
 
@@ -24,7 +25,8 @@ Two scalars measure how far the matrix is from a metric:
 
 The rescaled matrix d = f**(1/zeta) is a quasi-metric, so geometric
 packing and separation arguments transfer to arbitrary decay matrices
-at a zeta-dependent cost. quasi_distances builds it and checks the
+at a zeta-dependent cost. QuasiMetric(space, zeta) holds it as a decay
+space of the same mode, and quasi_distances builds it and checks the
 triangle inequality exhaustively.
 
 Both parameters range over all n**3 ordered triples, but their kernels
@@ -94,7 +96,7 @@ class DecaySpace:
         return self.f[mask]
 
     def __repr__(self):
-        return "DecaySpace(n=%d, mode=%r)" % (self.n, self.mode)
+        return "%s(n=%d, mode=%r)" % (type(self).__name__, self.n, self.mode)
 
 
 def _node_index(space, y):
@@ -153,10 +155,9 @@ def _symmetric(f):
     same sums, logaddexps and ratios to the bit. Equality does not see
     the sign of a zero, and that is enough: phi is the only kernel that
     divides, where -0.0 would flip the sign of a quotient by zero, and
-    it reads DecaySpace.f, which holds no -0.0. The triangle check on a
-    QuasiMetric uses only sums, minima and comparisons, where the sign
-    of a zero changes nothing. The test is exact, so a near-symmetric
-    matrix takes the general path and keeps its witnesses.
+    every kernel reads the matrix of a DecaySpace, which holds no -0.0.
+    The test is exact, so a near-symmetric matrix takes the general path
+    and keeps its witnesses.
     """
     return bool(np.array_equal(f, f.T))
 
@@ -461,18 +462,35 @@ def zeta_upper_bound(space):
     return float(np.log2(top / bot))
 
 
-@dataclass
-class QuasiMetric:
-    n: int
-    d: np.ndarray
-    zeta: float
+class QuasiMetric(DecaySpace):
+    """The quasi-distances d = f**(1/zeta) of a space, as a decay space of its mode.
+
+    t -> t**(1/zeta) keeps 0 at 0 and a positive, finite value positive
+    and finite, so d satisfies the axioms of the space's mode unless the
+    power overflows or underflows, which only zeta < 1 can cause; the
+    DecaySpace invariant then refuses it. d is a read-only alias of f.
+    """
+
+    def __init__(self, space, zeta):
+        if not (0 < zeta < np.inf):
+            raise ValueError("zeta must be positive and finite")
+        # the invariant judges an overflow or underflow of the power
+        with np.errstate(over="ignore", under="ignore"):
+            d = space.f ** (1.0 / zeta)
+        super().__init__(d, space.mode)
+        self.zeta = float(zeta)
+
+    @property
+    def d(self):
+        return self.f
 
 
 def _quasi_table(space, quasi):
-    """quasi.d, after checking that the quasi-metric was built on this space's nodes."""
-    if quasi.d.shape != (space.n, space.n):
-        raise ValueError("quasi-metric has %d nodes but the space has %d"
-                         % (quasi.d.shape[0], space.n))
+    """quasi.d, after checking that the quasi-metric was built on a space like this one."""
+    if quasi.n != space.n:
+        raise ValueError("quasi-metric has %d nodes but the space has %d" % (quasi.n, space.n))
+    if quasi.mode != space.mode:
+        raise ValueError("quasi-metric is %s but the space is %s" % (quasi.mode, space.mode))
     return quasi.d
 
 
@@ -480,7 +498,10 @@ def triangle_violation(quasi, tol=1e-7):
     """Lexicographically least violating triple (x, z, y), or None.
 
     A violation means d(x,y) > d(x,z) + d(z,y) beyond relative slack
-    tol. Diagonal targets are skipped; for off-diagonal targets the
+    tol. The quasi-metric is a decay space, so every entry of d is
+    finite and non-negative: no NaN hides a violation from the
+    comparison, and no inf entry makes the slack infinite.
+    Diagonal targets are skipped; for off-diagonal targets the
     intermediates z = x and z = y reproduce d(x,y) itself whenever the
     diagonal is zero, so they never report spurious violations.
 
@@ -509,7 +530,7 @@ def triangle_violation(quasi, tol=1e-7):
 
 
 def quasi_distances(space, zeta, tol=1e-7, check=True):
-    """Quasi-distance matrix d = f**(1/zeta).
+    """QuasiMetric(space, zeta), the quasi-distances d = f**(1/zeta), checked.
 
     With zeta at least the metricity exponent of the space this is a
     quasi-metric; the exhaustive triangle check runs by default and
@@ -517,10 +538,7 @@ def quasi_distances(space, zeta, tol=1e-7, check=True):
     escape hatch for link-gain matrices whose cross-decay table is not
     expected to be triangle-consistent.
     """
-    if zeta <= 0 or not np.isfinite(zeta):
-        raise ValueError("zeta must be positive and finite")
-    d = space.f ** (1.0 / zeta)
-    qm = QuasiMetric(space.n, d, float(zeta))
+    qm = QuasiMetric(space, zeta)
     if check:
         bad = triangle_violation(qm, tol)
         if bad is not None:

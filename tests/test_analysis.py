@@ -134,6 +134,15 @@ def test_assouad_rejects_bad_inputs():
         assouad_estimate(sp, C=math.inf)
     with pytest.raises(ValueError):
         assouad_estimate(sp, q_grid=(1.0, 2.0))
+    for C in (1.0, None):
+        for q_grid in ((), (2.0, math.inf), (2.0, math.nan)):
+            with pytest.raises(ValueError, match="non-empty grid of finite q > 1"):
+                assouad_estimate(sp, C=C, q_grid=q_grid)
+    # a fit needs two distinct scales; a fixed C needs only one
+    for q_grid in ((2.0,), (2.0, 2.0)):
+        with pytest.raises(ValueError, match="two distinct q"):
+            assouad_estimate(sp, C=None, q_grid=q_grid)
+        assert assouad_estimate(sp, C=1.0, q_grid=q_grid).samples == [(2.0, 1)] * len(q_grid)
     with pytest.raises(ValueError):
         assouad_estimate(DecaySpace(np.empty((0, 0)), mode="link-gain"))
 

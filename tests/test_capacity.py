@@ -254,7 +254,7 @@ def test_onezetasep_outcomes():
     np.fill_diagonal(d, 0.0)
     d[0, 1] = d[1, 0] = 10.0
     d[2, 3] = d[3, 2] = 10.0
-    status, pair = check_onezetasep(sys_, QuasiMetric(4, d, 1.0), 1.0, [0, 1])
+    status, pair = check_onezetasep(sys_, QuasiMetric(DecaySpace(d), 1.0), 1.0, [0, 1])
     assert status == "violation" and pair == (0, 1)
 
     for zeta in (0.5, float("inf"), float("nan")):

@@ -7,6 +7,7 @@ from decayspace import (
     DecaySpace,
     LinkSystem,
     PowerAssignment,
+    QuasiMetric,
     SinrParams,
     affectance,
     affectance_matrix,
@@ -196,6 +197,14 @@ def test_check_separation_rejects_bad_link_even_with_empty_set():
             check_separation(sys_, quasi, v, [], 1.0)
         with pytest.raises(ValueError):
             check_separation(sys_, quasi, v, [1], 1.0)
+    # a NaN level fails every comparison, so it would pass every set
+    for eta in (float("nan"), -1.0):
+        for call in (lambda: check_separation(sys_, quasi, 0, [], eta),
+                     lambda: check_separation(sys_, quasi, 0, [1, 2], eta),
+                     lambda: check_separation_set(sys_, quasi, [], eta),
+                     lambda: check_separation_set(sys_, quasi, [0, 1, 2], eta)):
+            with pytest.raises(ValueError, match="eta must be non-negative"):
+                call()
 
 
 def test_every_link_set_argument_is_checked_alike():
@@ -228,28 +237,38 @@ def test_every_link_set_argument_is_checked_alike():
 
 
 def test_every_quasi_argument_must_match_its_space():
-    # a quasi-metric of another system reads the wrong table quietly
-    # unless its node count is checked where it meets a space
-    sys_ = random_link_system(5, 1)
-    cloud = gen_euclidean(random_points(6, 2), 3.0)
-    for other in (random_link_system(9, 2).space, random_link_system(2, 4).space):
-        quasi = quasi_distances(other, 3.0)
+    # a quasi-metric of another space reads the wrong table quietly
+    # unless its node count and mode are checked where it meets a space
+    five, cloud = random_link_system(5, 1), gen_euclidean(random_points(6, 2), 3.0)
+    far_apart = gen_euclidean(np.array([[0.0, 0.0], [1.0, 0.0], [99.0, 0.0], [100.0, 0.0]]), 3.0)
+    pair = LinkSystem(far_apart, links=[(0, 1), (2, 3)])  # 4 nodes, node-space
+    graph = gen_equidecay_graph(4, [], far_decay=100.0)  # 4 nodes, link-gain
+    cases = [
+        (five, cloud, quasi_distances(random_link_system(9, 2).space, 3.0),
+         "has 18 nodes but the space has"),
+        (five, cloud, quasi_distances(pair.space, 3.0), "has 4 nodes but the space has"),
+        (graph, graph.space, QuasiMetric(pair.space, 3.0),
+         "quasi-metric is node-space but the space is link-gain"),
+        (pair, pair.space, QuasiMetric(graph.space, 1.0),
+         "quasi-metric is link-gain but the space is node-space"),
+    ]
+    for sys_, space, quasi, message in cases:
         calls = {
             "capacity_uniform": lambda: capacity_uniform(sys_, 3.0, quasi=quasi),
-            "check_separation_set": lambda: check_separation_set(sys_, quasi, [0, 1, 2], 0.5),
+            "check_separation_set": lambda: check_separation_set(sys_, quasi, [0, 1], 0.5),
             "check_separation": lambda: check_separation(sys_, quasi, 0, [1], 0.5),
             "link_distance": lambda: link_distance(sys_, quasi, 0, 1),
             "link_lengths": lambda: sys_.link_lengths(quasi),
             "separation_strengthen": lambda: separation_strengthen(sys_, quasi, [0, 1], 0.5, 0.5),
             "check_onezetasep": lambda: check_onezetasep(sys_, quasi, 3.0, [0, 1]),
-            "independence_at": lambda: independence_at(cloud, quasi, 0),
-            "guard_set": lambda: guard_set(cloud, quasi, 0),
-            "fading_parameter": lambda: fading_parameter(cloud, 1.0, quasi=quasi),
+            "independence_at": lambda: independence_at(space, quasi, 0),
+            "guard_set": lambda: guard_set(space, quasi, 0),
+            "fading_parameter": lambda: fading_parameter(space, 1.0, quasi=quasi),
         }
         for name, call in calls.items():
-            with pytest.raises(ValueError, match="has %d nodes but the space has" % other.n):
+            with pytest.raises(ValueError, match=message):
                 call()
-                pytest.fail("%s accepted a %d-node quasi-metric" % (name, other.n))
+                pytest.fail("%s accepted %r" % (name, quasi))
 
 
 def test_aggregate_affectance_directions():

@@ -95,12 +95,11 @@ def test_signed_zeros_are_normalised():
     assert compute_phi(space) == compute_phi(plain) == (np.inf, np.inf, (0, 1, 2))
     assert compute_zeta(space) == compute_zeta(plain)
     assert_matches_reference(space)
-    # a quasi-metric table keeps its -0.0, which the triangle check's sums,
-    # minima and comparisons do not see
-    d = np.array([[0.0, -0.0, 2.0], [0.0, -0.0, 1.0], [2.0, 1.0, 0.0]])
-    quasi = QuasiMetric(3, d, 1.0)
-    assert _symmetric(d) and np.signbit(d).any()
-    assert triangle_violation(quasi) == ref.triangle_violation(quasi) == (0, 1, 2)
+    # a quasi-metric is a decay space of the same mode, so it holds no -0.0
+    for zeta in (0.5, 1.0, 3.0):
+        quasi = QuasiMetric(DecaySpace(f, LINK_GAIN), zeta)
+        assert quasi.mode == LINK_GAIN and not np.signbit(quasi.d).any()
+        assert not quasi.d.flags.writeable
 
 
 @st.composite
@@ -110,7 +109,7 @@ def quasi_metrics(draw, symmetric):
     values = draw(st.sampled_from([integers, st.floats(1.0, 3.0).map(lambda v: round(v, 2))]))
     d = _matrix(draw, values, n, symmetric)
     np.fill_diagonal(d, 0.0)
-    return QuasiMetric(n, d, 1.0)
+    return QuasiMetric(DecaySpace(d), 1.0)
 
 
 @settings(deadline=None, max_examples=150)

@@ -143,6 +143,12 @@ def test_quasi_distances_invert_the_exponent():
     d = np.sqrt((diff ** 2).sum(axis=-1))
     assert quasi.zeta == 2.0 and quasi.n == 12
     assert np.allclose(quasi.d, d, rtol=1e-12, atol=0.0)
+    # a quasi-metric is a decay space, so the metricity kernels take it:
+    # the rescaling divides the exponent by zeta and keeps the witness
+    zr, _, witness = compute_zeta(sp)
+    assert repr(quasi) == "QuasiMetric(n=12, mode='node-space')"
+    assert compute_zeta(quasi)[1:] == (1.0, witness)
+    assert abs(compute_zeta(quasi)[0] - zr / 2.0) <= 1e-8
 
 
 def test_quasi_rejects_undersized_exponent():
@@ -155,14 +161,20 @@ def test_quasi_rejects_undersized_exponent():
         quasi_distances(sp, 0.0)
     with pytest.raises(ValueError):
         quasi_distances(sp, float("inf"))
+    # below 1 the power can overflow to inf and underflow to 0, which the
+    # triangle check's slack tol * max(1, d) would let pass
+    extreme = sym3(1e200, 1e-200, 1.0)
+    for check in (True, False):
+        with pytest.raises(ValueError, match="non-finite at .* indiscernibles at"):
+            quasi_distances(extreme, 0.5, check=check)
 
 
 def test_triangle_violation_reports_least_triple():
     d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-    assert triangle_violation(QuasiMetric(3, d, 1.0)) == (0, 1, 2)
+    assert triangle_violation(QuasiMetric(DecaySpace(d), 1.0)) == (0, 1, 2)
     close = d.copy()
     close[0, 2] = close[2, 0] = 2.0 + 1e-9  # inside the relative slack
-    assert triangle_violation(QuasiMetric(3, close, 1.0), tol=1e-7) is None
+    assert triangle_violation(QuasiMetric(DecaySpace(close), 1.0), tol=1e-7) is None
 
 
 def test_validate_collects_every_code():
