@@ -21,7 +21,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .search import (
-    _branch, _can_improve, _neighbor_masks, max_independent_set, max_weight_independent_set,
+    _branch, _first_fit, _neighbor_masks, max_independent_set, max_weight_independent_set,
 )
 from .spaces import _node_index, _quasi_table, _row_blocks
 
@@ -102,18 +102,18 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     lower bounds; exact reports whether every packing was exact.
 
     Each center's column is sorted once (stably), so every ball is a
-    prefix of that order. A ball is packed only when it holds more than
-    g(q) nodes and can beat g(q): the conflict matrices of its prefix
-    decide that, an exact search with g(q) as its floor that stops at
-    the first larger packing, or, past exact_limit, the search's
-    clique-cover bound alone. Every ball that passes is packed by
-    packing_number, exactly as a per-ball call would pack it, and the
-    others cannot change g(q); a ball past exact_limit that holds more
-    than g(q) nodes clears the exact flag whether or not it is packed,
-    as its greedy call would. The matrices of one center and scale are
-    built as one stack per block of radii, sized like the metricity
-    kernels' blocks (about 2**18 entries, a single K x K prefix matrix
-    at least), so memory stays O(n**2).
+    prefix of that order, and a ball is packed only when it holds more
+    than g(q) nodes; the others cannot raise g(q). Such a ball is packed
+    once, on the conflict masks of its prefix: up to exact_limit nodes
+    by one exact search with g(q) as its floor, which returns the ball's
+    optimum when that beats g(q) and g(q) otherwise; past it by a
+    first-fit greedy in node-index order, the order packing_number
+    visits its sorted body, which clears the exact flag. Either way g(q)
+    ends where a packing_number call per ball would leave it. The
+    matrices of one center and scale are built as one stack per block
+    of radii, sized like the metricity kernels' blocks (about 2**18
+    entries, a single K x K prefix matrix at least), so memory stays
+    O(n**2).
     """
     if C is not None and not (0 < C < math.inf):
         raise ValueError("C must be positive and finite")
@@ -145,17 +145,15 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
             for j0, j1 in _stack_blocks(todo.size, K):
                 sel = todo[j0:j1]
                 stack = _packing_conflicts(Sx, radii[sel] / q)
-                for k, r, masks in zip(sizes[sel].tolist(), radii[sel].tolist(),
-                                       _neighbor_masks(stack)):
+                for k, masks in zip(sizes[sel].tolist(), _neighbor_masks(stack)):
                     if k <= g[q]:
                         continue
                     if k > exact_limit:
                         all_exact = False
-                        wins = _can_improve((1 << k) - 1, masks[:k], ones, 0.0, g[q])
+                        packed = _first_fit(masks, np.argsort(order[:k]).tolist())
+                        g[q] = max(g[q], packed.bit_count())
                     else:
-                        wins = _branch(masks[:k], ones, float(g[q]), first=True)[0] != 0
-                    if wins:
-                        g[q] = max(g[q], packing_number(space, order[:k], r / q, exact_limit)[0])
+                        g[q] = int(_branch(masks[:k], ones, float(g[q]))[1])
     samples = [(float(q), int(g[float(q)])) for q in q_grid]
     if C is None:
         lq = np.log([q for q, _ in samples])

@@ -25,7 +25,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .search import _branch, _members, _neighbor_masks
-from .spaces import NODE_SPACE, quasi_distances
+from .spaces import NODE_SPACE, _quasi_table, quasi_distances
 from .links import (
     affectance_matrix,
     drowned_links,
@@ -284,6 +284,7 @@ def check_onezetasep(sys, quasi, zeta, S):
     and ("inapplicable", None) when the hypothesis does not hold for S.
     """
     _check_uniform(sys, zeta)
+    _quasi_table(sys.space, quasi)
     S = _link_set(sys, S)
     if len(S) <= 1:
         return ("ok", None)

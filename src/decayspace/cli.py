@@ -167,21 +167,17 @@ def _cmd_partition(args):
     sys_ = _read(load_system, "system", args.system)
     S = list(range(sys_.n_links))
     if args.kind == "signal":
+        # signal_strengthen raises unless every class it returns is q-feasible
         part = signal_strengthen(sys_, S, args.p, args.q)
-        bad = [
-            i
-            for i, cls in enumerate(part.classes)
-            if cls and not is_feasible(sys_, list(cls), args.q)[0]
-        ]
         results = {
             "kind": "signal",
             "classes": part.classes,
             "bound": part.bound,
             "certificate": part.certificate,
-            "violating_classes": bad,
+            "violating_classes": [],
         }
         config = {"system": args.system, "kind": "signal", "p": args.p, "q": args.q}
-        return config, results, 0 if not bad else 1
+        return config, results, 0
     zeta = _resolve_zeta(args.zeta, sys_.space, args.tol)
     quasi = _default_quasi(sys_.space, zeta)
     tau = args.tau if args.tau is not None else 1.0 / zeta

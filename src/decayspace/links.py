@@ -405,8 +405,8 @@ def interference_at(sys, senders, target):
     """Total received power at a node from a set of sender nodes.
 
     Node-space systems under uniform power only; senders and target
-    are node indices, not links. The sum is P / f(y, target) over the
-    senders y. Empty sender sets contribute 0.
+    are node indices, not links, and no sender may repeat. The sum is
+    P / f(y, target) over the senders y. Empty sender sets contribute 0.
     """
     if sys.space.mode != NODE_SPACE:
         raise ValueError("interference_at needs a node-space system")
@@ -414,6 +414,9 @@ def interference_at(sys, senders, target):
         raise ValueError("interference_at is defined for uniform power")
     target = _node_index(sys.space, target)
     senders = sorted(_node_index(sys.space, y) for y in senders)
+    for a, b in zip(senders, senders[1:]):
+        if a == b:
+            raise ValueError("duplicate sender node %d" % a)
     if target in senders:
         raise ValueError("target cannot be one of the senders")
     col = sys.space.f[senders, target]

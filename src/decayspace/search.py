@@ -31,11 +31,11 @@ survives the floor: until the lexicographically least optimum is
 reached every incumbent stays below the optimum, so no branch holding
 that set is pruned, and after it only strictly heavier sets replace
 it. The public searches use floor 0.0, which is the search without a
-floor. With first=True the search stops at the first set that beats
-floor, which only decides whether floor can be beaten:
-assouad_estimate asks that of each ball with its incumbent g(q) as
-the floor and hands only the balls that can beat it to
-packing_number.
+floor. assouad_estimate runs one search per ball with its incumbent
+g(q) as the floor, and the value returned is its new g(q): the ball's
+optimum when that beats g(q), and g(q) itself otherwise. Past
+exact_limit it and _search share _first_fit, the one greedy pass,
+each in its own vertex order.
 
 Admission hook: _branch(..., admit=hook, state=s0) calls
 hook(v, chosen, avail, state) when it includes v and goes on with the
@@ -110,11 +110,10 @@ def _can_improve(avail, masks, w, val, best):
     return False
 
 
-def _branch(masks, w, floor, first=False, admit=None, state=None):
+def _branch(masks, w, floor, admit=None, state=None):
     """Best (mask, value) over the vertices of masks, improving strictly on floor.
 
     Returns (0, floor) when no independent set is heavier than floor.
-    With first=True the first set found heavier than floor is returned.
     admit and state follow the admission hook contract above; v is
     already in chosen and its neighbours are out of avail when admit
     sees them.
@@ -126,8 +125,6 @@ def _branch(masks, w, floor, first=False, admit=None, state=None):
         if not avail:
             if val > best_val:
                 best_val, best_mask = val, chosen
-                if first:
-                    break
         elif _can_improve(avail, masks, w, val, best_val):
             bit = avail & -avail
             v = bit.bit_length() - 1
@@ -142,6 +139,15 @@ def _branch(masks, w, floor, first=False, admit=None, state=None):
     return best_mask, best_val
 
 
+def _first_fit(masks, order):
+    """Mask of the independent set that takes each vertex of order unless it conflicts."""
+    chosen = 0
+    for v in order:
+        if not masks[v] & chosen:
+            chosen |= 1 << v
+    return chosen
+
+
 def _search(weights, conflict, exact_limit):
     conflict = np.asarray(conflict, dtype=bool)
     n = conflict.shape[0]
@@ -150,11 +156,7 @@ def _search(weights, conflict, exact_limit):
     masks = _neighbor_masks(conflict)
     w = weights.tolist()
     if n > exact_limit:
-        chosen = 0
-        for v in sorted(range(n), key=lambda v: (-w[v], v)):
-            if not masks[v] & chosen:
-                chosen |= 1 << v
-        members = _members(chosen)
+        members = _members(_first_fit(masks, sorted(range(n), key=lambda v: (-w[v], v))))
         return members, float(weights[list(members)].sum()), False
     best_mask, best_val = _branch(masks, w, 0.0)
     return _members(best_mask), float(best_val), True

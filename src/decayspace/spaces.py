@@ -498,9 +498,10 @@ def triangle_violation(quasi, tol=1e-7):
     """Lexicographically least violating triple (x, z, y), or None.
 
     A violation means d(x,y) > d(x,z) + d(z,y) beyond relative slack
-    tol. The quasi-metric is a decay space, so every entry of d is
-    finite and non-negative: no NaN hides a violation from the
-    comparison, and no inf entry makes the slack infinite.
+    tol, which must satisfy 0 <= tol < inf. The quasi-metric is a decay
+    space, so every entry of d is finite and non-negative: no NaN hides
+    a violation from the comparison, and no inf entry makes the slack
+    infinite.
     Diagonal targets are skipped; for off-diagonal targets the
     intermediates z = x and z = y reproduce d(x,y) itself whenever the
     diagonal is zero, so they never report spurious violations.
@@ -512,6 +513,8 @@ def triangle_violation(quasi, tol=1e-7):
     violating pair has x < y. The pairs left out keep best = inf, which
     no entry exceeds.
     """
+    if not (0 <= tol < np.inf):
+        raise ValueError("tol must be non-negative and finite")
     d, n = quasi.d, quasi.n
     best = np.full(d.shape, np.inf)
     for x, _, c0, _ in _target_blocks(n, _symmetric(d), ((r, r + 1) for r in range(n))):

@@ -196,16 +196,23 @@ def test_assouad_matches_per_call_reference(case):
         assert fast.exact and max(g for _, g in fast.samples) > 1
 
 
-def test_assouad_packs_only_balls_that_raise_g(monkeypatch):
-    # with every ball exact, a ball reaches packing_number only when it
-    # beats g(q), so each call raises some g(q) by one at least
-    calls = []
-    pack = analysis.packing_number
-    monkeypatch.setattr(analysis, "packing_number", lambda *a: calls.append(a) or pack(*a))
+def test_assouad_packs_each_ball_once_by_one_search(monkeypatch):
+    # the per-call reference packs every ball that holds more than g(q)
+    # nodes by one packing_number call; the estimate packs each such ball
+    # by one floor search on its prefix masks and never calls packing_number
     space = gen_euclidean(random_points(16, 4), 3.0)
+    balls, packings, searches = [], [], []
+    pack, branch = ref.packing_number, analysis._branch
+    monkeypatch.setattr(ref, "packing_number", lambda *a: balls.append(a) or pack(*a))
+    want = ref.assouad_estimate(space, C=None, exact_limit=16)
+    monkeypatch.setattr(analysis, "packing_number", lambda *a: packings.append(a) or pack(*a))
+    monkeypatch.setattr(analysis, "_branch",
+                        lambda m, w, floor: searches.append((len(m), floor)) or branch(m, w, floor))
     est = assouad_estimate(space, C=None, exact_limit=16)
-    assert est.samples == ref.assouad_estimate(space, C=None, exact_limit=16).samples
-    assert 0 < len(calls) <= sum(g - 1 for _, g in est.samples)
+    assert est.samples == want.samples and est.exact
+    assert packings == []
+    assert all(k > floor for k, floor in searches)
+    assert 0 < len(searches) == len(balls)
 
 
 def test_assouad_conflict_stacks_stay_bounded(monkeypatch):

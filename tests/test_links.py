@@ -261,6 +261,8 @@ def test_every_quasi_argument_must_match_its_space():
             "link_lengths": lambda: sys_.link_lengths(quasi),
             "separation_strengthen": lambda: separation_strengthen(sys_, quasi, [0, 1], 0.5, 0.5),
             "check_onezetasep": lambda: check_onezetasep(sys_, quasi, 3.0, [0, 1]),
+            "check_onezetasep of one link": lambda: check_onezetasep(sys_, quasi, 3.0, [0]),
+            "check_onezetasep of none": lambda: check_onezetasep(sys_, quasi, 3.0, []),
             "independence_at": lambda: independence_at(space, quasi, 0),
             "guard_set": lambda: guard_set(space, quasi, 0),
             "fading_parameter": lambda: fading_parameter(space, 1.0, quasi=quasi),
@@ -318,6 +320,8 @@ def test_interference_at_rejects_bad_calls():
         interference_at(sys_, [2], 99)
     with pytest.raises(ValueError):
         interference_at(sys_, [99], 0)
+    with pytest.raises(ValueError, match="duplicate sender node 2"):
+        interference_at(sys_, [2, 2, 3], 0)  # would count node 2 twice
     lg = pair_system()
     with pytest.raises(ValueError):
         interference_at(lg, [0], 1)

@@ -51,16 +51,7 @@ def test_floor_keeps_least_witness_and_reports_no_improvement():
     assert _branch(masks, w, 2.0) == (0, 2.0)
 
 
-def test_first_stops_at_the_first_set_that_beats_the_floor():
-    # include-first reaches {0} (weight 1) before the heavier {1}
-    masks, w = _neighbor_masks(np.array([[False, True], [False, False]])), [1.0, 3.0]
-    assert _branch(masks, w, 0.5) == (0b10, 3.0)
-    assert _branch(masks, w, 0.5, first=True) == (0b1, 1.0)
-    assert _branch(masks, w, 1.0, first=True) == (0b10, 3.0)
-    assert _branch(masks, w, 3.0, first=True) == (0, 3.0)
-
-
-def _brute_branch(conflict, w, floor, first, max_size=None):
+def _brute_branch(conflict, w, floor, max_size=None):
     # every independent set, in the include-first order the engine walks:
     # at the first vertex where two sets differ, the one holding it comes first
     n = len(w)
@@ -72,7 +63,7 @@ def _brute_branch(conflict, w, floor, first, max_size=None):
     better = [s for s in sets if val(s) > floor]
     if not better:
         return 0, floor
-    pick = better[0] if first else max(better, key=lambda s: (val(s), -better.index(s)))
+    pick = max(better, key=lambda s: (val(s), -better.index(s)))
     return pick, float(val(pick))
 
 
@@ -90,11 +81,10 @@ def test_branch_without_hook_matches_include_first_enumeration():
     for conflict, w in _random_graphs():
         masks = _neighbor_masks(conflict)
         for floor in (0.0, 1.0, 2.5):
-            for first in (False, True):
-                want = _brute_branch(conflict | conflict.T, w, floor, first)
-                assert _branch(masks, w, floor, first) == want
-                assert _branch(masks, w, floor, first, admit=None) == want
-                assert _branch(masks, w, floor, first, admit=passthrough, state=0) == want
+            want = _brute_branch(conflict | conflict.T, w, floor)
+            assert _branch(masks, w, floor) == want
+            assert _branch(masks, w, floor, admit=None) == want
+            assert _branch(masks, w, floor, admit=passthrough, state=0) == want
 
 
 def test_hook_that_rejects_everything_leaves_the_floor():
@@ -119,6 +109,6 @@ def test_narrowing_hook_is_an_extra_conflict_and_state_rides_the_stack():
         # a size cap kept in the state: the first independent set of that size
         for cap in (1, 2, 3):
             capped = lambda v, chosen, avail, size: (avail, size + 1) if size < cap else None
-            want = _brute_branch(conflict | conflict.T, [1.0] * n, 0.0, False, max_size=cap)
+            want = _brute_branch(conflict | conflict.T, [1.0] * n, 0.0, max_size=cap)
             assert _branch(_neighbor_masks(conflict), [1.0] * n, 0.0,
                            admit=capped, state=0) == want

@@ -161,6 +161,14 @@ def test_quasi_rejects_undersized_exponent():
         quasi_distances(sp, 0.0)
     with pytest.raises(ValueError):
         quasi_distances(sp, float("inf"))
+    # a tolerance that is NaN, infinite or negative is refused, not used:
+    # NaN and inf slack pass an undersized exponent, and a negative slack
+    # reports a triple that holds
+    for zeta, tol in ((0.9 * z, float("nan")), (0.9 * z, float("inf")), (z, -1.0)):
+        with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+            quasi_distances(sp, zeta, tol=tol)
+        with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+            triangle_violation(QuasiMetric(sp, zeta), tol=tol)
     # below 1 the power can overflow to inf and underflow to 0, which the
     # triangle check's slack tol * max(1, d) would let pass
     extreme = sym3(1e200, 1e-200, 1.0)
