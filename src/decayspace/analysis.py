@@ -21,7 +21,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .search import (
-    _branch, _first_fit, _neighbor_masks, max_independent_set, max_weight_independent_set,
+    _branch, _check_exact_limit, _first_fit, _neighbor_masks, max_independent_set,
+    max_weight_independent_set,
 )
 from .spaces import _node_index, _quasi_table, _row_blocks
 
@@ -123,6 +124,7 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
         raise ValueError("q_grid must be a non-empty grid of finite q > 1")
     if C is None and len(set(q_grid)) < 2:
         raise ValueError("fitting C needs at least two distinct q")
+    _check_exact_limit(exact_limit)
     f = space.f
     S = np.minimum(f, f.T)
     g = {float(q): 1 for q in q_grid}
@@ -202,6 +204,7 @@ def fading_parameter(space, r, exact_limit=24, quasi=None):
         raise ValueError("r must be positive")
     if space.n < 1:
         raise ValueError("empty space")
+    _check_exact_limit(exact_limit)  # also where no node has a candidate to search
     M = space.f if quasi is None else _quasi_table(space, quasi)
     n = space.n
     sep = np.minimum(M, M.T)
@@ -279,6 +282,7 @@ def independence_at(space, quasi, x, exact_limit=24):
     """
     x = _node_index(space, x)
     d = _quasi_table(space, quasi)
+    _check_exact_limit(exact_limit)  # also on a one-node space, which has nothing to search
     cand = [z for z in range(space.n) if z != x]
     if not cand:
         return 0, (), True

@@ -12,6 +12,11 @@ feasibility margin (signal_strengthen) or wider separation
 (separation_strengthen). amicable_subset chains them to find a large
 subset whose members stay lightly loaded even from outside.
 
+Every separation test here reads links._separated, the one separation
+relation, at the zeta its quasi-metric carries: check_onezetasep and
+amicable_subset read quasi.zeta, and capacity_uniform refuses a
+quasi-metric at another zeta than its own.
+
 capacity_oracle is the ground truth for small systems: the exact
 maximum feasible subset, found as an independent-set search on the
 shared branch-and-bound of decayspace.search, with pairwise SINR
@@ -30,10 +35,9 @@ from .links import (
     affectance_matrix,
     drowned_links,
     is_feasible,
-    link_distance_matrix,
-    _link_distance_block,
     _link_set,
     _noise_margin,
+    _separated,
     _separation_violation,
     check_separation_set,
 )
@@ -84,22 +88,26 @@ def capacity_uniform(sys, zeta, quasi=None):
     1/2. The result keeps the members of X whose capped in-affectance
     within X is at most 1; at least half of X survives, and the
     survivors are feasible. Links drowned by noise are skipped and
-    reported in the result.
+    reported in the result. A quasi-metric passed in must be the one of
+    this space at this zeta.
     """
     _check_uniform(sys, zeta)
     if quasi is None:
         quasi = _default_quasi(sys.space, zeta)
+    _quasi_table(sys.space, quasi)
+    if quasi.zeta != zeta:
+        raise ValueError("quasi-metric is at zeta=%g, not %g" % (quasi.zeta, zeta))
     skipped = drowned_links(sys)
     dead = set(skipped)
     A = affectance_matrix(sys)
-    LD = link_distance_matrix(sys, quasi)
-    lengths = sys.link_lengths(quasi)
+    links = np.arange(sys.n_links)
+    sep = _separated(sys, quasi, links, links, zeta / 2.0)
     X = []
     for v in sys.order():
         v = int(v)
         if v in dead:
             continue
-        if not np.all(LD[v, X] >= (zeta / 2.0) * lengths[v]):
+        if not sep[v, X].all():
             continue
         if A[v, X].sum() + A[X, v].sum() > 0.5:
             continue
@@ -217,13 +225,15 @@ def signal_strengthen(sys, S, p, q):
 def separation_strengthen(sys, quasi, S, tau, eta):
     """Split a tau-separated set into eta-separated classes.
 
-    Two links clash when their link distance is below eta times the
-    longer one's length, so a clash-free class is mutually
-    eta-separated. Ranking links from longest to shortest, the class
-    count never exceeds one plus the largest number of shorter
-    clashing links any member has (its forward degree); that bound is
-    met by first-fit coloring from the shortest link upward, since
-    each link only competes with the shorter clashers already colored.
+    Two links clash unless each is eta-separated from the other
+    (links._separated both ways), so a clash-free class is mutually
+    eta-separated; under symmetric link distances a clash is a distance
+    below eta times the longer link's length. Ranking links from
+    longest to shortest, the class count never exceeds one plus the
+    largest number of shorter clashing links any member has (its
+    forward degree); that bound is met by first-fit coloring from the
+    shortest link upward, since each link only competes with the
+    shorter clashers already colored.
     Classes are re-verified before returning.
     """
     S = _link_set(sys, S)
@@ -239,34 +249,23 @@ def separation_strengthen(sys, quasi, S, tau, eta):
             "input set is not %g-separated (links %d and %d)" % (tau, bad[0], bad[1])
         )
     certificate = {"kind": "separation", "level": float(eta)}
-    if len(S) == 1:
-        return Partition(classes=(tuple(S),), certificate=certificate, bound=1)
-    lengths = sys.link_lengths(quasi)
     k = len(S)
-    sub_ld = _link_distance_block(sys, quasi, S, S)
-    pair_len = np.maximum.outer(lengths[S], lengths[S])
-    clash = sub_ld < eta * pair_len
+    sep = _separated(sys, quasi, S, S, eta)
+    clash = ~(sep & sep.T)
     np.fill_diagonal(clash, False)
-    longest_first = sorted(range(k), key=lambda i: (-lengths[S[i]], S[i]))
-    rank = {i: pos for pos, i in enumerate(longest_first)}
-    fwd = [
-        sum(1 for j in range(k) if clash[i, j] and rank[j] > rank[i])
-        for i in range(k)
-    ]
-    bound = max(fwd) + 1
-    color = {}
-    for i in reversed(longest_first):
-        used = {color[j] for j in range(k) if clash[i, j] and j in color}
+    longest_first = np.argsort(-sys.link_lengths(quasi)[S], kind="stable")
+    rank = np.empty(k, dtype=int)
+    rank[longest_first] = np.arange(k)
+    bound = int((clash & (rank[None, :] > rank[:, None])).sum(axis=1).max()) + 1
+    color = np.full(k, -1)
+    for i in longest_first[::-1]:
+        used = set(color[clash[i]].tolist())
         c = 0
         while c in used:
             c += 1
         color[i] = c
-    n_colors = max(color.values()) + 1
-    classes = []
-    for c in range(n_colors):
-        cls = tuple(sorted(S[i] for i in range(k) if color[i] == c))
-        if cls:
-            classes.append(cls)
+    # first-fit uses every color up to the largest, and S is sorted
+    classes = [tuple(S[i] for i in np.flatnonzero(color == c)) for c in range(color.max() + 1)]
     if len(classes) > bound:
         raise RuntimeError("coloring exceeded its degeneracy bound, please report")
     for cls in classes:
@@ -275,41 +274,42 @@ def separation_strengthen(sys, quasi, S, tau, eta):
     return Partition(classes=tuple(classes), certificate=certificate, bound=bound)
 
 
-def check_onezetasep(sys, quasi, zeta, S):
+def check_onezetasep(sys, quasi, S):
     """Separation consequence of strong feasibility, as a testable claim.
 
     Under uniform power, a set that is e^2/beta-feasible must be
-    1/zeta-separated. Returns ("ok", None) when the conclusion holds,
-    ("violation", (v, w)) with a counterexample pair when it fails,
-    and ("inapplicable", None) when the hypothesis does not hold for S.
+    1/zeta-separated, zeta the exponent of the quasi-metric. Returns
+    ("ok", None) when the conclusion holds, ("violation", (v, w)) with
+    a counterexample pair when it fails, and ("inapplicable", None)
+    when the hypothesis does not hold for S.
     """
-    _check_uniform(sys, zeta)
     _quasi_table(sys.space, quasi)
+    _check_uniform(sys, quasi.zeta)
     S = _link_set(sys, S)
     if len(S) <= 1:
         return ("ok", None)
     K = math.e ** 2 / sys.params.beta
     if not is_feasible(sys, S, K=K)[0]:
         return ("inapplicable", None)
-    pair = _separation_violation(sys, quasi, S, 1.0 / zeta)
+    pair = _separation_violation(sys, quasi, S, 1.0 / quasi.zeta)
     if pair is None:
         return ("ok", None)
     return ("violation", pair)
 
 
-def amicable_subset(sys, quasi, zeta, S):
+def amicable_subset(sys, quasi, S):
     """Large subset of a feasible set that stays lightly loaded.
 
     Pipeline: strengthen feasibility to level e^2/beta and keep the
-    largest class; strengthen its separation from 1/zeta to zeta and
-    keep the largest class Shat; finally keep the members of Shat
-    whose capped out-affectance onto Shat is at most 2. Markov's
-    inequality guarantees at least half of Shat survives. Returns
-    (members, diagnostics) where diagnostics records stage sizes, the
-    shrink factor and the worst capped out-affectance any link of the
-    whole system puts on the result.
+    largest class; strengthen its separation from 1/zeta to zeta, zeta
+    the exponent of the quasi-metric, and keep the largest class Shat;
+    finally keep the members of Shat whose capped out-affectance onto
+    Shat is at most 2. Markov's inequality guarantees at least half of
+    Shat survives. Returns (members, diagnostics) where diagnostics
+    records stage sizes, the shrink factor and the worst capped
+    out-affectance any link of the whole system puts on the result.
     """
-    _check_uniform(sys, zeta)
+    _check_uniform(sys, quasi.zeta)
     S = _link_set(sys, S)
     if not S:
         raise ValueError("need a non-empty feasible set")
@@ -326,7 +326,7 @@ def amicable_subset(sys, quasi, zeta, S):
         # strengthened level; keep the whole set
         stage1 = tuple(S)
         n_classes1 = 1
-    part2 = separation_strengthen(sys, quasi, stage1, tau=1.0 / zeta, eta=zeta)
+    part2 = separation_strengthen(sys, quasi, stage1, tau=1.0 / quasi.zeta, eta=quasi.zeta)
     shat = max(part2.classes, key=len)
     n_classes2 = len(part2.classes)
     A = affectance_matrix(sys)

@@ -166,36 +166,23 @@ def _cmd_capacity(args):
 def _cmd_partition(args):
     sys_ = _read(load_system, "system", args.system)
     S = list(range(sys_.n_links))
+    config = {"system": args.system, "kind": args.kind}
     if args.kind == "signal":
         # signal_strengthen raises unless every class it returns is q-feasible
         part = signal_strengthen(sys_, S, args.p, args.q)
-        results = {
-            "kind": "signal",
-            "classes": part.classes,
-            "bound": part.bound,
-            "certificate": part.certificate,
-            "violating_classes": [],
-        }
-        config = {"system": args.system, "kind": "signal", "p": args.p, "q": args.q}
-        return config, results, 0
-    zeta = _resolve_zeta(args.zeta, sys_.space, args.tol)
-    quasi = _default_quasi(sys_.space, zeta)
-    tau = args.tau if args.tau is not None else 1.0 / zeta
-    eta = args.eta if args.eta is not None else zeta
-    part = separation_strengthen(sys_, quasi, S, tau, eta)
+        config.update(p=args.p, q=args.q)
+    else:
+        zeta = _resolve_zeta(args.zeta, sys_.space, args.tol)
+        tau = args.tau if args.tau is not None else 1.0 / zeta
+        eta = args.eta if args.eta is not None else zeta
+        part = separation_strengthen(sys_, _default_quasi(sys_.space, zeta), S, tau, eta)
+        config.update(zeta=args.zeta, tau=tau, eta=eta)
     results = {
-        "kind": "separation",
+        "kind": args.kind,
         "classes": part.classes,
         "bound": part.bound,
         "certificate": part.certificate,
         "violating_classes": [],
-    }
-    config = {
-        "system": args.system,
-        "kind": "separation",
-        "zeta": args.zeta,
-        "tau": tau,
-        "eta": eta,
     }
     return config, results, 0
 
@@ -204,8 +191,7 @@ def _cmd_fading(args):
     space = _read(load_space, "space", args.space)
     quasi = None
     if args.separation == "quasi":
-        zeta = float(compute_zeta(space, tol=args.tol)[1])
-        quasi = quasi_distances(space, zeta)
+        quasi = _default_quasi(space, float(compute_zeta(space, tol=args.tol)[1]))
     rep = fading_parameter(space, args.r, exact_limit=args.exact_limit, quasi=quasi)
     results = {"fading": rep}
     code = 0

@@ -27,6 +27,10 @@ one endpoint map: link i runs from node s_i to node r_i. Node-space
 systems take the map from their link list; a link-gain table is the
 cross-decay table itself, so there link i runs from node i to node i
 and the map is the identity.
+
+Separation is one relation, _separated: link v is eta-separated from
+link w when link_distance(v, w) >= eta * (v's own length) in the
+quasi-metric's table. Every separation test and partition reads it.
 """
 
 import numpy as np
@@ -326,34 +330,30 @@ def link_distance_matrix(sys, quasi):
     return _link_distance_block(sys, quasi, links, links)
 
 
-def _separation_level(eta):
+def _separated(sys, quasi, rows, cols, eta):
+    """sep[i, j]: link_distance(rows[i], cols[j]) >= eta * own length of rows[i]."""
     # a NaN level would fail every comparison and so pass every set
     if not (eta >= 0):
         raise ValueError("separation level eta must be non-negative, got %r" % (eta,))
-    return eta
+    lengths = sys.link_lengths(quasi)[rows]
+    return _link_distance_block(sys, quasi, rows, cols) >= eta * lengths[:, None]
 
 
 def check_separation(sys, quasi, v, L, eta):
-    """True when link v is eta-separated from every link in L.
+    """True when link v is eta-separated from every link in L, by _separated.
 
-    Separation means link_distance(v, w) >= eta * (v's own length).
     Empty L is vacuously separated; v itself should not appear in L
     since its self-distance is zero.
     """
     L = _link_set(sys, L)
     _link_set(sys, [v])
-    eta = _separation_level(eta)
-    if not L:
-        return True
-    row = _link_distance_block(sys, quasi, [v], L)[0]
-    return not np.any(row < eta * sys.link_length(quasi, v))
+    return bool(_separated(sys, quasi, [v], L, eta).all())
 
 
 def _separation_violation(sys, quasi, L, eta):
-    # first (lexicographic) ordered pair violating mutual separation
+    # first (lexicographic) ordered pair of distinct links not separated
     L = _link_set(sys, L)
-    eta = _separation_level(eta)
-    bad = _link_distance_block(sys, quasi, L, L) < eta * sys.link_lengths(quasi)[L][:, None]
+    bad = ~_separated(sys, quasi, L, L, eta)
     np.fill_diagonal(bad, False)
     hits = np.argwhere(bad)
     if not len(hits):

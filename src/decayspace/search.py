@@ -22,7 +22,8 @@ improvement. A valid bound prunes only branches that cannot improve
 strictly, so the reported optimum is the lexicographically least one.
 Past exact_limit vertices a greedy pass in decreasing weight order
 (ties by index) gives a lower bound, which the callers flag as
-inexact.
+inexact. _check_exact_limit refuses an exact_limit that is not an
+integer >= 0.
 
 Floor contract: _branch(masks, w, floor) starts from floor as its
 incumbent value with no witness, so it returns a set only when one
@@ -60,6 +61,12 @@ searches and assouad_estimate pass no hook.
 """
 
 import numpy as np
+
+
+def _check_exact_limit(exact_limit):
+    # a negative limit would make every search greedy, and NaN every one exact
+    if not (isinstance(exact_limit, (int, np.integer)) and exact_limit >= 0):
+        raise ValueError("exact_limit must be an integer >= 0, got %r" % (exact_limit,))
 
 
 def _neighbor_masks(conflict):
@@ -149,6 +156,7 @@ def _first_fit(masks, order):
 
 
 def _search(weights, conflict, exact_limit):
+    _check_exact_limit(exact_limit)
     conflict = np.asarray(conflict, dtype=bool)
     n = conflict.shape[0]
     if n == 0:

@@ -272,7 +272,7 @@ def _check_onezetasep(seed):
                 continue
             part = signal_strengthen(sys, picked, 1.0, target)
             S = list(max(part.classes, key=len))
-        status, pair = check_onezetasep(sys, quasi, z, S)
+        status, pair = check_onezetasep(sys, quasi, S)
         if status == "violation":
             return False, "separation violated by pair %s on instance %d" % (pair, k)
         statuses[status] += 1
@@ -290,7 +290,7 @@ def _check_amicable(seed):
         S = capacity_uniform(sys, z, quasi).selected
         if not S:
             continue
-        out, diag = amicable_subset(sys, quasi, z, S)
+        out, diag = amicable_subset(sys, quasi, S)
         if 2 * len(out) < diag["stage2_size"]:
             return False, "survivor count fell below half on instance %d" % k
         used += 1

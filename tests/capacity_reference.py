@@ -1,17 +1,34 @@
-"""Slow reference for capacity_oracle in decayspace.capacity.
+"""Slow references for capacity_oracle and separation_strengthen in
+decayspace.capacity.
 
-This is the exhaustive subset scan that the branch-and-bound run on
-search._branch replaced, kept verbatim: subsets in decreasing size,
-lexicographic within a size, so the first feasible subset found is the
-lexicographically least maximizer. The differential tests compare the
-fast oracle against it for exact equality of size and members.
+capacity_oracle is the exhaustive subset scan that the branch-and-bound
+run on search._branch replaced, kept verbatim: subsets in decreasing
+size, lexicographic within a size, so the first feasible subset found
+is the lexicographically least maximizer. The differential tests
+compare the fast oracle against it for exact equality of size and
+members.
+
+separation_strengthen is the colouring that the array form over
+links._separated replaced, kept verbatim: a clash matrix from eta times
+the longer length of each pair, a rank dict, a forward-degree loop and
+a dict-based first-fit colouring. On symmetric link distances its
+clashes are exactly the pairs not separated both ways, so the
+differential test requires equal classes and bound.
 """
 
 import itertools
 
 import numpy as np
 
-from decayspace.links import _noise_margin, affectance_matrix
+from decayspace.capacity import Partition
+from decayspace.links import (
+    _link_distance_block,
+    _link_set,
+    _noise_margin,
+    _separation_violation,
+    affectance_matrix,
+    check_separation_set,
+)
 
 
 def capacity_oracle(sys, max_n=20):
@@ -45,3 +62,64 @@ def capacity_oracle(sys, max_n=20):
             if np.all(raw[ix].sum(axis=0) <= 1.0):
                 return k, tuple(combo)
     return 0, ()
+
+
+def separation_strengthen(sys, quasi, S, tau, eta):
+    """Split a tau-separated set into eta-separated classes.
+
+    Two links clash when their link distance is below eta times the
+    longer one's length, so a clash-free class is mutually
+    eta-separated. Ranking links from longest to shortest, the class
+    count never exceeds one plus the largest number of shorter
+    clashing links any member has (its forward degree); that bound is
+    met by first-fit coloring from the shortest link upward, since
+    each link only competes with the shorter clashers already colored.
+    Classes are re-verified before returning.
+    """
+    S = _link_set(sys, S)
+    if not S:
+        raise ValueError("cannot partition an empty set")
+    if not (tau > 0):
+        raise ValueError("tau must be positive")
+    if not (eta >= tau):
+        raise ValueError("eta must be at least tau")
+    bad = _separation_violation(sys, quasi, S, tau)
+    if bad is not None:
+        raise ValueError(
+            "input set is not %g-separated (links %d and %d)" % (tau, bad[0], bad[1])
+        )
+    certificate = {"kind": "separation", "level": float(eta)}
+    if len(S) == 1:
+        return Partition(classes=(tuple(S),), certificate=certificate, bound=1)
+    lengths = sys.link_lengths(quasi)
+    k = len(S)
+    sub_ld = _link_distance_block(sys, quasi, S, S)
+    pair_len = np.maximum.outer(lengths[S], lengths[S])
+    clash = sub_ld < eta * pair_len
+    np.fill_diagonal(clash, False)
+    longest_first = sorted(range(k), key=lambda i: (-lengths[S[i]], S[i]))
+    rank = {i: pos for pos, i in enumerate(longest_first)}
+    fwd = [
+        sum(1 for j in range(k) if clash[i, j] and rank[j] > rank[i])
+        for i in range(k)
+    ]
+    bound = max(fwd) + 1
+    color = {}
+    for i in reversed(longest_first):
+        used = {color[j] for j in range(k) if clash[i, j] and j in color}
+        c = 0
+        while c in used:
+            c += 1
+        color[i] = c
+    n_colors = max(color.values()) + 1
+    classes = []
+    for c in range(n_colors):
+        cls = tuple(sorted(S[i] for i in range(k) if color[i] == c))
+        if cls:
+            classes.append(cls)
+    if len(classes) > bound:
+        raise RuntimeError("coloring exceeded its degeneracy bound, please report")
+    for cls in classes:
+        if not check_separation_set(sys, quasi, cls, eta):
+            raise RuntimeError("a color class failed its separation level, please report")
+    return Partition(classes=tuple(classes), certificate=certificate, bound=bound)

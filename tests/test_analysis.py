@@ -28,6 +28,7 @@ from decayspace import (
     two_half_ball_cover,
     zeta_hat,
 )
+from decayspace.search import max_independent_set, max_weight_independent_set
 
 
 def uniform_space(n):
@@ -93,6 +94,30 @@ def test_every_node_argument_is_checked_alike():
         for y in (-1, sp.n):
             with pytest.raises(ValueError, match="node %d out of range" % y):
                 call(y)
+
+
+def test_every_exact_limit_argument_is_checked_alike():
+    # a negative limit made every search greedy, and NaN every one exact
+    sp, one = line_space(4), line_space(1)
+    quasi, one_quasi = quasi_distances(sp, 1.0), quasi_distances(one, 1.0)
+    conflict, ones = np.zeros((3, 3), dtype=bool), np.ones(3)
+    calls = {
+        "max_independent_set": lambda k: max_independent_set(conflict, k),
+        "max_weight_independent_set": lambda k: max_weight_independent_set(ones, conflict, k),
+        "packing_number": lambda k: packing_number(sp, range(4), 1.0, exact_limit=k),
+        "independence_at": lambda k: independence_at(sp, quasi, 0, exact_limit=k),
+        "independence_dimension": lambda k: independence_dimension(sp, quasi, exact_limit=k),
+        "fading_parameter": lambda k: fading_parameter(sp, 1.0, exact_limit=k),
+        "fading_parameter with no candidates": lambda k: fading_parameter(sp, 1e9, exact_limit=k),
+        "independence_at of one node": lambda k: independence_at(one, one_quasi, 0, exact_limit=k),
+        "assouad_estimate": lambda k: assouad_estimate(sp, exact_limit=k),
+    }
+    for name, call in calls.items():
+        call(0)
+        for k in (-1, math.nan, 1.5):
+            with pytest.raises(ValueError, match="exact_limit must be an integer >= 0"):
+                call(k)
+                pytest.fail("%s accepted %r" % (name, k))
 
 
 def test_assouad_degenerate_spaces():

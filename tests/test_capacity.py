@@ -82,10 +82,12 @@ def test_capacity_empty_system():
 
 def test_capacity_input_checks():
     sys_ = hand_instance()
-    with pytest.raises(ValueError):
-        capacity_uniform(sys_, zeta=0.5)
-    with pytest.raises(ValueError):
-        capacity_uniform(sys_, zeta=float("inf"))
+    for zeta in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="zeta must be finite and at least 1"):
+            capacity_uniform(sys_, zeta=zeta)
+    # the quasi-metric of this space, but at another exponent than the greedy's
+    with pytest.raises(ValueError, match="quasi-metric is at zeta=3, not 2"):
+        capacity_uniform(sys_, zeta=2.0, quasi=quasi_distances(sys_.space, 3.0))
     explicit = LinkSystem(
         sys_.space,
         links=[(0, 1), (2, 3), (4, 5)],
@@ -212,6 +214,45 @@ def test_separation_strengthen_widens_classes():
             assert check_separation(sys_, quasi, v, others, z)
 
 
+def test_separation_strengthen_matches_dict_coloring():
+    rng = np.random.default_rng(11)
+    class_counts = set()
+    for trial in range(60):
+        m = int(rng.integers(1, 13))
+        if trial % 2:
+            f = rng.uniform(0.5, 10.0, size=(m, m))
+            # equal own decays tie the longest-first order
+            np.fill_diagonal(f, rng.choice([1.0, 2.0], size=m))
+            sys_ = LinkSystem(DecaySpace(f, mode="link-gain"))
+        else:
+            sys_ = random_link_system(m, 8500 + trial, alpha=2.5, box=6.0)
+        quasi = quasi_distances(sys_.space, 2.5, check=False)
+        LD, lengths = link_distance_matrix(sys_, quasi), sys_.link_lengths(quasi)
+        # levels at an exact distance/length ratio put pairs on the boundary
+        ratios = (LD / lengths[:, None])[~np.eye(m, dtype=bool)].tolist()
+        etas = rng.choice(ratios, size=3).tolist() if ratios else []
+        for eta in etas + [float(np.exp(rng.uniform(-1.0, 2.0)))]:
+            args = (sys_, quasi, range(m), 1e-9, eta)
+            got = separation_strengthen(*args)
+            assert got == ref.separation_strengthen(*args), (trial, eta)
+            class_counts.add(len(got.classes))
+    assert {1, 2, 3} <= class_counts
+
+
+def test_separation_strengthen_on_asymmetric_link_distances():
+    # the one short leg runs from link 1's sender to link 0's: link 0 is
+    # separated from link 1, but not link 1 from link 0, so they clash
+    f = np.full((4, 4), 10.0)
+    np.fill_diagonal(f, 0.0)
+    f[0, 1], f[2, 3], f[2, 0] = 4.0, 2.0, 1.0
+    sys_ = LinkSystem(DecaySpace(f), links=[(0, 1), (2, 3)])
+    quasi = QuasiMetric(sys_.space, 1.0)
+    assert check_separation(sys_, quasi, 0, [1], 1.0)
+    assert not check_separation(sys_, quasi, 1, [0], 1.0)
+    part = separation_strengthen(sys_, quasi, [0, 1], tau=0.1, eta=1.0)
+    assert part.classes == ((1,), (0,)) and part.bound == 2
+
+
 def test_separation_strengthen_singleton_and_errors():
     sys_ = random_link_system(5, 8300, alpha=2.0)
     quasi = quasi_distances(sys_.space, 2.0)
@@ -234,12 +275,12 @@ def test_separation_strengthen_singleton_and_errors():
 def test_onezetasep_outcomes():
     far = gen_equidecay_graph(2, [], far_decay=100.0)
     quasi = quasi_distances(far.space, 1.0, check=False)
-    assert check_onezetasep(far, quasi, 1.0, [0, 1]) == ("ok", None)
-    assert check_onezetasep(far, quasi, 1.0, [0]) == ("ok", None)
+    assert check_onezetasep(far, quasi, [0, 1]) == ("ok", None)
+    assert check_onezetasep(far, quasi, [0]) == ("ok", None)
 
     near = gen_equidecay_graph(2, [], far_decay=4.0)
     qnear = quasi_distances(near.space, 1.0, check=False)
-    assert check_onezetasep(near, qnear, 1.0, [0, 1]) == ("inapplicable", None)
+    assert check_onezetasep(near, qnear, [0, 1]) == ("inapplicable", None)
 
     # strongly feasible in decay terms, yet the quasi-metric puts the
     # links on top of each other: the hypothesis-conclusion wiring
@@ -254,12 +295,12 @@ def test_onezetasep_outcomes():
     np.fill_diagonal(d, 0.0)
     d[0, 1] = d[1, 0] = 10.0
     d[2, 3] = d[3, 2] = 10.0
-    status, pair = check_onezetasep(sys_, QuasiMetric(DecaySpace(d), 1.0), 1.0, [0, 1])
+    status, pair = check_onezetasep(sys_, QuasiMetric(DecaySpace(d), 1.0), [0, 1])
     assert status == "violation" and pair == (0, 1)
 
-    for zeta in (0.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            check_onezetasep(far, quasi, zeta, [0, 1])
+    # zeta comes from the quasi-metric, which holds any positive finite one
+    with pytest.raises(ValueError, match="zeta must be finite and at least 1"):
+        check_onezetasep(far, QuasiMetric(far.space, 0.5), [0, 1])
 
 
 def test_amicable_subset_keeps_half():
@@ -271,7 +312,7 @@ def test_amicable_subset_keeps_half():
         S = capacity_uniform(sys_, z, quasi).selected
         if len(S) < 2:
             continue
-        out, diag = amicable_subset(sys_, quasi, z, S)
+        out, diag = amicable_subset(sys_, quasi, S)
         assert 2 * len(out) >= diag["stage2_size"]
         assert set(out) <= set(S)
         assert diag["input_size"] == len(S)
@@ -290,7 +331,7 @@ def test_amicable_subset_large_beta_branch():
     S = [0, 1, 2]
     assert is_feasible(sys_, S)[0]
     assert math.e ** 2 / sys_.params.beta < 1.0
-    out, diag = amicable_subset(sys_, quasi, 1.0, S)
+    out, diag = amicable_subset(sys_, quasi, S)
     assert diag["stage1_size"] == 3 and diag["stage1_classes"] == 1
     assert out == (0, 1, 2)
 
@@ -299,8 +340,8 @@ def test_amicable_subset_input_checks():
     sys_ = gen_equidecay_graph(3, [(0, 1)])
     quasi = quasi_distances(sys_.space, 1.0, check=False)
     with pytest.raises(ValueError):
-        amicable_subset(sys_, quasi, 1.0, [])
+        amicable_subset(sys_, quasi, [])
     with pytest.raises(ValueError):
-        amicable_subset(sys_, quasi, 1.0, [0, 1])  # infeasible input
-    with pytest.raises(ValueError):
-        amicable_subset(sys_, quasi, 0.5, [0, 2])
+        amicable_subset(sys_, quasi, [0, 1])  # infeasible input
+    with pytest.raises(ValueError, match="zeta must be finite and at least 1"):
+        amicable_subset(sys_, QuasiMetric(sys_.space, 0.5), [0, 2])

@@ -272,7 +272,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                  ["capacity", "--system", good, "--zeta", "inf"],
                  ["partition", "--system", good, "--kind", "signal", "--q", "inf"],
                  ["partition", "--system", good, "--kind", "signal", "--q", "1e308"],
-                 ["fading", "--space", cloud, "--r", "1", "--C", "inf"]):
+                 ["fading", "--space", cloud, "--r", "1", "--C", "inf"],
+                 ["fading", "--space", cloud, "--r", "1e-9", "--exact-limit", "-1"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), argv
 

@@ -219,8 +219,8 @@ def test_every_link_set_argument_is_checked_alike():
         "check_separation_set": lambda S: check_separation_set(sys_, quasi, S, 0.5),
         "signal_strengthen": lambda S: signal_strengthen(sys_, S, 1.0, 3.0),
         "separation_strengthen": lambda S: separation_strengthen(sys_, quasi, S, 1e-9, 0.5),
-        "check_onezetasep": lambda S: check_onezetasep(sys_, quasi, 3.0, S),
-        "amicable_subset": lambda S: amicable_subset(sys_, quasi, 3.0, S),
+        "check_onezetasep": lambda S: check_onezetasep(sys_, quasi, S),
+        "amicable_subset": lambda S: amicable_subset(sys_, quasi, S),
     }
     for name, call in takes_a_set.items():
         for S, why in (([-1], "out of range"), ([n], "out of range"), ([1, -1], "out of range"),
@@ -257,12 +257,13 @@ def test_every_quasi_argument_must_match_its_space():
             "capacity_uniform": lambda: capacity_uniform(sys_, 3.0, quasi=quasi),
             "check_separation_set": lambda: check_separation_set(sys_, quasi, [0, 1], 0.5),
             "check_separation": lambda: check_separation(sys_, quasi, 0, [1], 0.5),
+            "check_separation from none": lambda: check_separation(sys_, quasi, 0, [], 0.5),
             "link_distance": lambda: link_distance(sys_, quasi, 0, 1),
             "link_lengths": lambda: sys_.link_lengths(quasi),
             "separation_strengthen": lambda: separation_strengthen(sys_, quasi, [0, 1], 0.5, 0.5),
-            "check_onezetasep": lambda: check_onezetasep(sys_, quasi, 3.0, [0, 1]),
-            "check_onezetasep of one link": lambda: check_onezetasep(sys_, quasi, 3.0, [0]),
-            "check_onezetasep of none": lambda: check_onezetasep(sys_, quasi, 3.0, []),
+            "check_onezetasep": lambda: check_onezetasep(sys_, quasi, [0, 1]),
+            "check_onezetasep of one link": lambda: check_onezetasep(sys_, quasi, [0]),
+            "check_onezetasep of none": lambda: check_onezetasep(sys_, quasi, []),
             "independence_at": lambda: independence_at(space, quasi, 0),
             "guard_set": lambda: guard_set(space, quasi, 0),
             "fading_parameter": lambda: fading_parameter(space, 1.0, quasi=quasi),
