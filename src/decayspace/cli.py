@@ -237,8 +237,18 @@ def _take(params, name, default=None, required=False):
     return default
 
 
+def _take_count(params, name):
+    # int() would floor 3.5 and pass true or "7" as a count
+    value = _take(params, name, required=True)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise UsageError("generate: parameter %r must be a whole number, got %s"
+                         % (name, json.dumps(value)))
+    return int(value)
+
+
 def _gen_edges(params, seed):
-    n = int(_take(params, "n", required=True))
+    n = _take_count(params, "n")
     if "edges" in params:
         edges = [tuple(e) for e in _take(params, "edges")]
     else:
@@ -256,7 +266,7 @@ def _gen_instance(family, params, seed):
         if "points" in params:
             pts = _take(params, "points")
         else:
-            n = int(_take(params, "n", required=True))
+            n = _take_count(params, "n")
             if seed is None:
                 raise UsageError("generate: random points need --seed")
             pts = random_points(
@@ -266,11 +276,11 @@ def _gen_instance(family, params, seed):
     if family == "threepoint":
         return gen_threepoint(float(_take(params, "q", required=True))), None
     if family == "star":
-        return gen_star(int(_take(params, "k", required=True)),
+        return gen_star(_take_count(params, "k"),
                         float(_take(params, "r", required=True))), None
     if family == "welzl":
         eps = float(_take(params, "eps", 1e-6))
-        return gen_welzl(int(_take(params, "n", required=True)), eps=eps), None
+        return gen_welzl(_take_count(params, "n"), eps=eps), None
     if family == "equidecay":
         n, edges = _gen_edges(params, seed)
         far = _take(params, "far_decay")

@@ -37,7 +37,7 @@ def _edge_array(n, edges):
 
 
 def random_points(n, seed, plant_collinear=False):
-    """Uniform points in the unit square, reproducible by seed.
+    """At most MAX_NODES uniform points in the unit square, reproducible by seed.
 
     plant_collinear overwrites the last three points with an exactly
     collinear, evenly spaced triple on a dyadic grid, so that the
@@ -49,6 +49,7 @@ def random_points(n, seed, plant_collinear=False):
         raise ValueError("need at least one point")
     if plant_collinear and n < 3:
         raise ValueError("planting a collinear triple needs n >= 3")
+    _check_nodes("a point cloud", n)
     for attempt in range(MAX_RESAMPLES):
         rng = np.random.default_rng(seed + 7919 * attempt)
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
@@ -238,6 +239,7 @@ def random_link_system(n_links, seed, beta=1.0, noise=0.0, alpha=2.5, box=4.0):
 
     Senders land uniformly in a box of the given side; each receiver
     sits at its sender plus a short random offset. Powers are uniform.
+    The 2 * n_links nodes are capped at MAX_NODES.
     The box side tunes interference density; it must be positive and
     at most MAX_BOX. Coinciding points are resampled, at most
     MAX_RESAMPLES times. A box so small that distinct nodes get zero
@@ -246,6 +248,7 @@ def random_link_system(n_links, seed, beta=1.0, noise=0.0, alpha=2.5, box=4.0):
     """
     if n_links < 1:
         raise ValueError("need at least one link")
+    _check_nodes("a link system", 2 * n_links)
     if not (0 < box < np.inf):
         raise ValueError("box must be positive and finite")
     if box > MAX_BOX:

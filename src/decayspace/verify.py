@@ -293,8 +293,12 @@ def _check_amicable(seed):
         out, diag = amicable_subset(sys, quasi, S)
         if 2 * len(out) < diag["stage2_size"]:
             return False, "survivor count fell below half on instance %d" % k
+        if not set(out) <= set(S):
+            return False, "output %s left the input %s on instance %d" % (out, S, k)
+        if (diag["input_size"], diag["output_size"]) != (len(S), len(out)):
+            return False, "diagnostics miscount the sets on instance %d" % k
         used += 1
-    return used > 0, "amicable pipeline kept half the class on %d instances" % used
+    return used >= 3, "amicable pipeline kept half the class on %d instances" % used
 
 
 def _check_fading_values(seed):
@@ -319,10 +323,12 @@ def _check_fading_star(seed):
     rep = fading_parameter(star, 1.0)
     if abs(rep.per_node[0] - (1.0 + 4.0 / 17.0)) > 1e-12:
         return False, "stray-node value %.6f" % rep.per_node[0]
-    if abs(rep.gamma - 1.25) > 1e-12:
-        return False, "star parameter %.6f" % rep.gamma
+    # the hub hears the stray plus 4 leaves
+    if rep.gamma != 1.25 or rep.witness_set != (0, 2, 3, 4, 5) or not rep.exact:
+        return False, "star parameter %r at %s (exact %s)" % (
+            rep.gamma, rep.witness_set, rep.exact)
     two = DecaySpace(np.array([[0.0, 5.0], [5.0, 0.0]]))
-    if abs(fading_parameter(two, 1.0).gamma - 0.2) > 1e-12:
+    if fading_parameter(two, 1.0).gamma != 0.2:
         return False, "two-node fading wrong"
     big = fading_parameter(two, 6.0)
     if big.gamma != 0.0 or big.witness_set != ():
@@ -331,6 +337,8 @@ def _check_fading_star(seed):
     dev = abs(interference_at(leaves, range(2, 18), 0) - 16.0 / 257.0)
     if dev > 1e-12:
         return False, "16-leaf star interference off 16/257 by %.2e" % dev
+    if interference_at(leaves, [], 0) != 0.0:
+        return False, "no senders still interfere"
     return True, "star per-node and parameter values exact, 16-leaf interference 16/257"
 
 
@@ -444,9 +452,11 @@ def _check_dimensions(seed):
     dim, _, _, _ = independence_dimension(uni, quasi, exact_limit=16)
     if dim != 1:
         return False, "uniform independence %d" % dim
+    # every ball in a uniform space is a single point or everything,
+    # and everything packs to one node at any finer scale
     est = assouad_estimate(uni, exact_limit=16)
-    if est.assouad != 0.0:
-        return False, "uniform growth degree %.3f" % est.assouad
+    if est.assouad != 0.0 or not est.exact:
+        return False, "uniform growth degree %.3f (exact %s)" % (est.assouad, est.exact)
     rep = fading_parameter(uni, 1.0, exact_limit=16)
     if rep.gamma != 15.0:
         return False, "uniform fading %.3f, not n-1" % rep.gamma
@@ -454,6 +464,9 @@ def _check_dimensions(seed):
     est2 = assouad_estimate(two)
     if est2.assouad != 0.0 or any(gq != 1 for _, gq in est2.samples):
         return False, "two-node estimate %.6f" % est2.assouad
+    fitted = assouad_estimate(two, C=None)
+    if fitted.assouad != 0.0 or fitted.C != 1.0:
+        return False, "two-node fit %.6f at C=%.6f" % (fitted.assouad, fitted.C)
     worst = 0
     for k in range(100):
         space = gen_euclidean(random_points(20, seed + 80000 + k), 3.0)
@@ -472,18 +485,17 @@ def _check_dimensions(seed):
 
 
 def _check_monotone_power(seed):
-    f = np.array([[1.0, 50.0], [50.0, 4.0]])
-    sq = LinkSystem(DecaySpace(f, mode="link-gain"),
-                    power=PowerAssignment.explicit([1.0, 16.0]))
-    ok1, pair = is_monotone_power(sq)
-    root = LinkSystem(DecaySpace(f, mode="link-gain"),
-                      power=PowerAssignment.explicit([1.0, 2.0]))
-    ok2, _ = is_monotone_power(root)
-    uni = LinkSystem(DecaySpace(f, mode="link-gain"))
-    ok3, _ = is_monotone_power(uni)
-    if ok1 or pair != (0, 1):
+    space = DecaySpace(np.array([[1.0, 50.0], [50.0, 4.0]]), mode="link-gain")
+
+    def split(*powers):
+        return is_monotone_power(LinkSystem(space, power=PowerAssignment.explicit(powers)))
+
+    # received strength grows with length under square powers
+    if split(1.0, 16.0) != (False, (0, 1)):
         return False, "square powers passed as monotone"
-    if not (ok2 and ok3):
+    if split(2.0, 1.0) != (False, (0, 1)):
+        return False, "decreasing powers passed as monotone"
+    if split(1.0, 2.0) != (True, None) or is_monotone_power(LinkSystem(space)) != (True, None):
         return False, "square-root or uniform powers failed"
     return True, "power monotonicity split the power laws correctly"
 
@@ -533,8 +545,11 @@ def run_verify(seed):
     """Run every registered check at seed; returns one item per check.
 
     An item is {"name", "ok", "detail"}, in registry order; a check that
-    raises counts as a failed item rather than aborting the run.
+    raises counts as a failed item rather than aborting the run. A
+    negative seed raises ValueError before any check runs.
     """
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer, got %d" % seed)
     items = []
     for name, fn in _CHECKS:
         try:

@@ -1,9 +1,10 @@
 """Release gate: the `decayspace verify` registry, run once, read as a checklist.
 
 Every claim lives in decayspace.verify._CHECKS; this file codes none of
-its own. It runs `verify --seed 0` in process while a `python -m
-decayspace verify --seed 0` subprocess runs alongside, then reports one
-test per check, each printing "check NAME PASS/FAIL: detail". The
+its own, and fails if a _check_* function is left out of the registry.
+It runs `verify --seed 0` in process while a `python -m decayspace
+verify --seed 0` subprocess runs alongside, then reports one test per
+check, each printing "check NAME PASS/FAIL: detail". The
 criterion tests name the checks that carry each release criterion.
 Criterion 01 also caps every compute_zeta call the registry makes at
 5 s, a timer kept outside the deterministic report; criterion 10
@@ -58,6 +59,15 @@ def gate(tmp_path_factory):
         "zeta_seconds": zeta_seconds,
         "subprocess": (proc.returncode, stdout, stderr),
     }
+
+
+def test_registry_runs_every_check():
+    # a _check_* function left out of _CHECKS would silently never run
+    names = [name for name, _ in verify._CHECKS]
+    registered = [fn.__name__ for _, fn in verify._CHECKS]
+    defined = sorted(name for name in vars(verify) if name.startswith("_check_"))
+    assert sorted(registered) == defined
+    assert names == sorted(set(names))
 
 
 @pytest.mark.parametrize("name", [name for name, _ in verify._CHECKS])

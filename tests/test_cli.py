@@ -14,6 +14,7 @@ from decayspace import (
     check_separation_set,
     gen_equidecay_graph,
     gen_euclidean,
+    load_space,
     load_system,
     quasi_distances,
     random_link_system,
@@ -242,12 +243,28 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert code == 2 and out == "" and "error:" in err, (family, params)
         assert not os.path.exists(out_path)
 
-    # stars past the node cap, and welzl chains whose 2**n overflows, are
-    # refused before any matrix is allocated
+    # a count that is not a whole number is refused, not floored or cast
+    for family, params, name in (("star", '{"k": 3.5, "r": 1}', "'k'"),
+                                 ("star", '{"k": true, "r": 1}', "'k'"),
+                                 ("welzl", '{"n": "7"}', "'n'"),
+                                 ("equidecay", '{"n": 4.5, "edges": []}', "'n'")):
+        code, out, err = run(capsys, "generate", "--family", family,
+                             "--params", params, "--out", out_path)
+        assert code == 2 and out == "" and "must be a whole number" in err and name in err
+        assert not os.path.exists(out_path)
+    for k in ("12", "12.0"):
+        assert run(capsys, "generate", "--family", "star",
+                   "--params", '{"k": %s, "r": 1}' % k, "--out", out_path)[0] == 0
+        assert load_space(out_path).n == 14
+    os.remove(out_path)
+
+    # stars past the node cap, random clouds past it, and welzl chains
+    # whose 2**n overflows, are refused before any matrix is allocated
     for family, params, limit in (("star", '{"k": 100000, "r": 1}', "at most"),
                                   ("star", '{"k": 1000000000, "r": 1}', "at most"),
+                                  ("euclidean", '{"n": 1e10, "alpha": 3}', "at most"),
                                   ("welzl", '{"n": 1100}', "at most 1023")):
-        code, out, err = run(capsys, "generate", "--family", family,
+        code, out, err = run(capsys, "generate", "--family", family, "--seed", "1",
                              "--params", params, "--out", out_path)
         assert code == 2 and out == "" and err.startswith("error: ") and limit in err
         assert not os.path.exists(out_path)
@@ -276,6 +293,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                  ["fading", "--space", cloud, "--r", "1e-9", "--exact-limit", "-1"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), argv
+    # a negative seed is refused before any check draws from it
+    code, out, err = run(capsys, "verify", "--seed", "-1")
+    assert (code, out) == (2, "") and err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_partition_signal_cli(tmp_path, capsys):

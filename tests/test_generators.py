@@ -325,11 +325,14 @@ np.random.default_rng = lambda *args, **kw: _Stuck()
     ("random_link_system(20, 1, box=MAX_BOX * (1 + 2 ** -52))", "exceeds MAX_BOX"),
     (_STUCK + "random_link_system(5, 1)", "draws"),
     (_STUCK + "random_points(5, 1)", "draws"),
+    # the node cap is checked before anything is drawn
+    ("random_points(MAX_NODES + 1, 1)", "a point cloud has at most"),
+    ("random_link_system(10 ** 10, 1)", "a link system has at most"),
 ])
 def test_random_generators_reject_or_stop(call, why):
     # in a child process, so a resample loop that never ends fails on the timeout
     script = ("import numpy as np\nfrom decayspace import random_link_system, random_points\n"
-              "from decayspace.generators import MAX_BOX\n"
+              "from decayspace.generators import MAX_BOX, MAX_NODES\n"
               "try:\n" + "".join("    %s\n" % line for line in call.strip().splitlines())
               + "except ValueError as e:\n    print('ValueError:', e)\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
