@@ -46,6 +46,22 @@ def _packing_conflicts(S, t):
     return S <= 2.0 * np.asarray(t, dtype=float)[..., None, None]
 
 
+def _first_fit_cliques(cliques, masks, nodes):
+    """Add each node to the first clique of cliques it conflicts with entirely, else a new one.
+
+    cliques is a list of vertex masks, extended in place and returned.
+    """
+    for v in nodes:
+        row = masks[v]
+        for i, c in enumerate(cliques):
+            if c & row == c:
+                cliques[i] = c | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+    return cliques
+
+
 def ball(space, y, t):
     """Nodes whose decay toward y is strictly below t."""
     if not (t > 0):
@@ -103,18 +119,27 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     lower bounds; exact reports whether every packing was exact.
 
     Each center's column is sorted once (stably), so every ball is a
-    prefix of that order, and a ball is packed only when it holds more
-    than g(q) nodes; the others cannot raise g(q). Such a ball is packed
-    once, on the conflict masks of its prefix: up to exact_limit nodes
-    by one exact search with g(q) as its floor, which returns the ball's
-    optimum when that beats g(q) and g(q) otherwise; past it by a
-    first-fit greedy in node-index order, the order packing_number
-    visits its sorted body, which clears the exact flag. Either way g(q)
-    ends where a packing_number call per ball would leave it. The
-    matrices of one center and scale are built as one stack per block
-    of radii, sized like the metricity kernels' blocks (about 2**18
-    entries, a single K x K prefix matrix at least), so memory stays
-    O(n**2).
+    prefix of that order, and the weaker-direction decays are permuted
+    into that order once per center. A ball is packed only when it holds
+    more than g(q) nodes; the others cannot raise g(q). Up to
+    exact_limit nodes, one clique partition rides along each (center, q)
+    radius sweep. A ball's conflict threshold 2r/q grows with r, so a
+    clique of one ball stays a clique in every later ball of the sweep.
+    Each ball adds its new nodes first-fit: a node joins the first clique
+    it conflicts with entirely, or starts a new one. A packing holds at
+    most one node per clique, so a ball whose partition has at most g(q)
+    cliques cannot raise g(q) and is skipped. Otherwise the partition is
+    rebuilt first-fit on the ball, and only if it still has more than
+    g(q) cliques is the ball searched, once, on the conflict masks of
+    its prefix, with g(q) as the floor; the search returns the ball's
+    optimum when that beats g(q) and g(q) otherwise. Past exact_limit a
+    ball is packed by a first-fit greedy in node-index order, the order
+    packing_number visits its sorted body, which clears the exact flag.
+    Either way g(q) ends where a packing_number call per ball would
+    leave it. The matrices of one center and scale are built as one
+    stack per block of radii, sized like the metricity kernels' blocks
+    (about 2**18 entries, a single K x K prefix matrix at least), so
+    memory stays O(n**2).
     """
     if C is not None and not (0 < C < math.inf):
         raise ValueError("C must be positive and finite")
@@ -138,15 +163,18 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
         radii = radii[radii > 0]
         # the ball of radius r is order[:k], k the count of decays below r
         sizes = np.searchsorted(col, radii)
+        if not sizes.size or sizes[-1] <= min(g.values()):
+            continue
+        Sx = S[np.ix_(order, order)]
         for q in g:
             todo = np.flatnonzero(sizes > g[q])
             if not todo.size:
                 continue
             K = int(sizes[todo[-1]])
-            Sx = S[np.ix_(order[:K], order[:K])]
+            cliques, seen = [], 0
             for j0, j1 in _stack_blocks(todo.size, K):
                 sel = todo[j0:j1]
-                stack = _packing_conflicts(Sx, radii[sel] / q)
+                stack = _packing_conflicts(Sx[:K, :K], radii[sel] / q)
                 for k, masks in zip(sizes[sel].tolist(), _neighbor_masks(stack)):
                     if k <= g[q]:
                         continue
@@ -154,7 +182,13 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
                         all_exact = False
                         packed = _first_fit(masks, np.argsort(order[:k]).tolist())
                         g[q] = max(g[q], packed.bit_count())
-                    else:
+                        continue
+                    _first_fit_cliques(cliques, masks, range(seen, k))
+                    seen = k
+                    if len(cliques) <= g[q]:
+                        continue
+                    cliques = _first_fit_cliques([], masks, range(k))
+                    if len(cliques) > g[q]:
                         g[q] = int(_branch(masks[:k], ones, float(g[q]))[1])
     samples = [(float(q), int(g[float(q)])) for q in q_grid]
     if C is None:

@@ -247,12 +247,23 @@ def _take_count(params, name):
     return int(value)
 
 
+def _take_real(params, name, default=None, required=False):
+    # float() would read true as 1.0 and "16" as 16.0
+    if name not in params and not required:
+        return default
+    value = _take(params, name, required=True)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError("generate: parameter %r must be a number, got %s"
+                         % (name, json.dumps(value)))
+    return float(value)
+
+
 def _gen_edges(params, seed):
     n = _take_count(params, "n")
     if "edges" in params:
         edges = [tuple(e) for e in _take(params, "edges")]
     else:
-        p = float(_take(params, "p", 0.5))
+        p = _take_real(params, "p", 0.5)
         if seed is None:
             raise UsageError("generate: random edges need --seed")
         edges = random_graph(n, p, seed)[1]
@@ -262,7 +273,7 @@ def _gen_edges(params, seed):
 def _gen_instance(family, params, seed):
     # (space, system) of the family; system is None for a bare space
     if family == "euclidean":
-        alpha = float(_take(params, "alpha", required=True))
+        alpha = _take_real(params, "alpha", required=True)
         if "points" in params:
             pts = _take(params, "points")
         else:
@@ -274,21 +285,21 @@ def _gen_instance(family, params, seed):
             )
         return gen_euclidean(pts, alpha), None
     if family == "threepoint":
-        return gen_threepoint(float(_take(params, "q", required=True))), None
+        return gen_threepoint(_take_real(params, "q", required=True)), None
     if family == "star":
         return gen_star(_take_count(params, "k"),
-                        float(_take(params, "r", required=True))), None
+                        _take_real(params, "r", required=True)), None
     if family == "welzl":
-        eps = float(_take(params, "eps", 1e-6))
+        eps = _take_real(params, "eps", 1e-6)
         return gen_welzl(_take_count(params, "n"), eps=eps), None
     if family == "equidecay":
         n, edges = _gen_edges(params, seed)
-        far = _take(params, "far_decay")
+        far = _take_real(params, "far_decay")
         system = gen_equidecay_graph(n, edges, far_decay=far)
     elif family == "twoline":
         n, edges = _gen_edges(params, seed)
-        alpha = float(_take(params, "alpha", required=True))
-        delta = float(_take(params, "delta", 0.25))
+        alpha = _take_real(params, "alpha", required=True)
+        delta = _take_real(params, "delta", 0.25)
         system = gen_twoline(n, edges, alpha, delta=delta)
     else:
         raise UsageError("unknown family %r" % family)

@@ -19,6 +19,14 @@ MAX_NODES = 4096
 MAX_BOX = 1e9
 
 
+def _count(name, value):
+    # int() would floor 3.5 and read True as 1; numpy refuses a float shape
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not float(value).is_integer()):
+        raise ValueError("%s must be a whole number, got %r" % (name, value))
+    return int(value)
+
+
 def _check_nodes(what, n):
     # called before any allocation, so an oversized request costs nothing
     if n > MAX_NODES:
@@ -45,6 +53,7 @@ def random_points(n, seed, plant_collinear=False):
     error. Points are deduplicated by resampling, at most
     MAX_RESAMPLES times before a ValueError.
     """
+    n = _count("n", n)
     if n < 1:
         raise ValueError("need at least one point")
     if plant_collinear and n < 3:
@@ -105,6 +114,7 @@ def gen_star(k, r):
     r much smaller than k**2: the stray hears all k leaves at decay
     just above k**2 each. k + 2 is capped at MAX_NODES.
     """
+    k = _count("k", k)
     if k < 1:
         raise ValueError("need at least one leaf")
     _check_nodes("a star", k + 2)
@@ -132,6 +142,7 @@ def gen_welzl(n, eps=1e-6):
     2**n must be a finite float, so n is at most 1023 (and n + 2 stays
     within MAX_NODES).
     """
+    n = _count("n", n)
     if n < 1:
         raise ValueError("need a chain of at least two nodes")
     if n > 1023:
@@ -157,7 +168,7 @@ def gen_equidecay_graph(n_vertices, edges, far_decay=None):
     is independent in the graph, and adjacent pairs are infeasible
     under every power assignment. n is capped at MAX_NODES.
     """
-    n = int(n_vertices)
+    n = _count("n_vertices", n_vertices)
     if n < 1:
         raise ValueError("need at least one vertex")
     _check_nodes("an equidecay graph", n)
@@ -188,7 +199,7 @@ def gen_twoline(n_vertices, edges, alpha, delta=0.25):
     assignment since n**(2a) > (n**a - delta)**2. 2n is capped at
     MAX_NODES.
     """
-    n = int(n_vertices)
+    n = _count("n_vertices", n_vertices)
     if n < 2:
         raise ValueError("need at least two vertices")
     _check_nodes("a twoline construction", 2 * n)
@@ -221,6 +232,7 @@ def gen_twoline(n_vertices, edges, alpha, delta=0.25):
 
 def random_graph(n, p, seed):
     """Erdos-Renyi style edge list, reproducible by seed."""
+    n = _count("n", n)
     if n < 1:
         raise ValueError("need at least one vertex")
     if not (0 <= p <= 1):
@@ -246,6 +258,7 @@ def random_link_system(n_links, seed, beta=1.0, noise=0.0, alpha=2.5, box=4.0):
     decay breaks the indiscernibles axiom, so DecaySpace rejects it
     with a ValueError.
     """
+    n_links = _count("n_links", n_links)
     if n_links < 1:
         raise ValueError("need at least one link")
     _check_nodes("a link system", 2 * n_links)

@@ -9,12 +9,36 @@ block, so a whole stack of conflict matrices converts in one pass.
 The search runs on an explicit stack, so exact_limit is not bounded by
 Python's recursion limit.
 
-Pruning bound: cover the available vertices greedily with cliques,
-each grown from the lowest uncovered vertex through its lowest
-uncovered common neighbours. A clique holds at most one vertex of an
-independent set, so the sum of the heaviest weight in each clique
-bounds what a branch can still add. This is the colouring bound of
-Tomita-Seki MCQ (2003) and San Segundo's bitset BBMC (2011).
+Pruning bound: cover the available vertices greedily with cliques in
+decreasing weight order, ties by index. Each clique is seeded by the
+heaviest uncovered vertex and grown through its heaviest uncovered
+common neighbours. A clique holds at most one vertex of an
+independent set, so the sum of the seeds' weights bounds what a
+branch can still add. This is the colouring bound of Tomita-Seki MCQ
+(2003) and San Segundo's bitset BBMC (2011), in the weighted form of
+Kumlander (2004), which covers in decreasing weight order.
+
+Rank space: _branch ranks the vertices once per call and carries a
+second avail mask in which bit i is the i-th heaviest vertex. The
+lowest set bit then seeds each clique, so _cover compares no weights.
+A push updates both masks in O(1); an avail that the admission hook
+returns is remapped. When the weights do not increase with the index,
+unit weights included, the rank order is the identity and the masks
+are used as they are. The bound only decides which branches are
+pruned. It never fixes the branching order, which stays include-first
+on the lowest index, so any valid bound leaves the witness untouched.
+
+Rounding: the cover sums its seeds in rank order, but a path's value
+sums its weights in index order, so two float sums of the same set
+can differ. A pruned branch could beat the incumbent only by the
+rounding of the path's value, of a completed set's value, of the
+cover's total and of the prune margin itself: four sums of at most
+n + 1 non-negative terms, each off by under (n + 1) * 2**-53 of the
+larger of the total weight and the floor. The prune test takes
+tol = (n + 2) * 2**-50 of that off its margin, so a pruned branch
+cannot improve strictly in floating point either. Integer weights
+below 2**53 sum exactly in any order; there tol is 0 and a tie
+prunes, as in the unit-weight searches.
 
 Witness contract: the search branches include-first on the lowest
 available vertex and replaces the incumbent only on a strict
@@ -32,11 +56,11 @@ survives the floor: until the lexicographically least optimum is
 reached every incumbent stays below the optimum, so no branch holding
 that set is pruned, and after it only strictly heavier sets replace
 it. The public searches use floor 0.0, which is the search without a
-floor. assouad_estimate runs one search per ball with its incumbent
-g(q) as the floor, and the value returned is its new g(q): the ball's
-optimum when that beats g(q), and g(q) itself otherwise. Past
-exact_limit it and _search share _first_fit, the one greedy pass,
-each in its own vertex order.
+floor. assouad_estimate searches a ball that its clique partition
+cannot settle with its incumbent g(q) as the floor, and the value
+returned is its new g(q): the ball's optimum when that beats g(q),
+and g(q) itself otherwise. Past exact_limit it and _search share
+_first_fit, the one greedy pass, each in its own vertex order.
 
 Admission hook: _branch(..., admit=hook, state=s0) calls
 hook(v, chosen, avail, state) when it includes v and goes on with the
@@ -95,26 +119,41 @@ def _members(mask):
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _can_improve(avail, masks, w, val, best):
-    # greedy clique cover of avail; stops as soon as the bound clears best
+def _by_weight(w):
+    """Vertices in decreasing weight order, ties by index (the sort is stable)."""
+    return sorted(range(len(w)), key=w.__getitem__, reverse=True)
+
+
+def _remap(mask, pos):
+    """mask with each bit v moved to bit pos[v]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << pos[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _cover(avail, masks, w, stop):
+    """Weight of a greedy clique cover of avail, or its first partial weight above stop.
+
+    Rank space: bit i is the i-th heaviest vertex, so the lowest
+    uncovered bit seeds each clique with the clique's heaviest weight.
+    """
     total = 0.0
     while avail:
         low = avail & -avail
-        avail ^= low
         v = low.bit_length() - 1
-        heaviest = w[v]
+        total += w[v]
+        if total > stop:
+            return total
+        avail ^= low
         cand = avail & masks[v]
         while cand:
             low = cand & -cand
             avail ^= low
-            u = low.bit_length() - 1
-            if w[u] > heaviest:
-                heaviest = w[u]
-            cand &= masks[u]
-        total += heaviest
-        if val + total > best:
-            return True
-    return False
+            cand &= masks[low.bit_length() - 1]
+    return total
 
 
 def _branch(masks, w, floor, admit=None, state=None):
@@ -125,24 +164,44 @@ def _branch(masks, w, floor, admit=None, state=None):
     already in chosen and its neighbours are out of avail when admit
     sees them.
     """
+    n = len(masks)
+    full = (1 << n) - 1
+    w = w[:n]
+    rank = _by_weight(w)
+    pos = list(range(n))
+    if rank == pos:
+        rmasks, rw = masks, w
+    else:
+        for i, v in enumerate(rank):
+            pos[v] = i
+        rmasks = [_remap(masks[v] & full, pos) for v in rank]
+        rw = [w[v] for v in rank]
+    total = sum(w)
+    exact = total < 2 ** 53 and all(map(float.is_integer, w))
+    tol = 0.0 if exact else (n + 2) * 2.0 ** -50 * max(total, floor)
     best_val, best_mask = floor, 0
-    stack = [((1 << len(masks)) - 1, 0, 0.0, state)]
+    stack = [(full, full, 0, 0.0, state)]
     while stack:
-        avail, chosen, val, state = stack.pop()
+        avail, ravail, chosen, val, state = stack.pop()
         if not avail:
             if val > best_val:
                 best_val, best_mask = val, chosen
-        elif _can_improve(avail, masks, w, val, best_val):
+            continue
+        stop = best_val - val - tol
+        if _cover(ravail, rmasks, rw, stop) > stop:
             bit = avail & -avail
             v = bit.bit_length() - 1
-            stack.append((avail ^ bit, chosen, val, state))
+            rbit = 1 << pos[v]
+            stack.append((avail ^ bit, ravail ^ rbit, chosen, val, state))
             inc = avail & ~(bit | masks[v])
             if admit is None:
-                stack.append((inc, chosen | bit, val + w[v], state))
+                rinc = ravail & ~(rbit | rmasks[pos[v]])
+                stack.append((inc, rinc, chosen | bit, val + w[v], state))
             else:
                 inc = admit(v, chosen | bit, inc, state)
                 if inc is not None:
-                    stack.append((inc[0], chosen | bit, val + w[v], inc[1]))
+                    rinc = inc[0] if rmasks is masks else _remap(inc[0] & full, pos)
+                    stack.append((inc[0], rinc, chosen | bit, val + w[v], inc[1]))
     return best_mask, best_val
 
 
@@ -164,7 +223,7 @@ def _search(weights, conflict, exact_limit):
     masks = _neighbor_masks(conflict)
     w = weights.tolist()
     if n > exact_limit:
-        members = _members(_first_fit(masks, sorted(range(n), key=lambda v: (-w[v], v))))
+        members = _members(_first_fit(masks, _by_weight(w)))
         return members, float(weights[list(members)].sum()), False
     best_mask, best_val = _branch(masks, w, 0.0)
     return _members(best_mask), float(best_val), True

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 
 import analysis_reference as ref
-from decayspace import analysis
+from decayspace import analysis, search
 from decayspace import (
     DecaySpace,
     assouad_estimate,
@@ -220,10 +220,11 @@ def test_assouad_matches_per_call_reference(case):
         assert fast.exact and max(g for _, g in fast.samples) > 1
 
 
-def test_assouad_packs_each_ball_once_by_one_search(monkeypatch):
+def test_assouad_searches_only_balls_its_clique_partition_leaves_open(monkeypatch):
     # the per-call reference packs every ball that holds more than g(q)
-    # nodes by one packing_number call; the estimate packs each such ball
-    # by one floor search on its prefix masks and never calls packing_number
+    # nodes by one packing_number call; the estimate never calls
+    # packing_number, and searches only the balls whose clique partition
+    # still has more than g(q) cliques when it is rebuilt on the ball
     space = gen_euclidean(random_points(16, 4), 3.0)
     balls, packings, searches = [], [], []
     pack, branch = ref.packing_number, analysis._branch
@@ -236,7 +237,56 @@ def test_assouad_packs_each_ball_once_by_one_search(monkeypatch):
     assert est.samples == want.samples and est.exact
     assert packings == []
     assert all(k > floor for k, floor in searches)
-    assert 0 < len(searches) == len(balls)
+    assert 0 < len(searches) < len(balls)
+
+
+def _is_clique_partition(cliques, conflict, k):
+    members = [[v for v in range(k) if c >> v & 1] for c in cliques]
+    return (sorted(v for m in members for v in m) == list(range(k))
+            and all(conflict[a, b] for m in members for a in m for b in m if a != b))
+
+
+def test_first_fit_cliques_stay_a_partition_along_a_sweep():
+    # a sweep's balls are prefixes under growing conflict thresholds, so
+    # cliques of one ball stay cliques of every later ball of the sweep
+    rng = np.random.default_rng(3)
+    for trial in range(30):
+        n = 1 + trial % 20
+        d = rng.random((n, n))
+        S = np.minimum(d, d.T)
+        thresholds = np.sort(rng.random(4))
+        sizes = np.sort(rng.integers(0, n + 1, 4))
+        stack = analysis._packing_conflicts(S, thresholds / 2.0)
+        conflicts = stack | np.swapaxes(stack, 1, 2)
+        cliques, seen = [], 0
+        for k, masks, conflict in zip(sizes.tolist(), analysis._neighbor_masks(stack), conflicts):
+            analysis._first_fit_cliques(cliques, masks, range(seen, k))
+            seen = k
+            assert _is_clique_partition(cliques, conflict, k)
+            rebuilt = analysis._first_fit_cliques([], masks, range(k))
+            assert _is_clique_partition(rebuilt, conflict, k)
+            assert len(rebuilt) >= len(max_independent_set(conflict[:k, :k], k)[0])
+
+
+def test_exact_search_work_stays_below_the_index_order_bound(monkeypatch):
+    # work counts on the first fit and mwis instances of the growth
+    # benchmark; before the weight-ordered cover and the carried clique
+    # partition the estimate ran 2573 searches with 3398 bound
+    # evaluations, and the fading search made 13154 bound evaluations;
+    # with them, 82 searches with 791 evaluations, and 4728 evaluations
+    runs, bounds = [], []
+    branch, cover = analysis._branch, search._cover
+    monkeypatch.setattr(analysis, "_branch", lambda *a: runs.append(1) or branch(*a))
+    monkeypatch.setattr(search, "_cover", lambda *a: bounds.append(1) or cover(*a))
+    est = assouad_estimate(gen_euclidean(random_points(24, 10000), 3.0), C=None)
+    assert est.exact and est.samples == [(1.5, 4), (2.0, 4), (3.0, 5), (4.0, 5), (8.0, 6),
+                                         (16.0, 8)]
+    assert len(runs) < 2573 and len(bounds) < 3398
+    bounds.clear()
+    rep = fading_parameter(gen_euclidean(random_points(32, 20000), 3.0), 0.02, exact_limit=32)
+    assert rep.exact and rep.gamma == 2.9625632311718038
+    assert rep.witness_set == (1, 2, 5, 6, 10, 16, 18, 19, 21, 24)
+    assert len(bounds) < 13154
 
 
 def test_assouad_conflict_stacks_stay_bounded(monkeypatch):

@@ -371,6 +371,27 @@ def test_fading_cli(tmp_path, capsys):
     assert run(capsys, "fading", "--space", path, "--r", "-1")[0] == 2
 
 
+def test_generate_refuses_real_parameters_that_are_not_numbers(tmp_path, capsys):
+    # float() would read true as 1.0 and "16" as 16.0
+    out_path = str(tmp_path / "x.json")
+    for family, params, name in (("star", '{"k": 3, "r": true}', "'r'"),
+                                 ("threepoint", '{"q": "16"}', "'q'"),
+                                 ("euclidean", '{"n": 4, "alpha": "3"}', "'alpha'"),
+                                 ("welzl", '{"n": 4, "eps": false}', "'eps'"),
+                                 ("equidecay", '{"n": 4, "p": true}', "'p'"),
+                                 ("equidecay", '{"n": 4, "edges": [], "far_decay": "9"}',
+                                  "'far_decay'"),
+                                 ("twoline", '{"n": 4, "edges": [], "alpha": 3, "delta": null}',
+                                  "'delta'")):
+        code, out, err = run(capsys, "generate", "--family", family, "--seed", "1",
+                             "--params", params, "--out", out_path)
+        assert code == 2 and out == "" and "must be a number" in err and name in err, err
+        assert not os.path.exists(out_path)
+    for family, params in (("star", '{"k": 3, "r": 1}'), ("threepoint", '{"q": 16}')):
+        assert run(capsys, "generate", "--family", family,
+                   "--params", params, "--out", out_path)[0] == 0
+
+
 def test_generate_random_edges_then_capacity(tmp_path, capsys):
     path = str(tmp_path / "rand.json")
     code, out, _ = run(capsys, "generate", "--family", "equidecay",

@@ -52,6 +52,36 @@ def test_random_points_rejects_bad_inputs():
         random_points(2, 1, plant_collinear=True)
 
 
+_COUNTED = {
+    "random_points": lambda n: random_points(n, 1),
+    "gen_star": lambda n: gen_star(n, 1.0),
+    "gen_welzl": gen_welzl,
+    "gen_equidecay_graph": lambda n: gen_equidecay_graph(n, []),
+    "gen_twoline": lambda n: gen_twoline(n, [], 2.5),
+    "random_graph": lambda n: random_graph(n, 0.5, 1),
+    "random_link_system": lambda n: random_link_system(n, 1),
+}
+
+
+def _size(made):
+    # points, random_graph's (n, edges), a link system or a space
+    if isinstance(made, np.ndarray):
+        return len(made)
+    if isinstance(made, tuple):
+        return made[0]
+    return getattr(made, "space", made).n
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTED))
+def test_counts_must_be_whole_numbers(name):
+    # a count is neither floored (3.5 -> 3) nor read from a bool
+    build = _COUNTED[name]
+    for bad in (3.5, 3.7, True, np.True_, float("nan"), float("inf"), "3"):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            build(bad)
+    assert _size(build(3.0)) == _size(build(np.int64(3))) == _size(build(3))
+
+
 def test_gen_euclidean_path_loss():
     sp = gen_euclidean([[0.0, 0.0], [3.0, 4.0]], 2.0)
     assert sp.f[0, 1] == 25.0 and sp.f[1, 0] == 25.0

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from decayspace.search import _branch, _neighbor_masks, max_independent_set
+from decayspace import fading_parameter, gen_star
+from decayspace.search import (
+    _branch, _neighbor_masks, max_independent_set, max_weight_independent_set,
+)
 
 
 def test_exact_search_depth_is_not_recursion_bound():
@@ -55,24 +58,37 @@ def _brute_branch(conflict, w, floor, max_size=None):
     # every independent set, in the include-first order the engine walks:
     # at the first vertex where two sets differ, the one holding it comes first
     n = len(w)
+    rows = [sum(1 << b for b in range(n) if conflict[a, b] and a != b) for a in range(n)]
     sets = [s for s in range(1 << n)
-            if not any(conflict[a, b] for a in range(n) for b in range(a) if s >> a & s >> b & 1)
+            if not any(s >> a & 1 and rows[a] & s for a in range(n))
             and (max_size is None or bin(s).count("1") <= max_size)]
     sets.sort(key=lambda s: [0 if s >> v & 1 else 1 for v in range(n)])
+    # summed in index order, as the engine adds weights along a path
     val = lambda s: sum(w[v] for v in range(n) if s >> v & 1)
-    better = [s for s in sets if val(s) > floor]
+    better = [(val(s), s) for s in sets if val(s) > floor]
     if not better:
         return 0, floor
-    pick = max(better, key=lambda s: (val(s), -better.index(s)))
-    return pick, float(val(pick))
+    top = max(v for v, _ in better)
+    return next(s for v, s in better if v == top), float(top)
 
 
 def _random_graphs():
+    # unit, small-integer, real and tied real weights up to 14 vertices;
+    # the ties are equal non-unit weights planted on random vertices
     rng = np.random.default_rng(7)
-    for k in range(40):
-        n = 1 + k % 10
+    for k in range(56):
+        n = 1 + k % 14
         conflict = rng.random((n, n)) < (0.1, 0.3, 0.6)[k % 3]
-        w = [1.0] * n if k % 2 else [float(x) for x in rng.integers(1, 4, n)]
+        kind = k % 4
+        if kind == 0:
+            w = [1.0] * n
+        elif kind == 1:
+            w = [float(x) for x in rng.integers(1, 4, n)]
+        else:
+            w = rng.uniform(0.1, 3.0, n)
+            if kind == 3:
+                w[rng.random(n) < 0.5] = w[0] / 3.0
+            w = w.tolist()
         yield conflict, w
 
 
@@ -85,6 +101,10 @@ def test_branch_without_hook_matches_include_first_enumeration():
             assert _branch(masks, w, floor) == want
             assert _branch(masks, w, floor, admit=None) == want
             assert _branch(masks, w, floor, admit=passthrough, state=0) == want
+            # a prefix of the masks carries bits of the vertices left out, as
+            # a ball prefix does, and the weights may run past it
+            want = _brute_branch((conflict | conflict.T)[:-1, :-1], w[:-1], floor)
+            assert _branch(masks[:-1], w, floor) == want
 
 
 def test_hook_that_rejects_everything_leaves_the_floor():
@@ -106,9 +126,32 @@ def test_narrowing_hook_is_an_extra_conflict_and_state_rides_the_stack():
         members = [v for v in range(n) if got >> v & 1]
         assert not any(later[a, b] for a in members for b in members)
         assert (got, val) == _branch(_neighbor_masks(conflict | later), w, 0.0)
-        # a size cap kept in the state: the first independent set of that size
+        # a size cap kept in the state: the first independent set of that size,
+        # or under real weights the heaviest, whose avail the rank space remaps
         for cap in (1, 2, 3):
             capped = lambda v, chosen, avail, size: (avail, size + 1) if size < cap else None
-            want = _brute_branch(conflict | conflict.T, [1.0] * n, 0.0, max_size=cap)
-            assert _branch(_neighbor_masks(conflict), [1.0] * n, 0.0,
-                           admit=capped, state=0) == want
+            for weights in ([1.0] * n, w):
+                want = _brute_branch(conflict | conflict.T, weights, 0.0, max_size=cap)
+                assert _branch(_neighbor_masks(conflict), weights, 0.0,
+                               admit=capped, state=0) == want
+
+
+def test_equal_weight_ties_keep_the_star_witness():
+    # the hub and the stray of a 6-leaf star hear six leaves of equal
+    # weight, and a leaf hears the hub, then the lighter stray, then the
+    # other leaves: the rank space reorders a leaf's candidates and breaks
+    # the ties among equal leaves by index
+    rep = fading_parameter(gen_star(6, 0.5), 36.0)
+    assert rep.exact and rep.gamma == 6.000000000000001
+    assert rep.witness_set == (2, 3, 4, 5, 6, 7)
+    assert rep.per_node[0] == 5.917808219178082 and rep.per_node[2] == 3.5000000000000004
+
+
+def test_prune_allows_for_float_sums_in_another_order():
+    # summed in index order, {0, 1, 2} weighs 0.9 and {1, 2, 3}
+    # 0.9000000000000001; a bound that ignored the rounding of its own sum
+    # would tie them at 0.9 and prune the heavier set
+    conflict = np.zeros((4, 4), dtype=bool)
+    conflict[0, 3] = True
+    assert max_weight_independent_set([0.3, 0.2, 0.4, 0.3], conflict) == (
+        (1, 2, 3), 0.9000000000000001, True)
