@@ -21,8 +21,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .search import (
-    _branch, _check_exact_limit, _first_fit, _neighbor_masks, max_independent_set,
-    max_weight_independent_set,
+    _branch, _check_exact_limit, _first_fit, _first_fit_cliques, _neighbor_masks,
+    max_independent_set, max_weight_independent_set,
 )
 from .spaces import _node_index, _quasi_table, _row_blocks
 
@@ -44,22 +44,6 @@ def _packing_conflicts(S, t):
     array of scales gives one conflict matrix per scale, stacked.
     """
     return S <= 2.0 * np.asarray(t, dtype=float)[..., None, None]
-
-
-def _first_fit_cliques(cliques, masks, nodes):
-    """Add each node to the first clique of cliques it conflicts with entirely, else a new one.
-
-    cliques is a list of vertex masks, extended in place and returned.
-    """
-    for v in nodes:
-        row = masks[v]
-        for i, c in enumerate(cliques):
-            if c & row == c:
-                cliques[i] = c | 1 << v
-                break
-        else:
-            cliques.append(1 << v)
-    return cliques
 
 
 def ball(space, y, t):

@@ -20,8 +20,8 @@ quasi-metric at another zeta than its own.
 capacity_oracle is the ground truth for small systems: the exact
 maximum feasible subset, found as an independent-set search on the
 shared branch-and-bound of decayspace.search, with pairwise SINR
-conflicts as edges and an admission hook that keeps every chosen
-link's uncapped in-affectance at most 1.
+conflicts as edges and a load cap that keeps every chosen link's
+uncapped in-affectance at most 1.
 """
 
 import math
@@ -125,13 +125,14 @@ def capacity_oracle(sys, max_n=20):
 
     A unit-weight run of the shared branch-and-bound (search._branch)
     over the links that clear the noise floor alone. Two links whose
-    one-on-one uncapped affectance exceeds 1 conflict, and an admission
-    hook keeps the running uncapped in-affectance of every chosen link
-    at most 1; the search module says why that pruning is exact in
-    floating point. The search branches include-first on the lowest
-    link and keeps only strict improvements, so the answer is the
-    lexicographically least maximizer. It is exponential in the worst
-    case; max_n caps the number of links. Returns (size, members).
+    one-on-one uncapped affectance exceeds 1 conflict, and the search's
+    load cap, with the uncapped affectances as loads, keeps the running
+    in-affectance of every chosen link at most 1; the search module says
+    why that pruning is exact in floating point. The search branches
+    include-first on the lowest link and keeps only strict improvements,
+    so the answer is the lexicographically least maximizer. It is
+    exponential in the worst case; max_n caps the number of links.
+    Returns (size, members).
     """
     n = sys.n_links
     if n > max_n:
@@ -143,18 +144,7 @@ def capacity_oracle(sys, max_n=20):
     if not len(candidates):
         return 0, ()
     raw = affectance_matrix(sys, capped=False)[np.ix_(candidates, candidates)]
-
-    def admit(v, chosen, avail, load):
-        load = load + raw[v]
-        # NaN loads count as over, as they fail the column-sum test
-        over = int.from_bytes(np.packbits(~(load <= 1.0), bitorder="little").tobytes(), "little")
-        if over & chosen:
-            return None
-        return avail & ~over, load
-
-    k = len(candidates)
-    best, _ = _branch(_neighbor_masks(raw > 1.0), [1.0] * k, 0.0,
-                      admit=admit, state=np.zeros(k))
+    best, _ = _branch(_neighbor_masks(raw > 1.0), [1.0] * len(candidates), 0.0, loads=raw)
     members = tuple(int(candidates[v]) for v in _members(best))
     return len(members), members
 

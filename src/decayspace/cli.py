@@ -280,9 +280,12 @@ def _gen_instance(family, params, seed):
             n = _take_count(params, "n")
             if seed is None:
                 raise UsageError("generate: random points need --seed")
-            pts = random_points(
-                n, seed, plant_collinear=bool(_take(params, "plant_collinear", False))
-            )
+            plant = _take(params, "plant_collinear", False)
+            # bool() would read "false" as true
+            if not isinstance(plant, bool):
+                raise UsageError("generate: parameter 'plant_collinear' must be true or "
+                                 "false, got %s" % json.dumps(plant))
+            pts = random_points(n, seed, plant_collinear=plant)
         return gen_euclidean(pts, alpha), None
     if family == "threepoint":
         return gen_threepoint(_take_real(params, "q", required=True)), None

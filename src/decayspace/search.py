@@ -9,20 +9,26 @@ block, so a whole stack of conflict matrices converts in one pass.
 The search runs on an explicit stack, so exact_limit is not bounded by
 Python's recursion limit.
 
-Pruning bound: cover the available vertices greedily with cliques in
-decreasing weight order, ties by index. Each clique is seeded by the
-heaviest uncovered vertex and grown through its heaviest uncovered
-common neighbours. A clique holds at most one vertex of an
-independent set, so the sum of the seeds' weights bounds what a
+Clique routines: a clique holds at most one vertex of an independent
+set, so a clique cover of a vertex set bounds its independent sets,
+and both clique routines live here, on the same masks. _cover is the
+pruning bound: it covers the available vertices greedily with cliques
+in decreasing weight order, ties by index. Each clique is seeded by
+the heaviest uncovered vertex and grown through its heaviest uncovered
+common neighbours, and the sum of the seeds' weights bounds what a
 branch can still add. This is the colouring bound of Tomita-Seki MCQ
 (2003) and San Segundo's bitset BBMC (2011), in the weighted form of
 Kumlander (2004), which covers in decreasing weight order.
+_first_fit_cliques is the unit-weight partition that assouad_estimate
+carries along a radius sweep: each new vertex joins the first clique
+it conflicts with entirely, or starts a new one, so a partition can
+grow vertex by vertex as the balls grow, without a search.
 
 Rank space: _branch ranks the vertices once per call and carries a
 second avail mask in which bit i is the i-th heaviest vertex. The
 lowest set bit then seeds each clique, so _cover compares no weights.
-A push updates both masks in O(1); an avail that the admission hook
-returns is remapped. When the weights do not increase with the index,
+A push updates both masks in O(1); an avail that the load cap
+narrows is remapped. When the weights do not increase with the index,
 unit weights included, the rank order is the identity and the masks
 are used as they are. The bound only decides which branches are
 pruned. It never fixes the branching order, which stays include-first
@@ -62,26 +68,25 @@ returned is its new g(q): the ball's optimum when that beats g(q),
 and g(q) itself otherwise. Past exact_limit it and _search share
 _first_fit, the one greedy pass, each in its own vertex order.
 
-Admission hook: _branch(..., admit=hook, state=s0) calls
-hook(v, chosen, avail, state) when it includes v and goes on with the
-(avail, state) the hook returns, or drops the include branch on None;
-state starts as s0 and rides on the stack. The search then ranges
-over the independent sets the hook admits at every step. The witness
-rule survives when the admitted sets are closed under subsets: every
-set on the path to the lexicographically least admitted optimum is
-admitted too, and the bound, which ignores the hook, only
-overestimates. capacity_oracle is such a run: unit weights, the
-pairwise conflicts raw > 1 as masks, and as state the running
-in-affectance load[x], the sum of raw[u, x] over the chosen links u.
-It admits v when no chosen link, v included, has a load above 1, and
-drops from avail every link whose load is already above 1. Links are
-included in ascending index order, so each load is the same
-left-to-right float sum that a column sum of the chosen block
-computes, and a sequential float sum of non-negative terms never
-decreases as a term is added. "Every chosen link has load <= 1" is
-therefore closed under subsets in floating point, not only over the
-reals, and pruning at load > 1 is exact. The public independent-set
-searches and assouad_estimate pass no hook.
+Load cap: _branch(..., loads=L) takes an (n, n) matrix of non-negative
+floats and carries a load vector on the stack, the sum of the rows
+L[u] over the chosen vertices u. Including v adds L[v]; the include
+branch is dropped when a chosen vertex, v included, has a load above 1
+(a NaN load counts as over), and every vertex already over 1 leaves
+avail. The search then ranges over the independent sets whose every
+member has load at most 1. Vertices are included in ascending index
+order, so each load is the same left-to-right float sum that a column
+sum of the chosen block computes, and a sequential float sum of
+non-negative terms never decreases as a term is added. "Every chosen
+vertex has load <= 1" is therefore closed under subsets in floating
+point, not only over the reals, and pruning at load > 1 is exact:
+every set on the path to the lexicographically least capped optimum is
+capped too, and the bound, which ignores the loads, only
+overestimates. So the witness rule survives. capacity_oracle is the
+one such run: unit weights, the pairwise conflicts raw > 1 as masks
+and the uncapped affectances raw as loads, so a load is a link's
+in-affectance from the chosen links. The public independent-set
+searches and assouad_estimate pass no loads.
 """
 
 import numpy as np
@@ -156,13 +161,28 @@ def _cover(avail, masks, w, stop):
     return total
 
 
-def _branch(masks, w, floor, admit=None, state=None):
+def _first_fit_cliques(cliques, masks, nodes):
+    """Add each node to the first clique of cliques it conflicts with entirely, else a new one.
+
+    cliques is a list of vertex masks, extended in place and returned.
+    """
+    for v in nodes:
+        row = masks[v]
+        for i, c in enumerate(cliques):
+            if c & row == c:
+                cliques[i] = c | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+    return cliques
+
+
+def _branch(masks, w, floor, loads=None):
     """Best (mask, value) over the vertices of masks, improving strictly on floor.
 
     Returns (0, floor) when no independent set is heavier than floor.
-    admit and state follow the admission hook contract above; v is
-    already in chosen and its neighbours are out of avail when admit
-    sees them.
+    loads is None or an (n, n) float matrix, n = len(masks), under the
+    load cap contract above.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -180,9 +200,9 @@ def _branch(masks, w, floor, admit=None, state=None):
     exact = total < 2 ** 53 and all(map(float.is_integer, w))
     tol = 0.0 if exact else (n + 2) * 2.0 ** -50 * max(total, floor)
     best_val, best_mask = floor, 0
-    stack = [(full, full, 0, 0.0, state)]
+    stack = [(full, full, 0, 0.0, None if loads is None else np.zeros(n))]
     while stack:
-        avail, ravail, chosen, val, state = stack.pop()
+        avail, ravail, chosen, val, load = stack.pop()
         if not avail:
             if val > best_val:
                 best_val, best_mask = val, chosen
@@ -192,16 +212,20 @@ def _branch(masks, w, floor, admit=None, state=None):
             bit = avail & -avail
             v = bit.bit_length() - 1
             rbit = 1 << pos[v]
-            stack.append((avail ^ bit, ravail ^ rbit, chosen, val, state))
+            stack.append((avail ^ bit, ravail ^ rbit, chosen, val, load))
             inc = avail & ~(bit | masks[v])
-            if admit is None:
+            if loads is None:
                 rinc = ravail & ~(rbit | rmasks[pos[v]])
-                stack.append((inc, rinc, chosen | bit, val + w[v], state))
             else:
-                inc = admit(v, chosen | bit, inc, state)
-                if inc is not None:
-                    rinc = inc[0] if rmasks is masks else _remap(inc[0] & full, pos)
-                    stack.append((inc[0], rinc, chosen | bit, val + w[v], inc[1]))
+                load = load + loads[v]
+                # a NaN load counts as over, as it fails the column-sum test
+                over = np.packbits(~(load <= 1.0), bitorder="little").tobytes()
+                over = int.from_bytes(over, "little")
+                if over & (chosen | bit):
+                    continue
+                inc &= ~over
+                rinc = inc if rmasks is masks else _remap(inc, pos)
+            stack.append((inc, rinc, chosen | bit, val + w[v], load))
     return best_mask, best_val
 
 
@@ -248,6 +272,6 @@ def max_weight_independent_set(weights, conflict, exact_limit=24):
     weight order (ties by index), which is a lower bound.
     """
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
+    if not np.all(weights >= 0):  # NaN fails the test too
         raise ValueError("weights must be non-negative")
     return _search(weights, conflict, exact_limit)

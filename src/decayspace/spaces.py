@@ -268,8 +268,10 @@ def compute_zeta(space, tol=1e-9):
     t = 1/zeta to absolute tolerance tol and returns the feasible
     endpoint, so the triangle check on the resulting quasi-distances
     passes. The error on zeta itself is about zeta**2 * tol. A
-    constrained triple with a zero leg can never be satisfied; the
-    result is then inf with that triple as witness.
+    constrained triple with a zero leg, a hopeless one, can never be
+    satisfied; the result is then inf with the least such triple as
+    witness. Its log leg is -inf, so it passes every filter of the pass
+    below, and the first block that holds one returns it.
 
     The triples are visited in blocks of x-rows, as broadcast (B, n, n)
     slices of log f, so memory stays O(n**2). With u and v the log
@@ -286,7 +288,7 @@ def compute_zeta(space, tol=1e-9):
     block instead. Both give the same probes, result and witness.
 
     On a symmetric f every pass scans only the triples with x < y, the
-    hopeless pre-pass and the constrained filter alike. The mirror
+    constrained filter and the bisection alike. The mirror
     (y, z, x) of a triple swaps its legs, and the tests that decide the
     result read them through max, min and np.logaddexp, which are
     commutative to the bit: the mirror is hopeless, passes or fails at
@@ -303,15 +305,7 @@ def compute_zeta(space, tol=1e-9):
         return 1.0, 1.0, None
     f, n = space.f, space.n
     blocks = list(_target_blocks(n, _symmetric(f), _row_blocks(n, n * n)))
-    off = ~np.eye(n, dtype=bool)
-    if not f[off].all():
-        for x0, x1, c0, mask in blocks:
-            a, b, c = f[x0:x1, :, None], f[None, :, c0:], f[x0:x1, None, c0:]
-            hopeless = ((c > np.maximum(a, b)) & (np.minimum(a, b) == 0)
-                        & _distinct(off, x0, x1, c0, mask))
-            if hopeless.any():
-                w = _triple(np.argmax(hopeless), n, x0, c0)
-                return float("inf"), float("inf"), w
+    zero_legs = not f[~np.eye(n, dtype=bool)].all()
     logf = np.log(f)
     flat = logf.ravel()
     scale = float(np.abs(logf[np.isfinite(logf)]).max())
@@ -338,6 +332,11 @@ def compute_zeta(space, tol=1e-9):
         part = constrained(x0, x1, c0, mask, tk * (1 + _MARGIN))
         if not len(part[3]):
             continue
+        if zero_legs:
+            # a zero leg has log -inf, so a hopeless triple passes every filter
+            hopeless = np.flatnonzero(np.minimum(part[0], part[1]) == -np.inf)
+            if len(hopeless):
+                return float("inf"), float("inf"), _triple(part[3][hopeless[0]], n)
         if T == np.inf:
             # the least upper end ln2 / min(u, v) of a root bracket
             la, lb, lc, _ = part

@@ -117,6 +117,9 @@ def test_every_exact_limit_argument_is_checked_alike():
             with pytest.raises(ValueError, match="exact_limit must be an integer >= 0"):
                 call(k)
                 pytest.fail("%s accepted %r" % (name, k))
+    for w in (-1.0, math.nan):  # weights are guarded alike: NaN fails "weights >= 0"
+        with pytest.raises(ValueError, match="weights must be non-negative"):
+            max_weight_independent_set([w, 1.0], conflict[:2, :2])
 
 
 def test_assouad_degenerate_spaces():
@@ -260,10 +263,10 @@ def test_first_fit_cliques_stay_a_partition_along_a_sweep():
         conflicts = stack | np.swapaxes(stack, 1, 2)
         cliques, seen = [], 0
         for k, masks, conflict in zip(sizes.tolist(), analysis._neighbor_masks(stack), conflicts):
-            analysis._first_fit_cliques(cliques, masks, range(seen, k))
+            search._first_fit_cliques(cliques, masks, range(seen, k))
             seen = k
             assert _is_clique_partition(cliques, conflict, k)
-            rebuilt = analysis._first_fit_cliques([], masks, range(k))
+            rebuilt = search._first_fit_cliques([], masks, range(k))
             assert _is_clique_partition(rebuilt, conflict, k)
             assert len(rebuilt) >= len(max_independent_set(conflict[:k, :k], k)[0])
 

@@ -100,7 +100,6 @@ def test_csv_space_accepted(tmp_path, capsys):
     assert report(out)["results"]["mode"] == "node-space"
 
 
-
 NON_FINITE = {
     "nan.json": '{"mode": "node-space", "n": 3, "f": [[0, 1, 2], [1, 0, NaN], [2, 1, 0]]}',
     "inf.json": '{"mode": "link-gain", "n": 3, "f": [[1, 2, 2], [2, 1, Infinity], [2, 2, 1]]}',
@@ -369,6 +368,16 @@ def test_fading_cli(tmp_path, capsys):
     assert "growth" not in report(out)["results"]
 
     assert run(capsys, "fading", "--space", path, "--r", "-1")[0] == 2
+
+
+def test_generate_takes_plant_collinear_only_as_a_json_boolean(tmp_path, capsys):
+    # bool() would read "false" as true and plant the collinear points
+    out_path, params = str(tmp_path / "x.json"), '{"n": 5, "alpha": 2, "plant_collinear": %s}'
+    for plant, want in (('"false"', 2), ("0", 2), ("null", 2), ("false", 0), ("true", 0)):
+        code, out, err = run(capsys, "generate", "--family", "euclidean", "--seed", "1",
+                             "--params", params % plant, "--out", out_path)
+        assert code == want and (want == 0 or "'plant_collinear'" in err and out == ""), err
+        assert os.path.exists(out_path) == (want == 0)
 
 
 def test_generate_refuses_real_parameters_that_are_not_numbers(tmp_path, capsys):

@@ -93,14 +93,12 @@ def _random_graphs():
 
 
 def test_branch_without_hook_matches_include_first_enumeration():
-    passthrough = lambda v, chosen, avail, state: (avail, state)
     for conflict, w in _random_graphs():
         masks = _neighbor_masks(conflict)
         for floor in (0.0, 1.0, 2.5):
             want = _brute_branch(conflict | conflict.T, w, floor)
             assert _branch(masks, w, floor) == want
-            assert _branch(masks, w, floor, admit=None) == want
-            assert _branch(masks, w, floor, admit=passthrough, state=0) == want
+            assert _branch(masks, w, floor, loads=np.zeros((len(w), len(w)))) == want
             # a prefix of the masks carries bits of the vertices left out, as
             # a ball prefix does, and the weights may run past it
             want = _brute_branch((conflict | conflict.T)[:-1, :-1], w[:-1], floor)
@@ -108,32 +106,25 @@ def test_branch_without_hook_matches_include_first_enumeration():
 
 
 def test_hook_that_rejects_everything_leaves_the_floor():
-    reject = lambda v, chosen, avail, state: None
     for conflict, w in _random_graphs():
         masks = _neighbor_masks(conflict)
-        for floor in (0.0, 1.5):
-            assert _branch(masks, w, floor, admit=reject) == (0, floor)
+        for floor, over in ((0.0, 2.0), (1.5, 2.0), (0.0, np.nan)):  # a NaN load is over
+            assert _branch(masks, w, floor, loads=np.diag([over] * len(w))) == (0, floor)
 
 
 def test_narrowing_hook_is_an_extra_conflict_and_state_rides_the_stack():
     rng = np.random.default_rng(11)
     for conflict, w in _random_graphs():
-        n = len(w)
-        later = np.triu(rng.random((n, n)) < 0.3, 1)  # including v drops the u > v in row v
-        drop = [sum(1 << int(u) for u in np.flatnonzero(later[v])) for v in range(n)]
-        narrow = lambda v, chosen, avail, state: (avail & ~drop[v], state)
-        got, val = _branch(_neighbor_masks(conflict), w, 0.0, admit=narrow)
-        members = [v for v in range(n) if got >> v & 1]
-        assert not any(later[a, b] for a in members for b in members)
-        assert (got, val) == _branch(_neighbor_masks(conflict | later), w, 0.0)
-        # a size cap kept in the state: the first independent set of that size,
-        # or under real weights the heaviest, whose avail the rank space remaps
-        for cap in (1, 2, 3):
-            capped = lambda v, chosen, avail, size: (avail, size + 1) if size < cap else None
+        n, masks = len(w), _neighbor_masks(conflict)
+        later = np.triu(rng.random((n, n)) < 0.3, 1)  # including v overloads the u > v in row v
+        wider = _neighbor_masks(conflict | later)
+        assert _branch(masks, w, 0.0, loads=2.0 * later) == _branch(wider, w, 0.0)
+        # pairs loading each other by 2, 1 or 0.5 cap a set at 1, 2 or 3 vertices: the first
+        # such independent set, or under real weights the heaviest (rank space remaps avail)
+        for cap, load in ((1, 2.0), (2, 1.0), (3, 0.5)):
             for weights in ([1.0] * n, w):
                 want = _brute_branch(conflict | conflict.T, weights, 0.0, max_size=cap)
-                assert _branch(_neighbor_masks(conflict), weights, 0.0,
-                               admit=capped, state=0) == want
+                assert _branch(masks, weights, 0.0, loads=load * (1.0 - np.eye(n))) == want
 
 
 def test_equal_weight_ties_keep_the_star_witness():
