@@ -71,8 +71,9 @@ class UsageError(Exception):
 
 
 def _plain(obj):
+    # fields read directly: dataclasses.asdict would deep-copy every leaf first
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _plain(dataclasses.asdict(obj))
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -89,7 +90,13 @@ def _read(load, what, path):
 
 def _resolve_zeta(flag, space, tol):
     if flag == "auto":
-        return float(compute_zeta(space, tol=tol)[1])
+        _, zeta, witness = compute_zeta(space, tol=tol)
+        if zeta == math.inf:
+            x, z, y = witness
+            raise UsageError(
+                "--zeta auto: no finite metricity exponent exists: f(%d,%d) exceeds its "
+                "legs f(%d,%d) and f(%d,%d), and one leg is 0" % (x, y, x, z, z, y))
+        return float(zeta)
     try:
         zeta = float(flag)
     except ValueError:
@@ -191,7 +198,7 @@ def _cmd_fading(args):
     space = _read(load_space, "space", args.space)
     quasi = None
     if args.separation == "quasi":
-        quasi = _default_quasi(space, float(compute_zeta(space, tol=args.tol)[1]))
+        quasi = _default_quasi(space, _resolve_zeta("auto", space, args.tol))
     rep = fading_parameter(space, args.r, exact_limit=args.exact_limit, quasi=quasi)
     results = {"fading": rep}
     code = 0

@@ -58,15 +58,22 @@ integer >= 0.
 Floor contract: _branch(masks, w, floor) starts from floor as its
 incumbent value with no witness, so it returns a set only when one
 beats floor strictly, and otherwise (0, floor). The witness rule
-survives the floor: until the lexicographically least optimum is
-reached every incumbent stays below the optimum, so no branch holding
-that set is pruned, and after it only strictly heavier sets replace
-it. The public searches use floor 0.0, which is the search without a
-floor. assouad_estimate searches a ball that its clique partition
-cannot settle with its incumbent g(q) as the floor, and the value
-returned is its new g(q): the ball's optimum when that beats g(q),
-and g(q) itself otherwise. Past exact_limit it and _search share
-_first_fit, the one greedy pass, each in its own vertex order.
+survives any floor below the optimum: until the lexicographically
+least optimum is reached every incumbent stays below it, so no branch
+holding that set is pruned, and after it only strictly heavier sets
+replace it. The public searches warm-start from their greedy set: the
+_first_fit pass in decreasing weight order, which past exact_limit is
+their answer, and up to it their floor less (n + 2) * 2**-50 of its
+value. That is more than its numpy sum and any path's index-order sum
+of the same weights can differ, so floor < greedy <= optimum in
+floating point too, and the search returns what it returns from floor
+0.0 without first climbing to the greedy value. A greedy value of 0.0
+(all weights 0) keeps floor 0.0. assouad_estimate searches a ball that
+its clique partition cannot settle with its incumbent g(q) as the
+floor, and the value returned is its new g(q): the ball's optimum when
+that beats g(q), and g(q) itself otherwise. Past exact_limit it and
+_search share _first_fit, the one greedy pass, each in its own vertex
+order.
 
 Load cap: _branch(..., loads=L) takes an (n, n) matrix of non-negative
 floats and carries a load vector on the stack, the sum of the rows
@@ -246,10 +253,13 @@ def _search(weights, conflict, exact_limit):
         return (), 0.0, True
     masks = _neighbor_masks(conflict)
     w = weights.tolist()
+    members = _members(_first_fit(masks, _by_weight(w)))
+    value = float(weights[list(members)].sum())
     if n > exact_limit:
-        members = _members(_first_fit(masks, _by_weight(w)))
-        return members, float(weights[list(members)].sum()), False
-    best_mask, best_val = _branch(masks, w, 0.0)
+        return members, value, False
+    # below the greedy value by more than any two sums of its weights differ
+    floor = float(np.nextafter(value * (1 - (n + 2) * 2.0 ** -50), -np.inf)) if value else 0.0
+    best_mask, best_val = _branch(masks, w, floor)
     return _members(best_mask), float(best_val), True
 
 

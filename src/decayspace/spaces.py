@@ -36,7 +36,9 @@ each a broadcast (B, n, n) slice of f or log f with B * n * n about
 compute_zeta makes one pass that bounds the least critical exponent
 and collects the few candidate triples that can bind near it, then
 bisects on those alone; every other triple provably passes at every
-exponent the bisection probes.
+exponent the bisection probes. Its blocks open with one row and double
+up to that size, so the bound is set from row 0 before a full-size
+block is scanned, and a tight bound filters the big blocks.
 
 When f equals its transpose exactly (_symmetric), the three kernels
 scan only the outer pairs whose first index is the smaller: (x, y) of
@@ -168,6 +170,17 @@ def _row_blocks(rows, per_row):
     return [(x0, min(rows, x0 + step)) for x0 in range(0, rows, step)]
 
 
+def _doubling_blocks(rows, per_row):
+    """Ranges of rows that open with one row and double up to _row_blocks' step."""
+    step = max(1, _BLOCK // per_row)
+    out, x0, size = [], 0, 1
+    while x0 < rows:
+        out.append((x0, min(rows, x0 + size)))
+        x0 += size
+        size = min(2 * size, step)
+    return out
+
+
 def _target_blocks(n, sym, rows):
     """(x0, x1, c0, mask) for each range x0:x1 of x-rows in rows.
 
@@ -287,6 +300,18 @@ def compute_zeta(space, tol=1e-9):
     tell K from the rest, the bisection tests every triple block by
     block instead. Both give the same probes, result and witness.
 
+    The blocks open with one row and double up to about 2**18 entries
+    (_doubling_blocks). Until a block holds a constrained triple, T is
+    inf and the bound filter keeps every constrained triple, each of
+    which is gathered and tested for K; a one-row first block sets T
+    from n**2 triples, so the full-size blocks are filtered at a tight
+    bound and hand far fewer triples on. The argument above holds for
+    any partition of the rows: K decides every probe as the whole set
+    would, and with the blocks in ascending x, K keeps its key order
+    and the first hopeless triple found is the least. Past n = 362 a
+    block holds a single row, so large spaces scan one row at a time,
+    as before.
+
     On a symmetric f every pass scans only the triples with x < y, the
     constrained filter and the bisection alike. The mirror
     (y, z, x) of a triple swaps its legs, and the tests that decide the
@@ -304,7 +329,7 @@ def compute_zeta(space, tol=1e-9):
     if space.n < 3:
         return 1.0, 1.0, None
     f, n = space.f, space.n
-    blocks = list(_target_blocks(n, _symmetric(f), _row_blocks(n, n * n)))
+    blocks = list(_target_blocks(n, _symmetric(f), _doubling_blocks(n, n * n)))
     zero_legs = not f[~np.eye(n, dtype=bool)].all()
     logf = np.log(f)
     flat = logf.ravel()

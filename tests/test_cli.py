@@ -353,6 +353,25 @@ def test_partition_separation_cli(tmp_path, capsys):
         assert check_separation_set(back, quasi, list(cls), 0.5)
 
 
+# f(0,2) = 4 exceeds its legs f(0,1) = 0 and f(1,2) = 1: no exponent fits
+HOPELESS = {"mode": "link-gain", "n": 3, "f": [[1, 0, 4], [1, 1, 1], [1, 1, 1]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--system", "{path}", "--zeta", "auto"],
+    ["partition", "--system", "{path}", "--kind", "separation"],
+    ["fading", "--space", "{path}", "--r", "1", "--separation", "quasi"],
+], ids=["capacity", "partition-separation", "fading-quasi"])
+def test_zeta_auto_names_the_hopeless_triple(tmp_path, capsys, argv):
+    path = tmp_path / "hopeless.json"
+    doc = HOPELESS if argv[0] == "fading" else {"space": HOPELESS}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *[a.format(path=path) for a in argv])
+    assert code == 2 and out == ""
+    assert err == ("error: --zeta auto: no finite metricity exponent exists: f(0,2) "
+                   "exceeds its legs f(0,1) and f(1,2), and one leg is 0\n")
+
+
 def test_fading_cli(tmp_path, capsys):
     path = str(tmp_path / "cloud.json")
     save_space(gen_euclidean(random_points(12, 3), 3.0), path)

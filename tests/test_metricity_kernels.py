@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from decayspace import (DecaySpace, QuasiMetric, compute_phi, compute_zeta, gen_euclidean,
                         random_points, triangle_violation)
-from decayspace.spaces import LINK_GAIN, NODE_SPACE, _symmetric
+import decayspace.spaces as kernels
+from decayspace.spaces import LINK_GAIN, NODE_SPACE, _doubling_blocks, _symmetric
 
 import metricity_reference as ref
 
@@ -118,11 +119,15 @@ def test_triangle_violation_matches_reference(quasi, tol):
     assert triangle_violation(quasi, tol) == ref.triangle_violation(quasi, tol)
 
 
-def test_blocked_kernels_match_reference_on_fixed_spaces():
-    # a shadowed cloud: alpha=3 decays times symmetric log-normal factors
+def _shadowed_cloud():
+    # alpha=3 decays times symmetric log-normal factors
     base = gen_euclidean(random_points(40, 11), 3.0).f
     g = np.triu(np.random.default_rng(11).normal(0.0, 1.0, size=(40, 40)), 1)
-    assert_matches_reference(DecaySpace(base * np.exp(g + g.T)))
+    return DecaySpace(base * np.exp(g + g.T))
+
+
+def test_blocked_kernels_match_reference_on_fixed_spaces():
+    assert_matches_reference(_shadowed_cloud())
     # every constrained triple binds at t = 1 (2**t = 1**t + 1**t), so the
     # candidate set exceeds n**2 and the search runs block by block
     f = np.where(np.random.default_rng(5).random((20, 20)) < 0.5, 1.0, 2.0)
@@ -133,6 +138,53 @@ def test_blocked_kernels_match_reference_on_fixed_spaces():
     f = 1e300 * (1.0 + 1e-6 * np.random.default_rng(6).integers(0, 3, size=(6, 6)))
     np.fill_diagonal(f, 0.0)
     assert_matches_reference(DecaySpace(f))
+
+
+def test_zeta_blocks_double_from_one_row():
+    # the two n = 48 tests below rely on these blocks
+    assert _doubling_blocks(48, 48 * 48) == [(0, 1), (1, 3), (3, 7), (7, 15), (15, 31), (31, 48)]
+    assert _doubling_blocks(120, 120 * 120)[:7] == [
+        (0, 1), (1, 3), (3, 7), (7, 15), (15, 31), (31, 49), (49, 67)]
+    assert _doubling_blocks(600, 600 * 600)[:2] == [(0, 1), (1, 2)]
+
+
+def test_zeta_bound_stays_open_past_the_small_blocks():
+    # rows 0-19 are all ones, so none holds a constrained triple and the
+    # first bound comes from the 16-row block 15-30, at T = inf
+    rng = np.random.default_rng(8)
+    f = rng.uniform(1.0, 50.0, size=(48, 48))
+    f[:20] = 1.0
+    for g in (f, np.minimum(f, f.T)):
+        np.fill_diagonal(g, 0.0)
+        space = DecaySpace(g)
+        assert ref.compute_zeta(space)[2][0] >= 20
+        assert_matches_reference(space)
+
+
+def test_zeta_returns_the_first_hopeless_block_witness():
+    # the zeros f(5,40) and f(30,41) make the only hopeless triples, in the
+    # blocks 3-6 and 15-30; columns 40 and 41 are small, so no triple has
+    # a zero leg f(z,y) under a larger f(x,y)
+    f = np.random.default_rng(9).uniform(1.0, 2.0, size=(48, 48))
+    f[:, 40:42] = 0.5
+    np.fill_diagonal(f, 1.0)
+    f[5, 40] = f[30, 41] = 0.0
+    space = DecaySpace(f, LINK_GAIN)
+    zeta_raw, zeta, witness = compute_zeta(space)
+    assert zeta_raw == zeta == np.inf and witness[:2] == (5, 40)
+    assert_matches_reference(space)
+    f[5, 40] = 0.5  # the x = 30 triples alone
+    assert compute_zeta(DecaySpace(f, LINK_GAIN))[2][:2] == (30, 41)
+
+
+def test_zeta_filters_with_a_tight_bound(monkeypatch):
+    # once row 0 sets the bound, few triples reach the candidate test;
+    # a first block of 2**18 entries handed it 9,880 here
+    near, handed = kernels._near, []
+    monkeypatch.setattr(kernels, "_near",
+                        lambda part, tk, err: handed.append(len(part[3])) or near(part, tk, err))
+    compute_zeta(_shadowed_cloud())
+    assert 0 < sum(handed) <= 1000
 
 
 def test_kernels_memory_stays_quadratic():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from decayspace import fading_parameter, gen_star
+from decayspace import search
 from decayspace.search import (
     _branch, _neighbor_masks, max_independent_set, max_weight_independent_set,
 )
@@ -146,3 +147,20 @@ def test_prune_allows_for_float_sums_in_another_order():
     conflict[0, 3] = True
     assert max_weight_independent_set([0.3, 0.2, 0.4, 0.3], conflict) == (
         (1, 2, 3), 0.9000000000000001, True)
+
+
+def test_greedy_floor_saves_bound_evaluations_and_keeps_the_witness(monkeypatch):
+    # the public search starts from a floor just below its greedy set,
+    # where a floor-0 run must first climb to it
+    rng = np.random.default_rng(3)
+    conflict = rng.random((28, 28)) < 0.2
+    w = rng.uniform(0.1, 3.0, 28).tolist()
+    calls = []
+    cover = search._cover
+    monkeypatch.setattr(search, "_cover", lambda *a: calls.append(1) or cover(*a))
+    members, value, exact = max_weight_independent_set(w, conflict, exact_limit=28)
+    warm = len(calls)
+    calls.clear()
+    mask, cold_value = _branch(_neighbor_masks(conflict), w, 0.0)
+    assert exact and members == search._members(mask) and value == cold_value
+    assert 0 < warm < len(calls)
