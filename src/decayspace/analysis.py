@@ -24,7 +24,7 @@ from .search import (
     _branch, _check_exact_limit, _first_fit, _first_fit_cliques, _neighbor_masks,
     max_independent_set, max_weight_independent_set,
 )
-from .spaces import _node_index, _quasi_table, _row_blocks
+from .spaces import _node_index, _quasi_table, _real, _row_blocks
 
 
 def _stack_blocks(count, k):
@@ -61,11 +61,9 @@ def packing_number(space, body, t, exact_limit=24):
     nodes. Exact up to exact_limit body nodes, greedy beyond (then a
     lower bound). Returns (count, exact, members).
     """
-    body = sorted(set(int(i) for i in body))
+    body = sorted({_node_index(space, i) for i in body})
     if not body:
         raise ValueError("cannot pack an empty body")
-    for end in (body[0], body[-1]):  # the body is sorted, so its ends bound it
-        _node_index(space, end)
     if not (t > 0):
         raise ValueError("scale must be positive")
     sub = space.f[np.ix_(body, body)]
@@ -160,8 +158,6 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
                 sel = todo[j0:j1]
                 stack = _packing_conflicts(Sx[:K, :K], radii[sel] / q)
                 for k, masks in zip(sizes[sel].tolist(), _neighbor_masks(stack)):
-                    if k <= g[q]:
-                        continue
                     if k > exact_limit:
                         all_exact = False
                         packed = _first_fit(masks, np.argsort(order[:k]).tolist())
@@ -260,7 +256,7 @@ def zeta_hat(s, tol=1e-9):
     M**(1-s)/(s-1) - M**(-s)/2 + s*M**(-s-1)/12; M doubles until the
     next correction term bounds the error below tol.
     """
-    s = float(s)
+    s = _real("s", s)
     if not (1 < s < math.inf):
         raise ValueError("zeta_hat needs a finite s > 1")
     if not (tol > 0):
@@ -283,7 +279,7 @@ def fading_bound(C, A):
     """
     if not (0 < C < math.inf):
         raise ValueError("C must be positive and finite")
-    A = float(A)
+    A = _real("A", A)
     if not math.isfinite(A):
         raise ValueError("growth degree A must be finite")
     if A >= 1:

@@ -29,7 +29,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .search import _branch, _members, _neighbor_masks
+from .search import _branch, _first_fit_cliques, _members, _neighbor_masks
 from .spaces import NODE_SPACE, _quasi_table, quasi_distances
 from .links import (
     affectance_matrix,
@@ -247,15 +247,9 @@ def separation_strengthen(sys, quasi, S, tau, eta):
     rank = np.empty(k, dtype=int)
     rank[longest_first] = np.arange(k)
     bound = int((clash & (rank[None, :] > rank[:, None])).sum(axis=1).max()) + 1
-    color = np.full(k, -1)
-    for i in longest_first[::-1]:
-        used = set(color[clash[i]].tolist())
-        c = 0
-        while c in used:
-            c += 1
-        color[i] = c
-    # first-fit uses every color up to the largest, and S is sorted
-    classes = [tuple(S[i] for i in np.flatnonzero(color == c)) for c in range(color.max() + 1)]
+    # first-fit colouring: a colour class is a clique of the non-clash relation
+    cliques = _first_fit_cliques([], _neighbor_masks(~clash), longest_first[::-1].tolist())
+    classes = [tuple(S[i] for i in _members(c)) for c in cliques]
     if len(classes) > bound:
         raise RuntimeError("coloring exceeded its degeneracy bound, please report")
     for cls in classes:

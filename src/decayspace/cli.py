@@ -22,6 +22,7 @@ import time
 
 from . import __version__
 from .spaces import (
+    _whole,
     analyze_metricity,
     compute_zeta,
     quasi_distances,
@@ -63,7 +64,7 @@ from .verify import run_verify
 ORACLE_AUTO_LIMIT = 14
 
 # what the loaders raise on a missing, unparsable or malformed file
-INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 class UsageError(Exception):
@@ -88,15 +89,19 @@ def _read(load, what, path):
         raise UsageError("cannot read %s %s: %s" % (what, path, exc))
 
 
+def _hopeless(witness):
+    # why compute_zeta returned inf, from its least hopeless triple
+    x, z, y = witness
+    return ("no finite metricity exponent exists: f(%d,%d) exceeds its legs f(%d,%d) "
+            "and f(%d,%d), and one leg is 0" % (x, y, x, z, z, y))
+
+
 def _resolve_zeta(flag, space, tol):
     if flag == "auto":
         _, zeta, witness = compute_zeta(space, tol=tol)
         if zeta == math.inf:
-            x, z, y = witness
-            raise UsageError(
-                "--zeta auto: no finite metricity exponent exists: f(%d,%d) exceeds its "
-                "legs f(%d,%d) and f(%d,%d), and one leg is 0" % (x, y, x, z, z, y))
-        return float(zeta)
+            raise UsageError("--zeta auto: " + _hopeless(witness))
+        return zeta
     try:
         zeta = float(flag)
     except ValueError:
@@ -126,19 +131,18 @@ def _cmd_analyze(args):
     space = _read(load_space, "space", args.space)
     rep = analyze_metricity(space, tol=tol)
     zeta = rep.zeta if args.zeta == "auto" else _resolve_zeta(args.zeta, space, tol)
-    quasi_ok = True
-    witness = None
+    witness = None if zeta < math.inf else _hopeless(rep.witness_zeta)
     try:
-        quasi_distances(space, zeta, tol=max(tol, 1e-7), check=True)
+        if witness is None:
+            quasi_distances(space, zeta, tol=max(tol, 1e-7), check=True)
     except ValueError as exc:
-        quasi_ok = False
         witness = str(exc)
     results = {
         "metricity": rep,
-        "quasi": {"zeta": zeta, "consistent": quasi_ok, "witness": witness},
+        "quasi": {"zeta": zeta, "consistent": witness is None, "witness": witness},
     }
     config = {"space": args.space, "tol": tol, "zeta": args.zeta}
-    return config, results, 0 if quasi_ok else 1
+    return config, results, 0 if witness is None else 1
 
 
 def _cmd_capacity(args):
@@ -237,40 +241,24 @@ def _parse_params(raw):
 
 
 def _take(params, name, default=None, required=False):
+    # the generators check each value; a null would read as a library default
     if name in params:
+        if params[name] is None:
+            raise UsageError("generate: parameter %r must be a number, a list or a "
+                             "boolean, not null" % name)
         return params.pop(name)
     if required:
         raise UsageError("generate: missing parameter %r" % name)
     return default
 
 
-def _take_count(params, name):
-    # int() would floor 3.5 and pass true or "7" as a count
-    value = _take(params, name, required=True)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
-        raise UsageError("generate: parameter %r must be a whole number, got %s"
-                         % (name, json.dumps(value)))
-    return int(value)
-
-
-def _take_real(params, name, default=None, required=False):
-    # float() would read true as 1.0 and "16" as 16.0
-    if name not in params and not required:
-        return default
-    value = _take(params, name, required=True)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError("generate: parameter %r must be a number, got %s"
-                         % (name, json.dumps(value)))
-    return float(value)
-
-
 def _gen_edges(params, seed):
-    n = _take_count(params, "n")
+    # the library calls the count n_vertices, so n is checked under its JSON name
+    n = _whole("n", _take(params, "n", required=True))
     if "edges" in params:
-        edges = [tuple(e) for e in _take(params, "edges")]
+        edges = _take(params, "edges")
     else:
-        p = _take_real(params, "p", 0.5)
+        p = _take(params, "p", 0.5)
         if seed is None:
             raise UsageError("generate: random edges need --seed")
         edges = random_graph(n, p, seed)[1]
@@ -280,36 +268,32 @@ def _gen_edges(params, seed):
 def _gen_instance(family, params, seed):
     # (space, system) of the family; system is None for a bare space
     if family == "euclidean":
-        alpha = _take_real(params, "alpha", required=True)
+        alpha = _take(params, "alpha", required=True)
         if "points" in params:
             pts = _take(params, "points")
         else:
-            n = _take_count(params, "n")
+            n = _take(params, "n", required=True)
             if seed is None:
                 raise UsageError("generate: random points need --seed")
             plant = _take(params, "plant_collinear", False)
-            # bool() would read "false" as true
-            if not isinstance(plant, bool):
-                raise UsageError("generate: parameter 'plant_collinear' must be true or "
-                                 "false, got %s" % json.dumps(plant))
             pts = random_points(n, seed, plant_collinear=plant)
         return gen_euclidean(pts, alpha), None
     if family == "threepoint":
-        return gen_threepoint(_take_real(params, "q", required=True)), None
+        return gen_threepoint(_take(params, "q", required=True)), None
     if family == "star":
-        return gen_star(_take_count(params, "k"),
-                        _take_real(params, "r", required=True)), None
+        return gen_star(_take(params, "k", required=True),
+                        _take(params, "r", required=True)), None
     if family == "welzl":
-        eps = _take_real(params, "eps", 1e-6)
-        return gen_welzl(_take_count(params, "n"), eps=eps), None
+        eps = _take(params, "eps", 1e-6)
+        return gen_welzl(_take(params, "n", required=True), eps=eps), None
     if family == "equidecay":
         n, edges = _gen_edges(params, seed)
-        far = _take_real(params, "far_decay")
+        far = _take(params, "far_decay")
         system = gen_equidecay_graph(n, edges, far_decay=far)
     elif family == "twoline":
         n, edges = _gen_edges(params, seed)
-        alpha = _take_real(params, "alpha", required=True)
-        delta = _take_real(params, "delta", 0.25)
+        alpha = _take(params, "alpha", required=True)
+        delta = _take(params, "delta", 0.25)
         system = gen_twoline(n, edges, alpha, delta=delta)
     else:
         raise UsageError("unknown family %r" % family)
@@ -368,9 +352,10 @@ def _verify_file(path):
     except INPUT_ERRORS as exc:
         return {"name": name, "ok": False, "detail": str(exc)}
     try:
-        z = compute_zeta(space)[1]
-        if math.isfinite(z):
-            _default_quasi(space, z)
+        _, z, witness = compute_zeta(space)
+        if z == math.inf:
+            return {"name": name, "ok": False, "detail": _hopeless(witness)}
+        _default_quasi(space, z)
     except ValueError as exc:
         return {"name": name, "ok": False, "detail": str(exc)}
     return {"name": name, "ok": True, "detail": "valid, zeta=%.6g" % z}

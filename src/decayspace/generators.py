@@ -2,12 +2,13 @@
 
 Each generator returns a DecaySpace, or a LinkSystem when the
 construction carries links. The random helpers take integer seeds
-and are reproducible.
+and are reproducible. Counts and edge endpoints are read by
+spaces._whole and real parameters by spaces._real.
 """
 
 import numpy as np
 
-from .spaces import DecaySpace, LINK_GAIN, NODE_SPACE
+from .spaces import DecaySpace, LINK_GAIN, NODE_SPACE, _real, _whole
 from .links import LinkSystem, PowerAssignment, SinrParams
 
 # draws a random generator makes before giving up on distinct points
@@ -17,14 +18,6 @@ MAX_NODES = 4096
 # largest random_link_system box: doubles near 1e9 lie 1.2e-7 apart, so
 # receiver offsets of 0.1-0.8 keep six digits; near 1e15 they vanish
 MAX_BOX = 1e9
-
-
-def _count(name, value):
-    # int() would floor 3.5 and read True as 1; numpy refuses a float shape
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not float(value).is_integer()):
-        raise ValueError("%s must be a whole number, got %r" % (name, value))
-    return int(value)
 
 
 def _check_nodes(what, n):
@@ -37,7 +30,7 @@ def _edge_array(n, edges):
     """Edges as an (m, 2) int array, rejecting loops and endpoints outside 0..n-1."""
     out = []
     for i, j in edges:
-        i, j = int(i), int(j)
+        i, j = _whole("edge endpoint", i), _whole("edge endpoint", j)
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError("bad edge (%d, %d)" % (i, j))
         out.append((i, j))
@@ -47,15 +40,17 @@ def _edge_array(n, edges):
 def random_points(n, seed, plant_collinear=False):
     """At most MAX_NODES uniform points in the unit square, reproducible by seed.
 
-    plant_collinear overwrites the last three points with an exactly
+    plant_collinear, a bool, overwrites the last three points with an exactly
     collinear, evenly spaced triple on a dyadic grid, so that the
     middle point splits the long distance without floating point
     error. Points are deduplicated by resampling, at most
     MAX_RESAMPLES times before a ValueError.
     """
-    n = _count("n", n)
+    n = _whole("n", n)
     if n < 1:
         raise ValueError("need at least one point")
+    if not isinstance(plant_collinear, (bool, np.bool_)):
+        raise ValueError("'plant_collinear' must be a bool, got %r" % (plant_collinear,))
     if plant_collinear and n < 3:
         raise ValueError("planting a collinear triple needs n >= 3")
     _check_nodes("a point cloud", n)
@@ -80,6 +75,7 @@ def gen_euclidean(points, alpha):
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must be a non-empty 2d array")
     _check_nodes("a point cloud", len(pts))
+    alpha = _real("alpha", alpha)
     if not (alpha >= 1):
         raise ValueError("alpha must be at least 1")
     diff = pts[:, None, :] - pts[None, :, :]
@@ -94,9 +90,9 @@ def gen_threepoint(q):
     exponent needed to fix the triangle inequality grows without
     bound, while the multiplicative defect stays below 2.
     """
+    q = _real("q", q)
     if not (q > 1):
         raise ValueError("q must exceed 1")
-    q = float(q)
     f = np.array([
         [0.0, 1.0, 2.0 * q],
         [1.0, 0.0, q],
@@ -114,7 +110,7 @@ def gen_star(k, r):
     r much smaller than k**2: the stray hears all k leaves at decay
     just above k**2 each. k + 2 is capped at MAX_NODES.
     """
-    k = _count("k", k)
+    k, r = _whole("k", k), _real("r", r)
     if k < 1:
         raise ValueError("need at least one leaf")
     _check_nodes("a star", k + 2)
@@ -142,7 +138,7 @@ def gen_welzl(n, eps=1e-6):
     2**n must be a finite float, so n is at most 1023 (and n + 2 stays
     within MAX_NODES).
     """
-    n = _count("n", n)
+    n, eps = _whole("n", n), _real("eps", eps)
     if n < 1:
         raise ValueError("need a chain of at least two nodes")
     if n > 1023:
@@ -168,11 +164,11 @@ def gen_equidecay_graph(n_vertices, edges, far_decay=None):
     is independent in the graph, and adjacent pairs are infeasible
     under every power assignment. n is capped at MAX_NODES.
     """
-    n = _count("n_vertices", n_vertices)
+    n = _whole("n_vertices", n_vertices)
     if n < 1:
         raise ValueError("need at least one vertex")
     _check_nodes("an equidecay graph", n)
-    far = float(far_decay) if far_decay is not None else float(n)
+    far = _real("far_decay", far_decay) if far_decay is not None else float(n)
     if not (far > 1):
         raise ValueError("far decay must exceed 1")
     e = _edge_array(n, edges)
@@ -199,16 +195,17 @@ def gen_twoline(n_vertices, edges, alpha, delta=0.25):
     assignment since n**(2a) > (n**a - delta)**2. 2n is capped at
     MAX_NODES.
     """
-    n = _count("n_vertices", n_vertices)
+    n = _whole("n_vertices", n_vertices)
     if n < 2:
         raise ValueError("need at least two vertices")
     _check_nodes("a twoline construction", 2 * n)
+    alpha, delta = _real("alpha", alpha), _real("delta", delta)
     if not (alpha > 1):
         raise ValueError("alpha must exceed 1")
     if not (0 < delta < 0.5):
         raise ValueError("delta must lie in (0, 1/2)")
     e = _edge_array(n, edges)
-    a = float(alpha) - 1.0
+    a = alpha - 1.0
     na = float(n) ** a
     # Python's pow, once per distance, keeps every entry of the loop build
     gap = np.arange(n)
@@ -232,7 +229,7 @@ def gen_twoline(n_vertices, edges, alpha, delta=0.25):
 
 def random_graph(n, p, seed):
     """Erdos-Renyi style edge list, reproducible by seed."""
-    n = _count("n", n)
+    n, p = _whole("n", n), _real("p", p)
     if n < 1:
         raise ValueError("need at least one vertex")
     if not (0 <= p <= 1):
@@ -258,7 +255,7 @@ def random_link_system(n_links, seed, beta=1.0, noise=0.0, alpha=2.5, box=4.0):
     decay breaks the indiscernibles axiom, so DecaySpace rejects it
     with a ValueError.
     """
-    n_links = _count("n_links", n_links)
+    n_links, box = _whole("n_links", n_links), _real("box", box)
     if n_links < 1:
         raise ValueError("need at least one link")
     _check_nodes("a link system", 2 * n_links)

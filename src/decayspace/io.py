@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from .spaces import DecaySpace, NODE_SPACE
+from .spaces import DecaySpace, NODE_SPACE, _whole
 from .links import LinkSystem, PowerAssignment, SinrParams
 
 
@@ -54,7 +54,7 @@ def _space_fields(obj):
         if key not in obj:
             raise ValueError("space document missing %r" % key)
     f = np.array(obj["f"], dtype=float)
-    if f.ndim != 2 or f.shape != (obj["n"], obj["n"]):
+    if f.ndim != 2 or f.shape != (_whole("n", obj["n"]),) * 2:
         raise ValueError("decay matrix shape does not match n=%s" % obj["n"])
     return f, obj["mode"], obj.get("labels")
 
@@ -109,7 +109,6 @@ def system_from_dict(obj, base_dir="."):
         for k, pair in enumerate(links):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ValueError("system document link %d is not a [sender, receiver] pair" % k)
-        links = [(int(s), int(r)) for s, r in links]
     params = SinrParams(beta=obj.get("beta", 1.0), noise=obj.get("noise", 0.0))
     power = obj.get("power", {"kind": "uniform", "level": 1.0})
     if power.get("kind") == "uniform":
@@ -135,8 +134,8 @@ def load_graph(path):
     obj = _read_doc(path)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph document needs 'n' and 'edges'")
-    n = int(obj["n"])
-    edges = [(int(i), int(j)) for i, j in obj["edges"]]
+    n = _whole("n", obj["n"])
+    edges = [(_whole("edge endpoint", i), _whole("edge endpoint", j)) for i, j in obj["edges"]]
     return n, edges
 
 

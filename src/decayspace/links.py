@@ -35,15 +35,15 @@ quasi-metric's table. Every separation test and partition reads it.
 
 import numpy as np
 
-from .spaces import NODE_SPACE, LINK_GAIN, _node_index, _quasi_table
+from .spaces import NODE_SPACE, LINK_GAIN, _node_index, _quasi_table, _real, _whole
 
 
 class SinrParams:
     """SINR threshold beta >= 1 and ambient noise N >= 0, both finite."""
 
     def __init__(self, beta=1.0, noise=0.0):
-        beta = float(beta)
-        noise = float(noise)
+        beta = _real("beta", beta)
+        noise = _real("noise", noise)
         if not (1 <= beta < np.inf):
             raise ValueError("beta must be finite and at least 1")
         if not (0 <= noise < np.inf):
@@ -64,11 +64,11 @@ class PowerAssignment:
 
     def __init__(self, kind, value):
         if kind == "uniform":
-            value = float(value)
+            value = _real("level", value)
         elif kind == "explicit":
-            value = np.array(value, dtype=float)
-            if value.ndim != 1:
+            if np.ndim(value) != 1:
                 raise ValueError("explicit powers must be a vector")
+            value = np.array([_real("level", v) for v in value])
         else:
             raise ValueError("kind must be 'uniform' or 'explicit'")
         if not np.all((0 < value) & (value < np.inf)):
@@ -156,6 +156,7 @@ class LinkSystem:
 
     def link_length(self, quasi, v):
         """Own quasi-distance of link v under the given quasi-metric."""
+        [v] = _link_set(self, [v])
         return float(self.link_lengths(quasi)[v])
 
     def link_lengths(self, quasi):
@@ -207,7 +208,7 @@ def affectance_matrix(sys, capped=True):
 
 def _link_set(sys, S):
     """S as a sorted list of distinct link indices, each in 0..n_links-1."""
-    out = sorted(int(v) for v in S)
+    out = sorted(_whole("link index", v) for v in S)
     for a, b in zip(out, out[1:]):
         if a == b:
             raise ValueError("duplicate link index %d" % a)
@@ -223,7 +224,7 @@ def _check_not_drowned(sys, v):
 
 def affectance(sys, w, v):
     """a_w(v): the capped disturbance of link w on link v."""
-    _link_set(sys, {w, v})  # a set, as w == v is allowed
+    [w], [v] = _link_set(sys, [w]), _link_set(sys, [v])
     if w == v:
         return 0.0
     _check_not_drowned(sys, v)
@@ -236,8 +237,7 @@ def aggregate_affectance(sys, S, v, direction="in"):
     direction "in" gives a_S(v), the total S inflicts on v; "out"
     gives a_v(S). Self terms vanish, so v may be a member of S.
     """
-    S = _link_set(sys, S)
-    _link_set(sys, [v])
+    S, [v] = _link_set(sys, S), _link_set(sys, [v])
     if direction not in ("in", "out"):
         raise ValueError("direction must be 'in' or 'out'")
     if direction == "in":
@@ -306,7 +306,7 @@ def link_distance(sys, quasi, v, w):
     identity endpoint map of a link-gain system that is
     min(d[v][w], d[w][v]). The distance of a link to itself is 0.
     """
-    _link_set(sys, {v, w})  # a set, as v == w is allowed
+    [v], [w] = _link_set(sys, [v]), _link_set(sys, [w])
     return float(_link_distance_block(sys, quasi, [v], [w])[0, 0])
 
 
@@ -345,8 +345,7 @@ def check_separation(sys, quasi, v, L, eta):
     Empty L is vacuously separated; v itself should not appear in L
     since its self-distance is zero.
     """
-    L = _link_set(sys, L)
-    _link_set(sys, [v])
+    L, [v] = _link_set(sys, L), _link_set(sys, [v])
     return bool(_separated(sys, quasi, [v], L, eta).all())
 
 
@@ -395,7 +394,7 @@ def pairwise_power_infeasible(sys, v, w):
     Tests beta^2 * f_vv * f_ww > f_vw * f_wv strictly. Exact for zero
     ambient noise; with noise it stays a sufficient certificate.
     """
-    _link_set(sys, [v, w])
+    v, w = _link_set(sys, [v, w])
     F = sys.cross_decays()
     beta = sys.params.beta
     return bool(beta * beta * F[v, v] * F[w, w] > F[v, w] * F[w, v])

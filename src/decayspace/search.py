@@ -22,7 +22,9 @@ Kumlander (2004), which covers in decreasing weight order.
 _first_fit_cliques is the unit-weight partition that assouad_estimate
 carries along a radius sweep: each new vertex joins the first clique
 it conflicts with entirely, or starts a new one, so a partition can
-grow vertex by vertex as the balls grow, without a search.
+grow vertex by vertex as the balls grow, without a search. On the
+masks of a non-clash relation it is separation_strengthen's first-fit
+colouring.
 
 Rank space: _branch ranks the vertices once per call and carries a
 second avail mask in which bit i is the i-th heaviest vertex. The
@@ -52,8 +54,8 @@ improvement. A valid bound prunes only branches that cannot improve
 strictly, so the reported optimum is the lexicographically least one.
 Past exact_limit vertices a greedy pass in decreasing weight order
 (ties by index) gives a lower bound, which the callers flag as
-inexact. _check_exact_limit refuses an exact_limit that is not an
-integer >= 0.
+inexact. _check_exact_limit refuses an exact_limit that is not a
+whole number >= 0.
 
 Floor contract: _branch(masks, w, floor) starts from floor as its
 incumbent value with no witness, so it returns a set only when one
@@ -98,11 +100,17 @@ searches and assouad_estimate pass no loads.
 
 import numpy as np
 
+from .spaces import _whole
+
 
 def _check_exact_limit(exact_limit):
-    # a negative limit would make every search greedy, and NaN every one exact
-    if not (isinstance(exact_limit, (int, np.integer)) and exact_limit >= 0):
-        raise ValueError("exact_limit must be an integer >= 0, got %r" % (exact_limit,))
+    # a negative limit would make every search greedy, NaN every one exact, True read as 1
+    try:
+        if _whole("exact_limit", exact_limit) >= 0:
+            return
+    except ValueError:
+        pass
+    raise ValueError("exact_limit must be an integer >= 0, got %r" % (exact_limit,))
 
 
 def _neighbor_masks(conflict):

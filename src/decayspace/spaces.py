@@ -101,9 +101,27 @@ class DecaySpace:
         return "%s(n=%d, mode=%r)" % (type(self).__name__, self.n, self.mode)
 
 
+def _whole(name, value):
+    """A count or index as an int: a Python or numpy int, or a float with no fraction, no bool."""
+    if type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                              or isinstance(value, (float, np.floating)) and value.is_integer()):
+        return int(value)
+    raise ValueError("%r must be a whole number, got %r (type %r)"
+                     % (name, value, type(value).__name__))
+
+
+def _real(name, value):
+    """A real as a float: a Python or numpy int or float, no bool; ranges are the caller's."""
+    if type(value) is float or (isinstance(value, (int, float, np.integer, np.floating))
+                                and not isinstance(value, bool)):
+        return float(value)
+    raise ValueError("%r must be a number, got %r (type %r)"
+                     % (name, value, type(value).__name__))
+
+
 def _node_index(space, y):
-    """y as a node index of the space, rejecting any outside 0..n-1."""
-    y = int(y)
+    """y as a node index of the space, by _whole, rejecting any outside 0..n-1."""
+    y = _whole("node", y)
     if not (0 <= y < space.n):
         raise ValueError("node %d out of range" % y)
     return y

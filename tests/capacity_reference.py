@@ -14,6 +14,11 @@ the longer length of each pair, a rank dict, a forward-degree loop and
 a dict-based first-fit colouring. On symmetric link distances its
 clashes are exactly the pairs not separated both ways, so the
 differential test requires equal classes and bound.
+
+first_fit_colour_classes is the array-form colouring loop that
+search._first_fit_cliques on the non-clash masks replaced inside
+separation_strengthen, kept verbatim after the same clash matrix and
+longest-first order; the differential test requires equal classes.
 """
 
 import itertools
@@ -25,6 +30,7 @@ from decayspace.links import (
     _link_distance_block,
     _link_set,
     _noise_margin,
+    _separated,
     _separation_violation,
     affectance_matrix,
     check_separation_set,
@@ -123,3 +129,23 @@ def separation_strengthen(sys, quasi, S, tau, eta):
         if not check_separation_set(sys, quasi, cls, eta):
             raise RuntimeError("a color class failed its separation level, please report")
     return Partition(classes=tuple(classes), certificate=certificate, bound=bound)
+
+
+def first_fit_colour_classes(sys, quasi, S, eta):
+    """Classes of the first-fit colouring loop, on separation_strengthen's clash matrix."""
+    S = _link_set(sys, S)
+    k = len(S)
+    sep = _separated(sys, quasi, S, S, eta)
+    clash = ~(sep & sep.T)
+    np.fill_diagonal(clash, False)
+    longest_first = np.argsort(-sys.link_lengths(quasi)[S], kind="stable")
+    color = np.full(k, -1)
+    for i in longest_first[::-1]:
+        used = set(color[clash[i]].tolist())
+        c = 0
+        while c in used:
+            c += 1
+        color[i] = c
+    # first-fit uses every color up to the largest, and S is sorted
+    classes = [tuple(S[i] for i in np.flatnonzero(color == c)) for c in range(color.max() + 1)]
+    return tuple(classes)

@@ -113,7 +113,7 @@ def test_every_exact_limit_argument_is_checked_alike():
     }
     for name, call in calls.items():
         call(0)
-        for k in (-1, math.nan, 1.5):
+        for k in (-1, math.nan, 1.5, True):
             with pytest.raises(ValueError, match="exact_limit must be an integer >= 0"):
                 call(k)
                 pytest.fail("%s accepted %r" % (name, k))

@@ -236,6 +236,7 @@ def test_separation_strengthen_matches_dict_coloring():
             args = (sys_, quasi, range(m), 1e-9, eta)
             got = separation_strengthen(*args)
             assert got == ref.separation_strengthen(*args), (trial, eta)
+            assert got.classes == ref.first_fit_colour_classes(sys_, quasi, range(m), eta)
             class_counts.add(len(got.classes))
     assert {1, 2, 3} <= class_counts
 
@@ -252,6 +253,7 @@ def test_separation_strengthen_on_asymmetric_link_distances():
     assert not check_separation(sys_, quasi, 1, [0], 1.0)
     part = separation_strengthen(sys_, quasi, [0, 1], tau=0.1, eta=1.0)
     assert part.classes == ((1,), (0,)) and part.bound == 2
+    assert part.classes == ref.first_fit_colour_classes(sys_, quasi, [0, 1], 1.0)
 
 
 def test_separation_strengthen_singleton_and_errors():

@@ -168,6 +168,14 @@ MALFORMED = {
     "space-entry-object": ("space", '{"mode": "node-space", "n": 2, "f": [[0, {}], [1, 0]]}',
                            "'dict'"),  # TypeError
     "json-list": (None, "[1, 2]", "space document must be a JSON object"),
+    # a bool or a string where a number is expected, a fraction where a whole one is
+    "beta-bool": ("system", _with_field("beta", True), "'beta' must be a number, got True"),
+    "level-string": ("system", _with_field("power", {"kind": "uniform", "level": "2"}),
+                     "'level' must be a number, got '2'"),
+    "link-half": ("system", _with_field("links", [[0.5, 1]]),
+                  "'node' must be a whole number, got 0.5"),
+    # a JSON integer past the float range, an OverflowError in the loader
+    "beta-huge": ("system", _with_field("beta", 10 ** 400), "int too large to convert to float"),
 }
 FILE_COMMANDS = {
     "system": (["capacity", "--zeta", "2.5", "--system"],
@@ -370,6 +378,23 @@ def test_zeta_auto_names_the_hopeless_triple(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err == ("error: --zeta auto: no finite metricity exponent exists: f(0,2) "
                    "exceeds its legs f(0,1) and f(1,2), and one leg is 0\n")
+
+
+def test_hopeless_space_fails_analyze_and_corpus(tmp_path, capsys):
+    # no finite zeta exists, so the quasi-metric check cannot run at zeta = inf
+    path = str(tmp_path / "hopeless.json")
+    with open(path, "w") as fh:
+        json.dump(HOPELESS, fh)
+    why = ("no finite metricity exponent exists: f(0,2) exceeds its legs f(0,1) "
+           "and f(1,2), and one leg is 0")
+    code, out, err = run(capsys, "analyze", "--space", path)
+    res = report(out)["results"]
+    assert (code, err) == (1, "") and res["metricity"]["witness_zeta"] == [0, 1, 2]
+    assert res["quasi"] == {"zeta": "inf", "consistent": False, "witness": why}
+    code, out, err = run(capsys, "verify", "--corpus", path)
+    assert (code, err) == (1, "")
+    assert report(out)["results"]["items"] == [{"name": "file:" + path, "ok": False,
+                                                "detail": why}]
 
 
 def test_fading_cli(tmp_path, capsys):
