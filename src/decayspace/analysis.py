@@ -48,6 +48,7 @@ def _packing_conflicts(S, t):
 
 def ball(space, y, t):
     """Nodes whose decay toward y is strictly below t."""
+    t = _real("t", t)
     if not (t > 0):
         raise ValueError("radius must be positive")
     y = _node_index(space, y)
@@ -214,6 +215,7 @@ def fading_parameter(space, r, exact_limit=24, quasi=None):
     is exact up to exact_limit candidate senders, greedy beyond (a
     lower bound, flagged).
     """
+    r = _real("r", r)
     if not (r > 0):
         raise ValueError("r must be positive")
     if space.n < 1:

@@ -30,7 +30,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .search import _branch, _first_fit_cliques, _members, _neighbor_masks
-from .spaces import NODE_SPACE, _quasi_table, quasi_distances
+from .spaces import NODE_SPACE, _quasi_table, _real, quasi_distances
 from .links import (
     affectance_matrix,
     drowned_links,
@@ -91,6 +91,7 @@ def capacity_uniform(sys, zeta, quasi=None):
     reported in the result. A quasi-metric passed in must be the one of
     this space at this zeta.
     """
+    zeta = _real("zeta", zeta)
     _check_uniform(sys, zeta)
     if quasi is None:
         quasi = _default_quasi(sys.space, zeta)
@@ -176,6 +177,7 @@ def signal_strengthen(sys, S, p, q):
     S = _link_set(sys, S)
     if not S:
         raise ValueError("cannot partition an empty set")
+    p, q = _real("p", p), _real("q", q)
     if not (0 < p <= q and math.isfinite(2.0 * q / p)):
         raise ValueError("need 0 < p <= q with 2q/p finite, got p=%g, q=%g" % (p, q))
     ok, wit = is_feasible(sys, S, K=p)
@@ -229,6 +231,7 @@ def separation_strengthen(sys, quasi, S, tau, eta):
     S = _link_set(sys, S)
     if not S:
         raise ValueError("cannot partition an empty set")
+    tau, eta = _real("tau", tau), _real("eta", eta)
     if not (tau > 0):
         raise ValueError("tau must be positive")
     if not (eta >= tau):

@@ -11,8 +11,14 @@ significant digits, non-finite floats as the strings "inf", "-inf"
 and "nan" (JSON has no literals for them). Timing always sits in one
 top-level key that determinism comparisons strip.
 
-One encoder (_encode) turns every value into its canonical text on a
-single path, reports and the dense decay tables of input files alike.
+One encoder (_encode) turns every value into its canonical text,
+reports and the dense decay tables of input files alike, and every
+float's text comes from one rule (_float_text and its format _DIGITS).
+save_space and save_system hand the decay matrix and explicit power
+levels over as arrays, and a float array is formatted once per
+distinct value, a chunk of finite values per % call: the texts go into
+a fixed-width byte table and each row is joined from it. A symmetric
+table holds about half as many distinct values as entries.
 One writer saves every file and one reader parses every JSON file.
 """
 
@@ -39,11 +45,16 @@ def _write_doc(doc, path):
         fh.write("\n")
 
 
-def space_to_dict(space):
-    out = {"mode": space.mode, "n": space.n, "f": space.f.tolist()}
+def _space_doc(space, form):
+    # form gives a float array's document form: nested lists, or the array itself to save
+    out = {"mode": space.mode, "n": space.n, "f": form(space.f)}
     if space.labels is not None:
         out["labels"] = list(space.labels)
     return out
+
+
+def space_to_dict(space):
+    return _space_doc(space, np.ndarray.tolist)
 
 
 def _space_fields(obj):
@@ -76,12 +87,12 @@ def load_space(path):
 
 
 def save_space(space, path):
-    _write_doc(space_to_dict(space), path)
+    _write_doc(_space_doc(space, np.asarray), path)
 
 
-def system_to_dict(sys):
+def _system_doc(sys, form):
     out = {
-        "space": space_to_dict(sys.space),
+        "space": _space_doc(sys.space, form),
         "beta": sys.params.beta,
         "noise": sys.params.noise,
     }
@@ -90,8 +101,12 @@ def system_to_dict(sys):
     if sys.power.kind == "uniform":
         out["power"] = {"kind": "uniform", "level": sys.power.value}
     else:
-        out["power"] = {"kind": "explicit", "levels": sys.power.value.tolist()}
+        out["power"] = {"kind": "explicit", "levels": form(sys.power.value)}
     return out
+
+
+def system_to_dict(sys):
+    return _system_doc(sys, np.ndarray.tolist)
 
 
 def system_from_dict(obj, base_dir="."):
@@ -127,7 +142,7 @@ def load_system(path):
 
 
 def save_system(sys, path):
-    _write_doc(system_to_dict(sys), path)
+    _write_doc(_system_doc(sys, np.asarray), path)
 
 
 def load_graph(path):
@@ -139,15 +154,61 @@ def load_graph(path):
     return n, edges
 
 
+# the one float rule: a finite value in 17 significant digits, any other as a JSON string
+_DIGITS = "%.17g"
+
+
+def _float_text(x):
+    return _DIGITS % x if math.isfinite(x) else '"%r"' % x
+
+
+# distinct values formatted by one % call and one list assignment into the text table
+_CHUNK = 4096
+
+
+def _array_rows(table, index):
+    # rows of a float array: each entry's text looked up by its index into the table
+    if index.ndim == 1:
+        return b"[" + b",".join(table[index].tolist()) + b"]"
+    return b"[" + b",".join([_array_rows(table, row) for row in index]) + b"]"
+
+
+def _float_array_text(a):
+    """A float array's text, each distinct value formatted once.
+
+    Values are told apart by bit pattern, which keeps 0.0 and -0.0 apart.
+    -1.2345678901234567e-308 is the longest text, 24 bytes, so the table
+    of texts is a fixed-width S24 array.
+    """
+    # a longdouble past float64 reads inf and a signalling NaN nan, as float() gives them
+    with np.errstate(over="ignore", invalid="ignore"):
+        bits = np.ascontiguousarray(a, np.float64).view(np.int64).ravel()
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    first = np.ones(len(bits), bool)  # the first of each run of equal bits
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    index = np.empty_like(order)
+    index[order] = np.cumsum(first) - 1
+    values = ordered[first].view(np.float64)
+    table = np.empty(len(values), "S24")
+    for k in range(0, len(values), _CHUNK):
+        chunk = values[k:k + _CHUNK].tolist()
+        table[k:k + _CHUNK] = (",".join([_DIGITS] * len(chunk)) % tuple(chunk)).split(",")
+    for i in np.flatnonzero(~np.isfinite(values)):
+        table[i] = _float_text(values[i].item())
+    return _array_rows(table, index.reshape(a.shape)).decode("ascii")
+
+
 def _encode(obj):
     # one path for every value; floats lead, as they fill the decay tables
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return format(x, ".17g") if math.isfinite(x) else '"%r"' % x
+        return _float_text(float(obj))
     if obj is None or isinstance(obj, (bool, str)):
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f":
+        return _float_array_text(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         return "[" + ",".join(map(_encode, seq)) + "]"

@@ -265,6 +265,7 @@ def is_feasible(sys, S, K=1.0):
     S = _link_set(sys, S)
     if not S:
         raise ValueError("feasibility of the empty set is undefined")
+    K = _real("K", K)
     if not (K > 0):
         raise ValueError("K must be positive")
     margin = _noise_margin(sys)

@@ -340,6 +340,7 @@ def compute_zeta(space, tol=1e-9):
     triple has x < y. T and K are then taken over the scanned triples,
     for which the argument above holds as for any set of triples.
     """
+    tol = _real("tol", tol)
     if not (0 < tol < np.inf):
         raise ValueError("tol must be positive and finite")
     if space.n < 2:
@@ -514,13 +515,14 @@ class QuasiMetric(DecaySpace):
     """
 
     def __init__(self, space, zeta):
+        zeta = _real("zeta", zeta)
         if not (0 < zeta < np.inf):
             raise ValueError("zeta must be positive and finite")
         # the invariant judges an overflow or underflow of the power
         with np.errstate(over="ignore", under="ignore"):
             d = space.f ** (1.0 / zeta)
         super().__init__(d, space.mode)
-        self.zeta = float(zeta)
+        self.zeta = zeta
 
     @property
     def d(self):
@@ -555,6 +557,7 @@ def triangle_violation(quasi, tol=1e-7):
     violating pair has x < y. The pairs left out keep best = inf, which
     no entry exceeds.
     """
+    tol = _real("tol", tol)
     if not (0 <= tol < np.inf):
         raise ValueError("tol must be non-negative and finite")
     d, n = quasi.d, quasi.n

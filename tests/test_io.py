@@ -1,5 +1,6 @@
 """File formats and the canonical JSON used for deterministic reports."""
 
+import gc
 import json
 import math
 
@@ -18,6 +19,7 @@ from decayspace import (
     load_graph,
     load_space,
     load_system,
+    random_link_system,
     save_space,
     save_system,
     space_from_dict,
@@ -132,6 +134,11 @@ def test_canonical_json_basics():
     assert dumps_canonical(-1e300) == "-1.0000000000000001e+300"
     assert dumps_canonical(np.float32(0.1)) == "0.10000000149011612"
     assert dumps_canonical((1, [np.float32("-inf")])) == '[1,["-inf"]]'
+    assert dumps_canonical(np.array([-1.2345678901234567e-308, -0.0, 0.0])) == (
+        "[-1.2345678901234567e-308,-0,0]")  # the longest text, and both zeros
+    assert dumps_canonical(np.array([np.longdouble("1e4000")])) == '["inf"]'
+    signalling = np.array([0x7F800001], dtype=np.uint32).view(np.float32)
+    assert dumps_canonical(signalling) == dumps_canonical(signalling.tolist()) == '["nan"]'
 
 
 _FLOATS = st.one_of(
@@ -140,12 +147,35 @@ _FLOATS = st.one_of(
     st.floats(width=32).map(np.float32),
     st.floats().map(np.float64),
 )
-_ARRAYS = st.one_of(
-    st.lists(_FLOATS, max_size=5).map(lambda xs: np.array(xs, dtype=float)),
-    st.integers(0, 3).flatmap(lambda c: st.lists(
-        st.lists(_FLOATS, min_size=c, max_size=c), min_size=1, max_size=3)).map(
-        lambda rows: np.array(rows, dtype=float)),
+# 0.0 and -0.0, and NaNs of either sign with quiet, signalling and full payloads
+_BITS = np.array([0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                  0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 6)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3)),
 )
+# identity, transpose, every other row and a reversed last axis: views that are not C-contiguous
+_VIEWS = [lambda a: a, lambda a: a.T, lambda a: a[::2], lambda a: a[..., ::-1]]
+
+
+@st.composite
+def _float_arrays(draw):
+    # free values, or a small pool (zeros and NaN payloads among it) so that entries collide
+    pool = draw(st.one_of(st.none(), st.lists(st.one_of(_FLOATS, st.sampled_from(_BITS)),
+                                             min_size=1, max_size=3)))
+    shape = draw(_SHAPES)
+    value = _FLOATS if pool is None else st.sampled_from(pool)
+    a = np.array(draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape))),
+                 dtype=np.float64).reshape(shape)
+    if a.ndim == 2 and a.shape[0] == a.shape[1] and draw(st.booleans()):
+        a = np.where(np.triu(np.ones(a.shape, dtype=bool)), a, a.T)  # a mirrored table
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = a.astype(draw(st.sampled_from([np.float64, np.float32, np.float16, np.longdouble])))
+    return draw(st.sampled_from(_VIEWS))(a)
+
+
+_ARRAYS = _float_arrays()
 # a few values, and non-string keys, that both encoders must refuse
 _EXOTIC = st.sampled_from([np.bool_(True), {1, 2}, b"x", np.array(2.5), {1: 0.5}])
 _DOCUMENTS = st.recursive(
@@ -172,6 +202,22 @@ def _canonical_or_type_error(dumps, obj):
 def test_canonical_json_matches_the_recursive_reference(doc):
     want = _canonical_or_type_error(ref.dumps_canonical, doc)
     assert _canonical_or_type_error(dumps_canonical, doc) == want
+
+
+def test_encoding_a_float_table_leaves_no_cycle():
+    table = np.random.default_rng(5).random((64, 64))
+    gc.collect()
+    dumps_canonical({"f": table})
+    assert gc.collect() == 0
+
+
+def test_saved_system_bytes_match_the_reference(tmp_path):
+    explicit = LinkSystem(small_space(), links=[(0, 1), (2, 1)],
+                          power=PowerAssignment.explicit([1.0, 2.0 / 3.0]))
+    for sys in (random_link_system(250, 40003, alpha=3.0, box=6.0), explicit):
+        path = tmp_path / "system.json"
+        save_system(sys, str(path))
+        assert path.read_text() == ref.dumps_canonical(system_to_dict(sys)) + "\n"
 
 
 def test_canonical_json_round_trips_floats():

@@ -22,8 +22,11 @@ from decayspace import (
     affectance,
     aggregate_affectance,
     ball,
+    capacity_uniform,
     check_separation,
+    compute_zeta,
     fading_bound,
+    fading_parameter,
     gen_equidecay_graph,
     gen_euclidean,
     gen_star,
@@ -38,11 +41,15 @@ from decayspace import (
     random_graph,
     random_link_system,
     random_points,
+    separation_strengthen,
+    signal_strengthen,
     space_from_dict,
     system_from_dict,
+    triangle_violation,
     zeta_hat,
 )
 from decayspace import io
+from decayspace.cli import _plain
 from decayspace.io import dumps_canonical, space_to_dict, system_to_dict
 from decayspace.search import max_independent_set
 
@@ -114,6 +121,19 @@ REAL = [
     ("random_link_system", "box", lambda v: random_link_system(3, 1, box=v), 3),
     ("zeta_hat", "s", lambda v: zeta_hat(v), 3),
     ("fading_bound", "A", lambda v: fading_bound(2.0, v), 0.25),
+    ("is_feasible", "K", lambda v: is_feasible(FOUR, [0, 1], K=v), 3),
+    ("QuasiMetric", "zeta", lambda v: QuasiMetric(LINE, v), 3),
+    ("compute_zeta", "tol", lambda v: compute_zeta(LINE, tol=v), 2.0 ** -20),
+    ("triangle_violation", "tol", lambda v: triangle_violation(QUASI, v), 0.25),
+    ("ball", "t", lambda v: ball(LINE, 0, v), 3),
+    ("fading_parameter", "r", lambda v: fading_parameter(LINE, v), 3),
+    ("capacity_uniform", "zeta", lambda v: capacity_uniform(FOUR, v), 3),
+    ("signal_strengthen p", "p", lambda v: signal_strengthen(FOUR, [0], v, 4.0), 3),
+    ("signal_strengthen q", "q", lambda v: signal_strengthen(FOUR, [0], 1.0, v), 3),
+    ("separation_strengthen tau", "tau",
+     lambda v: separation_strengthen(FOUR, QUASI, [0], v, 4.0), 3),
+    ("separation_strengthen eta", "eta",
+     lambda v: separation_strengthen(FOUR, QUASI, [0], 0.5, v), 3),
 ]
 
 
@@ -121,11 +141,13 @@ def _text(made):
     # canonical text of a result, as a report would hold it
     if isinstance(made, LinkSystem):
         made = system_to_dict(made)
+    elif isinstance(made, QuasiMetric):
+        made = (made.zeta, made.d)
     elif isinstance(made, DecaySpace):
         made = space_to_dict(made)
     elif isinstance(made, (SinrParams, PowerAssignment)):
         made = vars(made)
-    return dumps_canonical(made)
+    return dumps_canonical(_plain(made))
 
 
 def _refused(name, call, bad):

@@ -93,7 +93,7 @@ def _random_graphs():
         yield conflict, w
 
 
-def test_branch_without_hook_matches_include_first_enumeration():
+def test_branch_without_load_cap_matches_include_first_enumeration():
     for conflict, w in _random_graphs():
         masks = _neighbor_masks(conflict)
         for floor in (0.0, 1.0, 2.5):
@@ -106,14 +106,14 @@ def test_branch_without_hook_matches_include_first_enumeration():
             assert _branch(masks[:-1], w, floor) == want
 
 
-def test_hook_that_rejects_everything_leaves_the_floor():
+def test_load_cap_that_rejects_every_vertex_leaves_the_floor():
     for conflict, w in _random_graphs():
         masks = _neighbor_masks(conflict)
         for floor, over in ((0.0, 2.0), (1.5, 2.0), (0.0, np.nan)):  # a NaN load is over
             assert _branch(masks, w, floor, loads=np.diag([over] * len(w))) == (0, floor)
 
 
-def test_narrowing_hook_is_an_extra_conflict_and_state_rides_the_stack():
+def test_load_cap_is_an_extra_conflict_and_bounds_the_set_size():
     rng = np.random.default_rng(11)
     for conflict, w in _random_graphs():
         n, masks = len(w), _neighbor_masks(conflict)
