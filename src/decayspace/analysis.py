@@ -65,6 +65,7 @@ def packing_number(space, body, t, exact_limit=24):
     body = sorted({_node_index(space, i) for i in body})
     if not body:
         raise ValueError("cannot pack an empty body")
+    t = _real("t", t)
     if not (t > 0):
         raise ValueError("scale must be positive")
     sub = space.f[np.ix_(body, body)]
@@ -124,10 +125,12 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     (about 2**18 entries, a single K x K prefix matrix at least), so
     memory stays O(n**2).
     """
+    C = None if C is None else _real("C", C)
     if C is not None and not (0 < C < math.inf):
         raise ValueError("C must be positive and finite")
     if space.n < 1:
         raise ValueError("empty space")
+    q_grid = [_real("q", q) for q in q_grid]
     if len(q_grid) == 0 or not all(1 < q < math.inf for q in q_grid):
         raise ValueError("q_grid must be a non-empty grid of finite q > 1")
     if C is None and len(set(q_grid)) < 2:
@@ -135,7 +138,7 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     _check_exact_limit(exact_limit)
     f = space.f
     S = np.minimum(f, f.T)
-    g = {float(q): 1 for q in q_grid}
+    g = {q: 1 for q in q_grid}
     ones = [1.0] * space.n
     all_exact = True
     # each g(q) evolves on its own, so the scales can be the middle loop
@@ -171,7 +174,7 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
                     cliques = _first_fit_cliques([], masks, range(k))
                     if len(cliques) > g[q]:
                         g[q] = int(_branch(masks[:k], ones, float(g[q]))[1])
-    samples = [(float(q), int(g[float(q)])) for q in q_grid]
+    samples = [(q, g[q]) for q in q_grid]
     if C is None:
         lq = np.log([q for q, _ in samples])
         lg = np.log([gq for _, gq in samples])
@@ -180,7 +183,7 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
         C_out = max(1.0, float(math.exp(intercept)))
     else:
         estimate = max(math.log(gq / C) / math.log(q) for q, gq in samples)
-        C_out = float(C)
+        C_out = C
     return DimensionEstimate(
         assouad=float(estimate),
         C=C_out,
@@ -258,7 +261,7 @@ def zeta_hat(s, tol=1e-9):
     M**(1-s)/(s-1) - M**(-s)/2 + s*M**(-s-1)/12; M doubles until the
     next correction term bounds the error below tol.
     """
-    s = _real("s", s)
+    s, tol = _real("s", s), _real("tol", tol)
     if not (1 < s < math.inf):
         raise ValueError("zeta_hat needs a finite s > 1")
     if not (tol > 0):
@@ -279,9 +282,9 @@ def fading_bound(C, A):
     stays at most C * 2**(A+1) * (zeta_hat(2 - A) - 1). Raises for
     A >= 1, where the underlying series diverges, and for a non-finite A.
     """
+    C, A = _real("C", C), _real("A", A)
     if not (0 < C < math.inf):
         raise ValueError("C must be positive and finite")
-    A = _real("A", A)
     if not math.isfinite(A):
         raise ValueError("growth degree A must be finite")
     if A >= 1:

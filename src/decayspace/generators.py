@@ -2,7 +2,7 @@
 
 Each generator returns a DecaySpace, or a LinkSystem when the
 construction carries links. The random helpers take integer seeds
-and are reproducible. Counts and edge endpoints are read by
+and are reproducible. Counts, seeds and edge endpoints are read by
 spaces._whole and real parameters by spaces._real.
 """
 
@@ -46,7 +46,7 @@ def random_points(n, seed, plant_collinear=False):
     error. Points are deduplicated by resampling, at most
     MAX_RESAMPLES times before a ValueError.
     """
-    n = _whole("n", n)
+    n, seed = _whole("n", n), _whole("seed", seed)
     if n < 1:
         raise ValueError("need at least one point")
     if not isinstance(plant_collinear, (bool, np.bool_)):
@@ -229,7 +229,7 @@ def gen_twoline(n_vertices, edges, alpha, delta=0.25):
 
 def random_graph(n, p, seed):
     """Erdos-Renyi style edge list, reproducible by seed."""
-    n, p = _whole("n", n), _real("p", p)
+    n, p, seed = _whole("n", n), _real("p", p), _whole("seed", seed)
     if n < 1:
         raise ValueError("need at least one vertex")
     if not (0 <= p <= 1):
@@ -255,7 +255,7 @@ def random_link_system(n_links, seed, beta=1.0, noise=0.0, alpha=2.5, box=4.0):
     decay breaks the indiscernibles axiom, so DecaySpace rejects it
     with a ValueError.
     """
-    n_links, box = _whole("n_links", n_links), _real("box", box)
+    n_links, box, seed = _whole("n_links", n_links), _real("box", box), _whole("seed", seed)
     if n_links < 1:
         raise ValueError("need at least one link")
     _check_nodes("a link system", 2 * n_links)

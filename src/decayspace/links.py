@@ -334,6 +334,7 @@ def link_distance_matrix(sys, quasi):
 def _separated(sys, quasi, rows, cols, eta):
     """sep[i, j]: link_distance(rows[i], cols[j]) >= eta * own length of rows[i]."""
     # a NaN level would fail every comparison and so pass every set
+    eta = _real("eta", eta)
     if not (eta >= 0):
         raise ValueError("separation level eta must be non-negative, got %r" % (eta,))
     lengths = sys.link_lengths(quasi)[rows]

@@ -19,6 +19,7 @@ import numpy as np
 
 from .spaces import (
     DecaySpace,
+    _whole,
     compute_phi,
     compute_zeta,
     quasi_distances,
@@ -537,9 +538,11 @@ def run_verify(seed):
     """Run every registered check at seed; returns one item per check.
 
     An item is {"name", "ok", "detail"}, in registry order; a check that
-    raises counts as a failed item rather than aborting the run. A
-    negative seed raises ValueError before any check runs.
+    raises counts as a failed item rather than aborting the run. A seed
+    that is negative or not a whole number raises ValueError before any
+    check runs.
     """
+    seed = _whole("seed", seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer, got %d" % seed)
     items = []

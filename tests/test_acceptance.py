@@ -1,7 +1,8 @@
 """Release gate: the `decayspace verify` registry, run once, read as a checklist.
 
 Every claim lives in decayspace.verify._CHECKS; this file codes none of
-its own, and fails if a _check_* function is left out of the registry.
+its own, and fails if a _check_* function is left out of the registry
+or if one test name is defined in two modules of tests/.
 It runs `verify --seed 0` in process while a `python -m decayspace
 verify --seed 0` subprocess runs alongside, then reports one test per
 check, each printing "check NAME PASS/FAIL: detail". The
@@ -11,6 +12,7 @@ Criterion 01 also caps every compute_zeta call the registry makes at
 compares the two runs byte for byte after strip_timing.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -68,6 +70,24 @@ def test_registry_runs_every_check():
     defined = sorted(name for name in vars(verify) if name.startswith("_check_"))
     assert sorted(registered) == defined
     assert names == sorted(set(names))
+
+
+# the one name kept in two modules, so that both test ids stay stable:
+# test_links.py checks two fixed systems, test_properties.py random draws
+KEPT_IN_TWO = {"test_link_distance_matrix_matches_scalar": ["test_links.py", "test_properties.py"]}
+
+
+def test_no_test_name_is_defined_in_two_modules():
+    # a claim coded in two modules drifts apart; each test name has one home
+    homes = {}
+    for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = [node.name] if isinstance(node, ast.FunctionDef) else [
+                t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+            for name in names:
+                if name.startswith("test"):
+                    homes.setdefault(name, []).append(path.name)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == KEPT_IN_TWO
 
 
 @pytest.mark.parametrize("name", [name for name, _ in verify._CHECKS])

@@ -122,20 +122,6 @@ def test_every_exact_limit_argument_is_checked_alike():
             max_weight_independent_set([w, 1.0], conflict[:2, :2])
 
 
-def test_assouad_degenerate_spaces():
-    two = DecaySpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    est = assouad_estimate(two)
-    assert est.assouad == 0.0
-    assert all(g == 1 for _, g in est.samples)
-    fitted = assouad_estimate(two, C=None)
-    assert fitted.assouad == 0.0 and fitted.C == 1.0
-
-    # every ball in a uniform space is a single point or everything,
-    # and everything packs to one node at any finer scale
-    est16 = assouad_estimate(uniform_space(16), exact_limit=16)
-    assert est16.assouad == 0.0 and est16.exact
-
-
 def test_assouad_fitted_frozen_cloud():
     sp = gen_euclidean(random_points(20, 42), 3.0)
     est = assouad_estimate(sp, C=None)
@@ -309,20 +295,6 @@ def test_assouad_conflict_stacks_stay_bounded(monkeypatch):
     assert est.samples == [(1.5, 1)] and est.exact
     assert len(shapes) > n  # more than one block per center
     assert all(b * k * k <= max(1 << 18, k * k) for b, k, _ in shapes)
-
-
-def test_fading_two_node_and_star():
-    two = DecaySpace(np.array([[0.0, 5.0], [5.0, 0.0]]))
-    assert fading_parameter(two, 1.0).gamma == 0.2
-    beyond = fading_parameter(two, 6.0)
-    assert beyond.gamma == 0.0 and beyond.witness_set == ()
-
-    star = gen_star(4, 1.0)
-    rep = fading_parameter(star, 1.0)
-    assert rep.gamma == 1.25  # the hub hears the stray plus 4 leaves
-    assert rep.per_node[0] == pytest.approx(1.0 + 4.0 / 17.0, abs=1e-12)
-    assert rep.witness_set == (0, 2, 3, 4, 5)
-    assert rep.exact
 
 
 def test_fading_quasi_knob_at_unit_exponent():

@@ -26,7 +26,6 @@ from decayspace import (
     independence_at,
     interference_at,
     is_feasible,
-    is_monotone_power,
     link_distance,
     link_distance_matrix,
     pairwise_power_infeasible,
@@ -283,33 +282,12 @@ def test_aggregate_affectance_directions():
         aggregate_affectance(sys_, [0], 1, "sideways")
 
 
-def test_monotone_power_splits_power_laws():
-    f = np.array([[1.0, 50.0], [50.0, 4.0]])
-    space = DecaySpace(f, mode="link-gain")
-    squared = LinkSystem(space, power=PowerAssignment.explicit([1.0, 16.0]))
-    ok, pair = is_monotone_power(squared)
-    assert not ok and pair == (0, 1)  # received strength grows with length
-    root = LinkSystem(space, power=PowerAssignment.explicit([1.0, 2.0]))
-    assert is_monotone_power(root) == (True, None)
-    assert is_monotone_power(LinkSystem(space)) == (True, None)
-    decreasing = LinkSystem(space, power=PowerAssignment.explicit([2.0, 1.0]))
-    assert is_monotone_power(decreasing) == (False, (0, 1))
-
-
 def test_pairwise_power_certificate():
     sys_ = gen_equidecay_graph(4, [(0, 1)])
     assert pairwise_power_infeasible(sys_, 0, 1)
     assert not pairwise_power_infeasible(sys_, 0, 2)
     with pytest.raises(ValueError):
         pairwise_power_infeasible(sys_, 1, 1)
-
-
-def test_interference_at_star():
-    star = gen_star(16, 1.0)
-    sys_ = LinkSystem(star, links=[(0, 1)], params=SinrParams())
-    leaves = list(range(2, 18))
-    assert abs(interference_at(sys_, leaves, 0) - 16.0 / 257.0) <= 1e-12
-    assert interference_at(sys_, [], 0) == 0.0
 
 
 def test_interference_at_rejects_bad_calls():

@@ -21,7 +21,6 @@ from decayspace import (
     quasi_distances,
     random_link_system,
 )
-from decayspace.search import max_independent_set, max_weight_independent_set
 
 import links_reference as ref
 
@@ -111,48 +110,6 @@ def test_capped_affectance_never_exceeds_raw(seed):
     raw = affectance_matrix(sys_, capped=False)
     assert np.all(capped <= raw + 1e-15)
     assert np.all(capped <= 1.0)
-
-
-def brute_mis(n, conflict):
-    for r in range(n, -1, -1):
-        for combo in itertools.combinations(range(n), r):
-            if all(not conflict[a][b] for a, b in itertools.combinations(combo, 2)):
-                return combo
-    return ()
-
-
-def brute_mwis(n, weights, conflict):
-    best_val, best = 0.0, ()
-    for r in range(n + 1):
-        for combo in itertools.combinations(range(n), r):
-            if any(conflict[a][b] for a, b in itertools.combinations(combo, 2)):
-                continue
-            val = float(sum(weights[v] for v in combo))
-            if val > best_val or (val == best_val and combo < best):
-                best_val, best = val, combo
-    return best, best_val
-
-
-@settings(deadline=None, max_examples=50)
-@given(seeds, st.integers(1, 12))
-def test_independent_set_searches_match_brute_force(seed, n):
-    rng = np.random.default_rng(seed)
-    conflict = rng.random((n, n)) < 0.45
-    conflict |= conflict.T
-    np.fill_diagonal(conflict, False)
-    # integer weights tie often; fading_parameter searches 1/f weights
-    weight_draws = (
-        rng.integers(1, 9, size=n).astype(float),
-        1.0 / rng.uniform(0.5, 10.0, size=n),
-    )
-
-    members, exact = max_independent_set(conflict)
-    assert exact and members == brute_mis(n, conflict)
-
-    for weights in weight_draws:
-        got, value, exact = max_weight_independent_set(weights, conflict)
-        want_members, want_value = brute_mwis(n, weights, conflict)
-        assert exact and got == want_members and value == want_value
 
 
 json_primitives = st.one_of(

@@ -2,7 +2,7 @@
 
 Each row calls one entry point with one scalar changed. A bool, a string
 or None is refused with a ValueError that names the parameter, and so is
-a fraction or NaN where a whole number is expected. Python and numpy
+a fraction, NaN or infinity where a whole number is expected. Python and numpy
 ints and floats of the same value are accepted and give the same result,
 compared as canonical report text.
 """
@@ -21,6 +21,7 @@ from decayspace import (
     SinrParams,
     affectance,
     aggregate_affectance,
+    assouad_estimate,
     ball,
     capacity_uniform,
     check_separation,
@@ -37,6 +38,7 @@ from decayspace import (
     is_feasible,
     link_distance,
     load_graph,
+    packing_number,
     pairwise_power_infeasible,
     random_graph,
     random_link_system,
@@ -48,7 +50,7 @@ from decayspace import (
     triangle_violation,
     zeta_hat,
 )
-from decayspace import io
+from decayspace import io, verify
 from decayspace.cli import _plain
 from decayspace.io import dumps_canonical, space_to_dict, system_to_dict
 from decayspace.search import max_independent_set
@@ -68,6 +70,12 @@ def _graph(n=4, end=3):
     # load_graph reads a file; the document is handed over as parsed, numpy scalars included
     with mock.patch.object(io, "_read_doc", return_value={"n": n, "edges": [[0, end]]}):
         return load_graph("graph.json")
+
+
+def _verify(seed):
+    # one check that reports the seed it was given, in place of the whole registry
+    with mock.patch.object(verify, "_CHECKS", [("seed", lambda s: (True, s))]):
+        return verify.run_verify(seed)
 
 
 # (id, parameter name, call with the scalar, a value the call accepts)
@@ -99,6 +107,10 @@ WHOLE = [
     ("random_link_system", "n_links", lambda v: random_link_system(v, 1), 3),
     ("max_independent_set", "exact_limit",
      lambda v: max_independent_set(np.zeros((4, 4), dtype=bool), v), 3),
+    ("random_points seed", "seed", lambda v: random_points(3, v), 3),
+    ("random_graph seed", "seed", lambda v: random_graph(4, 0.5, v), 3),
+    ("random_link_system seed", "seed", lambda v: random_link_system(3, v), 3),
+    ("run_verify", "seed", _verify, 3),
 ]
 REAL = [
     ("SinrParams beta", "beta", lambda v: SinrParams(beta=v), 3),
@@ -134,7 +146,16 @@ REAL = [
      lambda v: separation_strengthen(FOUR, QUASI, [0], v, 4.0), 3),
     ("separation_strengthen eta", "eta",
      lambda v: separation_strengthen(FOUR, QUASI, [0], 0.5, v), 3),
+    ("check_separation", "eta", lambda v: check_separation(FOUR, QUASI, 0, [1], v), 3),
+    ("packing_number", "t", lambda v: packing_number(LINE, range(4), v), 3),
+    ("assouad_estimate C", "C", lambda v: assouad_estimate(LINE, C=v), 3),
+    ("assouad_estimate q", "q", lambda v: assouad_estimate(LINE, q_grid=(2.0, v)), 3),
+    ("fading_bound C", "C", lambda v: fading_bound(v, 0.25), 3),
+    ("zeta_hat tol", "tol", lambda v: zeta_hat(3.0, tol=v), 3),
 ]
+
+
+NONE_ASKS = ("gen_equidecay_graph", "assouad_estimate C")
 
 
 def _text(made):
@@ -168,14 +189,15 @@ def _same(call, good, forms):
 
 @pytest.mark.parametrize("key,name,call,good", WHOLE, ids=[row[0] for row in WHOLE])
 def test_whole_numbers_are_checked_alike(key, name, call, good):
-    _refused(name, call, (True, np.True_, str(good), None, good + 0.5, math.nan))
+    _refused(name, call, (True, np.True_, str(good), None, good + 0.5, good + 0.7, math.nan,
+                          math.inf))
     _same(call, good, (float(good), np.int64(good), np.float64(good)))
 
 
 @pytest.mark.parametrize("key,name,call,good", REAL, ids=[row[0] for row in REAL])
 def test_real_numbers_are_checked_alike(key, name, call, good):
-    # far_decay=None asks for the default, so None is refused everywhere else
-    bad = (True, np.True_, str(good)) + (() if name == "far_decay" else (None,))
+    # far_decay=None asks for the default and C=None for a fit, so None is refused everywhere else
+    bad = (True, np.True_, str(good)) + (() if key in NONE_ASKS else (None,))
     _refused(name, call, bad)
     forms = (float(good), np.float64(good), np.float32(good))
     if float(good).is_integer():

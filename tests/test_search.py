@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from decayspace import fading_parameter, gen_star
 from decayspace import search
@@ -71,6 +72,22 @@ def _brute_branch(conflict, w, floor, max_size=None):
         return 0, floor
     top = max(v for v, _ in better)
     return next(s for v, s in better if v == top), float(top)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 10 ** 6), st.integers(1, 12))
+@example(132, 11)  # its integer-weight search reaches a later leaf that only ties the best
+def test_independent_set_searches_match_brute_force(seed, n):
+    rng = np.random.default_rng(seed)
+    conflict = rng.random((n, n)) < 0.45
+    conflict |= conflict.T
+    np.fill_diagonal(conflict, False)
+    mask, _ = _brute_branch(conflict, [1.0] * n, 0.0)
+    assert max_independent_set(conflict) == (search._members(mask), True)
+    # integer weights tie often; fading_parameter searches 1/f weights
+    for w in (rng.integers(1, 9, size=n).astype(float), 1.0 / rng.uniform(0.5, 10.0, size=n)):
+        mask, value = _brute_branch(conflict, w, 0.0)
+        assert max_weight_independent_set(w, conflict) == (search._members(mask), value, True)
 
 
 def _random_graphs():
