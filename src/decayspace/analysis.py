@@ -21,10 +21,10 @@ import numpy as np
 from dataclasses import dataclass
 
 from .search import (
-    _branch, _check_exact_limit, _first_fit, _first_fit_cliques, _neighbor_masks,
+    _branch, _first_fit, _first_fit_cliques, _neighbor_masks,
     max_independent_set, max_weight_independent_set,
 )
-from .spaces import _node_index, _quasi_table, _real, _row_blocks
+from .spaces import _node_index, _quasi_table, _real, _row_blocks, _whole
 
 
 def _stack_blocks(count, k):
@@ -48,9 +48,7 @@ def _packing_conflicts(S, t):
 
 def ball(space, y, t):
     """Nodes whose decay toward y is strictly below t."""
-    t = _real("t", t)
-    if not (t > 0):
-        raise ValueError("radius must be positive")
+    t = _real("t", t, "(0, inf]")
     y = _node_index(space, y)
     return tuple(int(i) for i in np.where(space.f[:, y] < t)[0])
 
@@ -65,9 +63,7 @@ def packing_number(space, body, t, exact_limit=24):
     body = sorted({_node_index(space, i) for i in body})
     if not body:
         raise ValueError("cannot pack an empty body")
-    t = _real("t", t)
-    if not (t > 0):
-        raise ValueError("scale must be positive")
+    t = _real("t", t, "(0, inf]")
     sub = space.f[np.ix_(body, body)]
     close = _packing_conflicts(np.minimum(sub, sub.T), t)
     members, exact = max_independent_set(close, exact_limit)
@@ -125,17 +121,15 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     (about 2**18 entries, a single K x K prefix matrix at least), so
     memory stays O(n**2).
     """
-    C = None if C is None else _real("C", C)
-    if C is not None and not (0 < C < math.inf):
-        raise ValueError("C must be positive and finite")
+    C = None if C is None else _real("C", C, "(0, inf)")
     if space.n < 1:
         raise ValueError("empty space")
-    q_grid = [_real("q", q) for q in q_grid]
-    if len(q_grid) == 0 or not all(1 < q < math.inf for q in q_grid):
-        raise ValueError("q_grid must be a non-empty grid of finite q > 1")
+    q_grid = [_real("q", q, "(1, inf)") for q in q_grid]
+    if not q_grid:
+        raise ValueError("q_grid must not be empty")
     if C is None and len(set(q_grid)) < 2:
         raise ValueError("fitting C needs at least two distinct q")
-    _check_exact_limit(exact_limit)
+    exact_limit = _whole("exact_limit", exact_limit, "[0, inf)")
     f = space.f
     S = np.minimum(f, f.T)
     g = {q: 1 for q in q_grid}
@@ -218,12 +212,10 @@ def fading_parameter(space, r, exact_limit=24, quasi=None):
     is exact up to exact_limit candidate senders, greedy beyond (a
     lower bound, flagged).
     """
-    r = _real("r", r)
-    if not (r > 0):
-        raise ValueError("r must be positive")
+    r = _real("r", r, "(0, inf]")
     if space.n < 1:
         raise ValueError("empty space")
-    _check_exact_limit(exact_limit)  # also where no node has a candidate to search
+    exact_limit = _whole("exact_limit", exact_limit, "[0, inf)")  # also with no candidate
     M = space.f if quasi is None else _quasi_table(space, quasi)
     n = space.n
     sep = np.minimum(M, M.T)
@@ -261,11 +253,7 @@ def zeta_hat(s, tol=1e-9):
     M**(1-s)/(s-1) - M**(-s)/2 + s*M**(-s-1)/12; M doubles until the
     next correction term bounds the error below tol.
     """
-    s, tol = _real("s", s), _real("tol", tol)
-    if not (1 < s < math.inf):
-        raise ValueError("zeta_hat needs a finite s > 1")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    s, tol = _real("s", s, "(1, inf)"), _real("tol", tol, "(0, inf]")
     M = 32
     while s * (s + 1) * (s + 2) * M ** (-s - 3) / 720.0 > tol / 2.0:
         M *= 2
@@ -282,11 +270,7 @@ def fading_bound(C, A):
     stays at most C * 2**(A+1) * (zeta_hat(2 - A) - 1). Raises for
     A >= 1, where the underlying series diverges, and for a non-finite A.
     """
-    C, A = _real("C", C), _real("A", A)
-    if not (0 < C < math.inf):
-        raise ValueError("C must be positive and finite")
-    if not math.isfinite(A):
-        raise ValueError("growth degree A must be finite")
+    C, A = _real("C", C, "(0, inf)"), _real("A", A, "(-inf, inf)")
     if A >= 1:
         raise ValueError("bound diverges for growth degree A >= 1")
     return float(C * 2.0 ** (A + 1.0) * (zeta_hat(2.0 - A) - 1.0))
@@ -301,7 +285,7 @@ def independence_at(space, quasi, x, exact_limit=24):
     """
     x = _node_index(space, x)
     d = _quasi_table(space, quasi)
-    _check_exact_limit(exact_limit)  # also on a one-node space, which has nothing to search
+    exact_limit = _whole("exact_limit", exact_limit, "[0, inf)")  # also on one node
     cand = [z for z in range(space.n) if z != x]
     if not cand:
         return 0, (), True

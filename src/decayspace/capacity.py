@@ -30,7 +30,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .search import _branch, _first_fit_cliques, _members, _neighbor_masks
-from .spaces import NODE_SPACE, _quasi_table, _real, quasi_distances
+from .spaces import NODE_SPACE, _quasi_table, _real, _whole, quasi_distances
 from .links import (
     affectance_matrix,
     drowned_links,
@@ -72,10 +72,10 @@ def _default_quasi(space, zeta):
 
 def _check_uniform(sys, zeta):
     # the greedy and the lemmas it rests on assume uniform power and zeta >= 1
+    zeta = _real("zeta", zeta, "[1, inf)")
     if sys.power.kind != "uniform":
         raise ValueError("defined for uniform power")
-    if not (1 <= zeta < math.inf):
-        raise ValueError("zeta must be finite and at least 1")
+    return zeta
 
 
 def capacity_uniform(sys, zeta, quasi=None):
@@ -91,8 +91,7 @@ def capacity_uniform(sys, zeta, quasi=None):
     reported in the result. A quasi-metric passed in must be the one of
     this space at this zeta.
     """
-    zeta = _real("zeta", zeta)
-    _check_uniform(sys, zeta)
+    zeta = _check_uniform(sys, zeta)
     if quasi is None:
         quasi = _default_quasi(sys.space, zeta)
     _quasi_table(sys.space, quasi)
@@ -135,7 +134,7 @@ def capacity_oracle(sys, max_n=20):
     exponential in the worst case; max_n caps the number of links.
     Returns (size, members).
     """
-    n = sys.n_links
+    n, max_n = sys.n_links, _whole("max_n", max_n, "[0, inf)")
     if n > max_n:
         raise ValueError(
             "%d links exceed max_n=%d; sample the system down or raise the cap"
@@ -177,9 +176,9 @@ def signal_strengthen(sys, S, p, q):
     S = _link_set(sys, S)
     if not S:
         raise ValueError("cannot partition an empty set")
-    p, q = _real("p", p), _real("q", q)
-    if not (0 < p <= q and math.isfinite(2.0 * q / p)):
-        raise ValueError("need 0 < p <= q with 2q/p finite, got p=%g, q=%g" % (p, q))
+    p, q = _real("p", p, "(0, inf)"), _real("q", q, "(0, inf)")
+    if not (p <= q and math.isfinite(2.0 * q / p)):
+        raise ValueError("need p <= q with 2q/p finite, got p=%g, q=%g" % (p, q))
     ok, wit = is_feasible(sys, S, K=p)
     if not ok:
         raise ValueError("input set is not %g-feasible (worst link %d)" % (p, wit))
@@ -231,9 +230,7 @@ def separation_strengthen(sys, quasi, S, tau, eta):
     S = _link_set(sys, S)
     if not S:
         raise ValueError("cannot partition an empty set")
-    tau, eta = _real("tau", tau), _real("eta", eta)
-    if not (tau > 0):
-        raise ValueError("tau must be positive")
+    tau, eta = _real("tau", tau, "(0, inf]"), _real("eta", eta, "(0, inf]")
     if not (eta >= tau):
         raise ValueError("eta must be at least tau")
     bad = _separation_violation(sys, quasi, S, tau)

@@ -22,6 +22,7 @@ import time
 
 from . import __version__
 from .spaces import (
+    _real,
     _whole,
     analyze_metricity,
     compute_zeta,
@@ -106,9 +107,7 @@ def _resolve_zeta(flag, space, tol):
         zeta = float(flag)
     except ValueError:
         raise UsageError("--zeta takes 'auto' or a number, got %r" % flag)
-    if not (1 <= zeta < math.inf):
-        raise UsageError("--zeta must be finite and at least 1")
-    return zeta
+    return _real("zeta", zeta, "[1, inf)")
 
 
 def _cmd_validate(args):

@@ -2,13 +2,14 @@
 
 Each generator returns a DecaySpace, or a LinkSystem when the
 construction carries links. The random helpers take integer seeds
-and are reproducible. Counts, seeds and edge endpoints are read by
-spaces._whole and real parameters by spaces._real.
+and are reproducible. Counts and seeds are read by spaces._whole and
+real parameters by spaces._real, each with its interval, and edge
+endpoints by spaces._indices.
 """
 
 import numpy as np
 
-from .spaces import DecaySpace, LINK_GAIN, NODE_SPACE, _real, _whole
+from .spaces import DecaySpace, LINK_GAIN, NODE_SPACE, _indices, _real, _whole
 from .links import LinkSystem, PowerAssignment, SinrParams
 
 # draws a random generator makes before giving up on distinct points
@@ -27,13 +28,13 @@ def _check_nodes(what, n):
 
 
 def _edge_array(n, edges):
-    """Edges as an (m, 2) int array, rejecting loops and endpoints outside 0..n-1."""
+    """Edges as an (m, 2) int array of sorted pairs, by _indices; a loop is refused by name."""
     out = []
     for i, j in edges:
         i, j = _whole("edge endpoint", i), _whole("edge endpoint", j)
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise ValueError("bad edge (%d, %d)" % (i, j))
-        out.append((i, j))
+        if i == j:
+            raise ValueError("edge (%d, %d) is a loop" % (i, j))
+        out.append(_indices("edge endpoint", (i, j), n))
     return np.array(out, dtype=int).reshape(-1, 2)
 
 
@@ -46,9 +47,7 @@ def random_points(n, seed, plant_collinear=False):
     error. Points are deduplicated by resampling, at most
     MAX_RESAMPLES times before a ValueError.
     """
-    n, seed = _whole("n", n), _whole("seed", seed)
-    if n < 1:
-        raise ValueError("need at least one point")
+    n, seed = _whole("n", n, "[1, inf)"), _whole("seed", seed, "[0, inf)")
     if not isinstance(plant_collinear, (bool, np.bool_)):
         raise ValueError("'plant_collinear' must be a bool, got %r" % (plant_collinear,))
     if plant_collinear and n < 3:
@@ -75,9 +74,7 @@ def gen_euclidean(points, alpha):
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must be a non-empty 2d array")
     _check_nodes("a point cloud", len(pts))
-    alpha = _real("alpha", alpha)
-    if not (alpha >= 1):
-        raise ValueError("alpha must be at least 1")
+    alpha = _real("alpha", alpha, "[1, inf]")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=-1))
     return DecaySpace(dist ** alpha, mode=NODE_SPACE)
@@ -90,9 +87,7 @@ def gen_threepoint(q):
     exponent needed to fix the triangle inequality grows without
     bound, while the multiplicative defect stays below 2.
     """
-    q = _real("q", q)
-    if not (q > 1):
-        raise ValueError("q must exceed 1")
+    q = _real("q", q, "(1, inf)")
     f = np.array([
         [0.0, 1.0, 2.0 * q],
         [1.0, 0.0, q],
@@ -110,12 +105,8 @@ def gen_star(k, r):
     r much smaller than k**2: the stray hears all k leaves at decay
     just above k**2 each. k + 2 is capped at MAX_NODES.
     """
-    k, r = _whole("k", k), _real("r", r)
-    if k < 1:
-        raise ValueError("need at least one leaf")
+    k, r = _whole("k", k, "[1, inf)"), _real("r", r, "(0, inf)")
     _check_nodes("a star", k + 2)
-    if not (r > 0):
-        raise ValueError("r must be positive")
     n = k + 2
     k2 = float(k) ** 2
     f = np.full((n, n), 2.0 * k2)
@@ -138,13 +129,9 @@ def gen_welzl(n, eps=1e-6):
     2**n must be a finite float, so n is at most 1023 (and n + 2 stays
     within MAX_NODES).
     """
-    n, eps = _whole("n", n), _real("eps", eps)
-    if n < 1:
-        raise ValueError("need a chain of at least two nodes")
+    n, eps = _whole("n", n, "[1, inf)"), _real("eps", eps, "(0, 1)")
     if n > 1023:
         raise ValueError("a welzl chain has n at most 1023 (2**n must be finite), got %d" % n)
-    if not (0 < eps < 1):
-        raise ValueError("eps must be in (0, 1)")
     scale = 2.0 ** np.arange(n + 1)
     f = np.zeros((n + 2, n + 2))
     f[1:, 1:] = np.maximum.outer(scale, scale)
@@ -164,13 +151,9 @@ def gen_equidecay_graph(n_vertices, edges, far_decay=None):
     is independent in the graph, and adjacent pairs are infeasible
     under every power assignment. n is capped at MAX_NODES.
     """
-    n = _whole("n_vertices", n_vertices)
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    n = _whole("n_vertices", n_vertices, "[1, inf)")
     _check_nodes("an equidecay graph", n)
-    far = _real("far_decay", far_decay) if far_decay is not None else float(n)
-    if not (far > 1):
-        raise ValueError("far decay must exceed 1")
+    far = _real("far_decay", float(n) if far_decay is None else far_decay, "(1, inf]")
     e = _edge_array(n, edges)
     f = np.full((n, n), far)
     np.fill_diagonal(f, 1.0)
@@ -195,15 +178,9 @@ def gen_twoline(n_vertices, edges, alpha, delta=0.25):
     assignment since n**(2a) > (n**a - delta)**2. 2n is capped at
     MAX_NODES.
     """
-    n = _whole("n_vertices", n_vertices)
-    if n < 2:
-        raise ValueError("need at least two vertices")
+    n = _whole("n_vertices", n_vertices, "[2, inf)")
     _check_nodes("a twoline construction", 2 * n)
-    alpha, delta = _real("alpha", alpha), _real("delta", delta)
-    if not (alpha > 1):
-        raise ValueError("alpha must exceed 1")
-    if not (0 < delta < 0.5):
-        raise ValueError("delta must lie in (0, 1/2)")
+    alpha, delta = _real("alpha", alpha, "(1, inf)"), _real("delta", delta, "(0, 0.5)")
     e = _edge_array(n, edges)
     a = alpha - 1.0
     na = float(n) ** a
@@ -229,11 +206,8 @@ def gen_twoline(n_vertices, edges, alpha, delta=0.25):
 
 def random_graph(n, p, seed):
     """Erdos-Renyi style edge list, reproducible by seed."""
-    n, p, seed = _whole("n", n), _real("p", p), _whole("seed", seed)
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if not (0 <= p <= 1):
-        raise ValueError("p must lie in [0, 1]")
+    n, p = _whole("n", n, "[1, inf)"), _real("p", p, "[0, 1]")
+    seed = _whole("seed", seed, "[0, inf)")
     rng = np.random.default_rng(seed)
     edges = []
     for i in range(n):
@@ -255,12 +229,9 @@ def random_link_system(n_links, seed, beta=1.0, noise=0.0, alpha=2.5, box=4.0):
     decay breaks the indiscernibles axiom, so DecaySpace rejects it
     with a ValueError.
     """
-    n_links, box, seed = _whole("n_links", n_links), _real("box", box), _whole("seed", seed)
-    if n_links < 1:
-        raise ValueError("need at least one link")
+    n_links, box = _whole("n_links", n_links, "[1, inf)"), _real("box", box, "(0, inf)")
+    seed = _whole("seed", seed, "[0, inf)")
     _check_nodes("a link system", 2 * n_links)
-    if not (0 < box < np.inf):
-        raise ValueError("box must be positive and finite")
     if box > MAX_BOX:
         raise ValueError("box %g exceeds MAX_BOX = %g: receiver offsets of 0.1-0.8 "
                          "would vanish against the coordinates" % (box, MAX_BOX))

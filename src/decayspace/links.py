@@ -35,21 +35,15 @@ quasi-metric's table. Every separation test and partition reads it.
 
 import numpy as np
 
-from .spaces import NODE_SPACE, LINK_GAIN, _node_index, _quasi_table, _real, _whole
+from .spaces import NODE_SPACE, LINK_GAIN, _indices, _node_index, _quasi_table, _real
 
 
 class SinrParams:
     """SINR threshold beta >= 1 and ambient noise N >= 0, both finite."""
 
     def __init__(self, beta=1.0, noise=0.0):
-        beta = _real("beta", beta)
-        noise = _real("noise", noise)
-        if not (1 <= beta < np.inf):
-            raise ValueError("beta must be finite and at least 1")
-        if not (0 <= noise < np.inf):
-            raise ValueError("noise must be finite and non-negative")
-        self.beta = beta
-        self.noise = noise
+        self.beta = _real("beta", beta, "[1, inf)")
+        self.noise = _real("noise", noise, "[0, inf)")
 
     def __repr__(self):
         return "SinrParams(beta=%g, noise=%g)" % (self.beta, self.noise)
@@ -64,15 +58,13 @@ class PowerAssignment:
 
     def __init__(self, kind, value):
         if kind == "uniform":
-            value = _real("level", value)
+            value = _real("level", value, "(0, inf)")
         elif kind == "explicit":
             if np.ndim(value) != 1:
                 raise ValueError("explicit powers must be a vector")
-            value = np.array([_real("level", v) for v in value])
+            value = np.array([_real("level", v, "(0, inf)") for v in value])
         else:
             raise ValueError("kind must be 'uniform' or 'explicit'")
-        if not np.all((0 < value) & (value < np.inf)):
-            raise ValueError("powers must be positive and finite")
         self.kind = kind
         self.value = value
 
@@ -208,13 +200,7 @@ def affectance_matrix(sys, capped=True):
 
 def _link_set(sys, S):
     """S as a sorted list of distinct link indices, each in 0..n_links-1."""
-    out = sorted(_whole("link index", v) for v in S)
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise ValueError("duplicate link index %d" % a)
-    if out and not (0 <= out[0] and out[-1] < sys.n_links):
-        raise ValueError("link index %d out of range" % (out[0] if out[0] < 0 else out[-1]))
-    return out
+    return _indices("link index", S, sys.n_links)
 
 
 def _check_not_drowned(sys, v):
@@ -265,9 +251,7 @@ def is_feasible(sys, S, K=1.0):
     S = _link_set(sys, S)
     if not S:
         raise ValueError("feasibility of the empty set is undefined")
-    K = _real("K", K)
-    if not (K > 0):
-        raise ValueError("K must be positive")
+    K = _real("K", K, "(0, inf]")
     margin = _noise_margin(sys)
     for v in S:
         if margin[v] <= 0:
@@ -334,9 +318,7 @@ def link_distance_matrix(sys, quasi):
 def _separated(sys, quasi, rows, cols, eta):
     """sep[i, j]: link_distance(rows[i], cols[j]) >= eta * own length of rows[i]."""
     # a NaN level would fail every comparison and so pass every set
-    eta = _real("eta", eta)
-    if not (eta >= 0):
-        raise ValueError("separation level eta must be non-negative, got %r" % (eta,))
+    eta = _real("eta", eta, "[0, inf]")
     lengths = sys.link_lengths(quasi)[rows]
     return _link_distance_block(sys, quasi, rows, cols) >= eta * lengths[:, None]
 
@@ -414,10 +396,7 @@ def interference_at(sys, senders, target):
     if sys.power.kind != "uniform":
         raise ValueError("interference_at is defined for uniform power")
     target = _node_index(sys.space, target)
-    senders = sorted(_node_index(sys.space, y) for y in senders)
-    for a, b in zip(senders, senders[1:]):
-        if a == b:
-            raise ValueError("duplicate sender node %d" % a)
+    senders = _indices("sender", senders, sys.space.n)
     if target in senders:
         raise ValueError("target cannot be one of the senders")
     col = sys.space.f[senders, target]

@@ -54,8 +54,7 @@ improvement. A valid bound prunes only branches that cannot improve
 strictly, so the reported optimum is the lexicographically least one.
 Past exact_limit vertices a greedy pass in decreasing weight order
 (ties by index) gives a lower bound, which the callers flag as
-inexact. _check_exact_limit refuses an exact_limit that is not a
-whole number >= 0.
+inexact. An exact_limit must be a whole number >= 0 (spaces._whole).
 
 Floor contract: _branch(masks, w, floor) starts from floor as its
 incumbent value with no witness, so it returns a set only when one
@@ -101,16 +100,6 @@ searches and assouad_estimate pass no loads.
 import numpy as np
 
 from .spaces import _whole
-
-
-def _check_exact_limit(exact_limit):
-    # a negative limit would make every search greedy, NaN every one exact, True read as 1
-    try:
-        if _whole("exact_limit", exact_limit) >= 0:
-            return
-    except ValueError:
-        pass
-    raise ValueError("exact_limit must be an integer >= 0, got %r" % (exact_limit,))
 
 
 def _neighbor_masks(conflict):
@@ -254,7 +243,8 @@ def _first_fit(masks, order):
 
 
 def _search(weights, conflict, exact_limit):
-    _check_exact_limit(exact_limit)
+    # a negative limit would make every search greedy, NaN every one exact, True read as 1
+    exact_limit = _whole("exact_limit", exact_limit, "[0, inf)")
     conflict = np.asarray(conflict, dtype=bool)
     n = conflict.shape[0]
     if n == 0:

@@ -101,30 +101,63 @@ class DecaySpace:
         return "%s(n=%d, mode=%r)" % (type(self).__name__, self.n, self.mode)
 
 
-def _whole(name, value):
+# (lo, hi, lo closed, hi closed) of each interval text, parsed on first use;
+# the texts are the literals at the call sites, so the cache stays small
+_INTERVALS = {}
+
+
+def _within(name, value, interval):
+    """value, when it lies in the interval written like "(0, 1]" or "[1, inf)"; NaN never does."""
+    try:
+        lo, hi, lo_in, hi_in = _INTERVALS[interval]
+    except KeyError:
+        lo, hi = interval[1:-1].split(",")
+        lo, hi, lo_in, hi_in = _INTERVALS.setdefault(
+            interval, (float(lo), float(hi), interval[0] == "[", interval[-1] == "]"))
+    if (lo < value or lo_in and lo == value) and (value < hi or hi_in and value == hi):
+        return value
+    raise _outside(name, interval, value)
+
+
+def _outside(name, interval, value):
+    return ValueError("%r must lie in %s, got %r" % (name, interval, value))
+
+
+def _whole(name, value, interval=None):
     """A count or index as an int: a Python or numpy int, or a float with no fraction, no bool."""
     if type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
                               or isinstance(value, (float, np.floating)) and value.is_integer()):
-        return int(value)
+        return int(value) if interval is None else _within(name, int(value), interval)
     raise ValueError("%r must be a whole number, got %r (type %r)"
                      % (name, value, type(value).__name__))
 
 
-def _real(name, value):
-    """A real as a float: a Python or numpy int or float, no bool; ranges are the caller's."""
+def _real(name, value, interval):
+    """A real as a float: a Python or numpy int or float, no bool, in the interval."""
     if type(value) is float or (isinstance(value, (int, float, np.integer, np.floating))
                                 and not isinstance(value, bool)):
-        return float(value)
+        return _within(name, float(value), interval)
     raise ValueError("%r must be a number, got %r (type %r)"
                      % (name, value, type(value).__name__))
+
+
+def _indices(name, values, n):
+    """values as a sorted list of distinct indices, each a whole number in 0..n-1."""
+    out = sorted([_whole(name, v) for v in values])
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            raise ValueError("duplicate %s %d" % (name, a))
+    if out and not (0 <= out[0] and out[-1] < n):
+        raise _outside(name, "[0, %d)" % n, out[0] if out[0] < 0 else out[-1])
+    return out
 
 
 def _node_index(space, y):
     """y as a node index of the space, by _whole, rejecting any outside 0..n-1."""
     y = _whole("node", y)
-    if not (0 <= y < space.n):
-        raise ValueError("node %d out of range" % y)
-    return y
+    if 0 <= y < space.n:
+        return y
+    raise _outside("node", "[0, %d)" % space.n, y)
 
 
 @dataclass
@@ -340,9 +373,7 @@ def compute_zeta(space, tol=1e-9):
     triple has x < y. T and K are then taken over the scanned triples,
     for which the argument above holds as for any set of triples.
     """
-    tol = _real("tol", tol)
-    if not (0 < tol < np.inf):
-        raise ValueError("tol must be positive and finite")
+    tol = _real("tol", tol, "(0, inf)")
     if space.n < 2:
         raise ValueError("need at least 2 nodes")
     if space.n < 3:
@@ -515,9 +546,7 @@ class QuasiMetric(DecaySpace):
     """
 
     def __init__(self, space, zeta):
-        zeta = _real("zeta", zeta)
-        if not (0 < zeta < np.inf):
-            raise ValueError("zeta must be positive and finite")
+        zeta = _real("zeta", zeta, "(0, inf)")
         # the invariant judges an overflow or underflow of the power
         with np.errstate(over="ignore", under="ignore"):
             d = space.f ** (1.0 / zeta)
@@ -557,9 +586,7 @@ def triangle_violation(quasi, tol=1e-7):
     violating pair has x < y. The pairs left out keep best = inf, which
     no entry exceeds.
     """
-    tol = _real("tol", tol)
-    if not (0 <= tol < np.inf):
-        raise ValueError("tol must be non-negative and finite")
+    tol = _real("tol", tol, "[0, inf)")
     d, n = quasi.d, quasi.n
     best = np.full(d.shape, np.inf)
     for x, _, c0, _ in _target_blocks(n, _symmetric(d), ((r, r + 1) for r in range(n))):

@@ -542,9 +542,7 @@ def run_verify(seed):
     that is negative or not a whole number raises ValueError before any
     check runs.
     """
-    seed = _whole("seed", seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer, got %d" % seed)
+    seed = _whole("seed", seed, "[0, inf)")
     items = []
     for name, fn in _CHECKS:
         try:

