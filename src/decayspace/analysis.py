@@ -37,6 +37,18 @@ def _stack_blocks(count, k):
     return _row_blocks(count, k * (-(-k // 64) * 64))
 
 
+def _run_starts(v):
+    """Index of the first entry of each run of equal positive values of the sorted array v.
+
+    These are np.unique's values, found without it: np.unique loads
+    numpy.ma on its first call, 10 ms or more of import.
+    """
+    starts = np.empty(len(v), dtype=bool)
+    starts[:1] = True
+    np.not_equal(v[1:], v[:-1], out=starts[1:])
+    return np.flatnonzero(starts & (v > 0))
+
+
 def _packing_conflicts(S, t):
     """Pairs too close to share a packing at scale t: min(f(a,b), f(b,a)) <= 2t.
 
@@ -139,10 +151,10 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     for x in range(space.n):
         order = np.argsort(f[:, x], kind="stable")
         col = f[order, x]
-        radii = np.unique(col)
-        radii = radii[radii > 0]
-        # the ball of radius r is order[:k], k the count of decays below r
-        sizes = np.searchsorted(col, radii)
+        # the ball of radius r is order[:k], k the count of decays below r:
+        # the start of r's run in the sorted column
+        sizes = _run_starts(col)
+        radii = col[sizes]
         if not sizes.size or sizes[-1] <= min(g.values()):
             continue
         Sx = S[np.ix_(order, order)]
@@ -178,11 +190,12 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     else:
         estimate = max(math.log(gq / C) / math.log(q) for q, gq in samples)
         C_out = C
+    values = np.sort(f, axis=None)
     return DimensionEstimate(
         assouad=float(estimate),
         C=C_out,
         samples=samples,
-        r_grid=tuple(float(d) for d in np.unique(f) if d > 0),
+        r_grid=tuple(values[_run_starts(values)].tolist()),
         exact=all_exact,
     )
 
@@ -251,9 +264,12 @@ def zeta_hat(s, tol=1e-9):
 
     Partial sum to M terms plus the tail corrections
     M**(1-s)/(s-1) - M**(-s)/2 + s*M**(-s-1)/12; M doubles until the
-    next correction term bounds the error below tol.
+    next correction term bounds the error below tol. tol lies in
+    [1e-15, inf], where M stays at most 2**11: the sum exceeds 1, where
+    floats lie at least 2.2e-16 apart, so a smaller tol would only grow
+    M, up to arrays of many GB.
     """
-    s, tol = _real("s", s, "(1, inf)"), _real("tol", tol, "(0, inf]")
+    s, tol = _real("s", s, "(1, inf)"), _real("tol", tol, "[1e-15, inf]")
     M = 32
     while s * (s + 1) * (s + 2) * M ** (-s - 3) / 720.0 > tol / 2.0:
         M *= 2

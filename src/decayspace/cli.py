@@ -110,6 +110,15 @@ def _resolve_zeta(flag, space, tol):
     return _real("zeta", zeta, "[1, inf)")
 
 
+def _resolve_quasi(flag, space, tol):
+    # (zeta, its quasi-metric): compute_zeta returns a zeta whose
+    # quasi-metric passes the triangle check, so only a typed zeta is checked
+    zeta = _resolve_zeta(flag, space, tol)
+    if flag == "auto":
+        return zeta, quasi_distances(space, zeta, check=False)
+    return zeta, _default_quasi(space, zeta)
+
+
 def _cmd_validate(args):
     # the raw matrix, since a DecaySpace refuses the violations listed here
     f, mode, _ = _read(_read_space, "space", args.space)
@@ -146,11 +155,11 @@ def _cmd_analyze(args):
 
 def _cmd_capacity(args):
     sys_ = _read(load_system, "system", args.system)
-    zeta = _resolve_zeta(args.zeta, sys_.space, args.tol)
+    zeta, quasi = _resolve_quasi(args.zeta, sys_.space, args.tol)
     want_oracle = args.oracle == "on" or (
         args.oracle == "auto" and sys_.n_links <= ORACLE_AUTO_LIMIT
     )
-    greedy = capacity_uniform(sys_, zeta)
+    greedy = capacity_uniform(sys_, zeta, quasi=quasi)
     result = {
         "selected": greedy.selected,
         "intermediate": greedy.intermediate,
@@ -182,10 +191,10 @@ def _cmd_partition(args):
         part = signal_strengthen(sys_, S, args.p, args.q)
         config.update(p=args.p, q=args.q)
     else:
-        zeta = _resolve_zeta(args.zeta, sys_.space, args.tol)
+        zeta, quasi = _resolve_quasi(args.zeta, sys_.space, args.tol)
         tau = args.tau if args.tau is not None else 1.0 / zeta
         eta = args.eta if args.eta is not None else zeta
-        part = separation_strengthen(sys_, _default_quasi(sys_.space, zeta), S, tau, eta)
+        part = separation_strengthen(sys_, quasi, S, tau, eta)
         config.update(zeta=args.zeta, tau=tau, eta=eta)
     results = {
         "kind": args.kind,
@@ -201,7 +210,7 @@ def _cmd_fading(args):
     space = _read(load_space, "space", args.space)
     quasi = None
     if args.separation == "quasi":
-        quasi = _default_quasi(space, _resolve_zeta("auto", space, args.tol))
+        quasi = _resolve_quasi("auto", space, args.tol)[1]
     rep = fading_parameter(space, args.r, exact_limit=args.exact_limit, quasi=quasi)
     results = {"fading": rep}
     code = 0

@@ -29,16 +29,28 @@ at a zeta-dependent cost. QuasiMetric(space, zeta) holds it as a decay
 space of the same mode, and quasi_distances builds it and checks the
 triangle inequality exhaustively.
 
-Both parameters range over all n**3 ordered triples, but their kernels
-never hold more than O(n**2) memory: they pass over blocks of x-rows,
-each a broadcast (B, n, n) slice of f or log f with B * n * n about
-2**18 entries. compute_phi keeps a running maximum over the blocks.
-compute_zeta makes one pass that bounds the least critical exponent
-and collects the few candidate triples that can bind near it, then
-bisects on those alone; every other triple provably passes at every
-exponent the bisection probes. Its blocks open with one row and double
-up to that size, so the bound is set from row 0 before a full-size
-block is scanned, and a tight bound filters the big blocks.
+Both parameters and the triangle check range over all n**3 ordered
+triples, but their kernels never hold more than O(n**2) memory. phi
+and the triangle check share one min-plus kernel (_min_plus),
+best[x, z] = min over y of a[x, y] + a[y, z], which adds a row of the
+matrix to a block of about 128 rows of its transpose in one reused,
+cache-resident buffer. The triangle check compares d with the min-plus
+square of d. phi divides f by the min-plus square of f with an inf
+diagonal: a quotient falls as its denominator grows, so the least sum
+of a pair gives its largest ratio, to the bit.
+
+compute_zeta passes over blocks of x-rows, each a broadcast (B, n, n)
+slice with B * n * n about 2**18 entries. It makes one pass that
+bounds the least critical exponent and collects the few candidate
+triples that can bind near it, then bisects on those alone; every
+other triple provably passes at every exponent the bisection probes.
+Its blocks open with one row and double up to that size, so the bound
+is set from row 0 before a full-size block is scanned. Once the bound
+is set, a block hands on only the triples that fail, or nearly fail,
+the triangle test in powers of f just above the bound (one add and one
+compare a triple), and only these are gathered in log space; where the
+powers would leave the range of exp, the blocks filter by a log-space
+bound on the critical exponent instead.
 
 When f equals its transpose exactly (_symmetric), the three kernels
 scan only the outer pairs whose first index is the smaller: (x, y) of
@@ -197,6 +209,9 @@ def validate_space(f, mode=NODE_SPACE):
 _BLOCK = 1 << 18
 # relative slack between the least critical exponent and the candidate cut
 _MARGIN = 1e-6
+# largest |t * log f| for which zeta's filter takes powers of f: exp stays
+# normal, far from overflow and underflow
+_EXP_LIMIT = 300.0
 _EPS = float(np.finfo(float).eps)
 _LN2 = float(np.log(2.0))
 
@@ -232,6 +247,12 @@ def _doubling_blocks(rows, per_row):
     return out
 
 
+def _targets(n, sym):
+    """(n, n) mask of the target pairs: all off the diagonal, or above it when sym."""
+    i = np.arange(n)
+    return i[:, None] < i if sym else i[:, None] != i
+
+
 def _target_blocks(n, sym, rows):
     """(x0, x1, c0, mask) for each range x0:x1 of x-rows in rows.
 
@@ -241,27 +262,44 @@ def _target_blocks(n, sym, rows):
     columns no row of the block needs. A block with no target column is
     left out.
     """
-    i = np.arange(n)
-    targets = i[:, None] < i if sym else i[:, None] != i
+    targets = _targets(n, sym)
     for x0, x1 in rows:
         c0 = x0 + 1 if sym else 0
         if c0 < n:
             yield x0, x1, c0, targets[x0:x1, c0:]
 
 
-def _distinct(off, x0, x1, c0, mask):
-    """(B, n, n - c0) mask of the triples (x, m, y) with m apart from x and y, (x, y) a target."""
-    return off[x0:x1, :, None] & off[None, :, c0:] & mask[:, None, :]
+def _triple(i, n):
+    """Triple at C-order flat index i of the (n, n, n) triple cube."""
+    x, rest = divmod(int(i), n * n)
+    return (x,) + divmod(rest, n)
 
 
-def _triple(i, n, x0=0, c0=0):
-    """Triple at C-order flat index i of the (B, n, n - c0) block of rows x0.. and columns c0..
+# rows of a.T per step of _min_plus: the (128, n) sum buffer stays in cache
+_MIN_PLUS_ROWS = 128
 
-    The defaults read a key of the whole (n, n, n) triple cube.
+
+def _min_plus(a, sym):
+    """best[x, z] = min over y of a[x, y] + a[y, z], the min-plus square of a.
+
+    On a symmetric a only the pairs with z > x are filled; the others
+    stay inf. Each step adds row x of a to a block of about 128 rows of
+    a.T in one reused buffer and takes the minimum along the buffer's
+    contiguous rows; memory stays O(n**2). Float + is commutative, so
+    each sum a[y, z] + a[x, y] is the float a[x, y] + a[y, z].
     """
-    x, rest = divmod(int(i), n * (n - c0))
-    m, y = divmod(rest, n - c0)
-    return (x0 + x, m, c0 + y)
+    n = len(a)
+    best = np.full((n, n), np.inf)
+    at = np.ascontiguousarray(a.T)
+    buf = np.empty((min(n, _MIN_PLUS_ROWS), n))
+    for z0 in range(0, n, _MIN_PLUS_ROWS):
+        z1 = min(n, z0 + _MIN_PLUS_ROWS)
+        for x in range(z1 - 1 if sym else n):
+            c = max(z0, x + 1) if sym else z0
+            out = buf[c - z0:z1 - z0]
+            np.add(at[c:z1], a[x], out=out)
+            np.min(out, axis=1, out=best[x, c:z1])
+    return best
 
 
 def _gap(la, lb, lc, t):
@@ -363,6 +401,27 @@ def compute_zeta(space, tol=1e-9):
     block holds a single row, so large spaces scan one row at a time,
     as before.
 
+    Once T is finite, and while t = tk * (1 + _MARGIN) keeps
+    |t * log f| within _EXP_LIMIT (300), the pass takes the powers
+    P = exp(t * log f) once, with an inf diagonal, and each later block
+    hands on only the target triples with
+    P(x,z) + P(z,y) < P(x,y) * (1 + 16 err); the constraint, bound,
+    hopeless and _near tests then run on these alone, as above. They
+    are a superset of the triples those tests keep, so K, the probes and
+    the witness do not change. The log legs of a constrained triple are
+    below lc, so s(t) = exp(t (la - lc)) + exp(t (lb - lc)), the ratio
+    that _near reads, falls as t grows. A triple that _near
+    keeps at the current tk <= t has s(tk) < 1 + 9 err, as _near's own
+    rounding error is below err, hence s(t) < 1 + 9 err: a stale P,
+    taken at a larger bound, keeps more triples, not fewer. Within the
+    exp range every finite P is a normal float within a relative err/4
+    of its exact power, and a zero leg gives exactly 0; the add and
+    the product round twice more, so the computed sum stays below the
+    computed cut. A hopeless triple has s(t) < 1 and passes too. The
+    inf diagonal drops z = x and z = y, which constrain nothing, and a
+    cut of 0 drops the pairs that are not targets. Past the exp range
+    the blocks keep the log-space bound filter.
+
     On a symmetric f every pass scans only the triples with x < y, the
     constrained filter and the bisection alike. The mirror
     (y, z, x) of a triple swaps its legs, and the tests that decide the
@@ -379,32 +438,48 @@ def compute_zeta(space, tol=1e-9):
     if space.n < 3:
         return 1.0, 1.0, None
     f, n = space.f, space.n
-    blocks = list(_target_blocks(n, _symmetric(f), _doubling_blocks(n, n * n)))
+    sym = _symmetric(f)
+    blocks = list(_target_blocks(n, sym, _doubling_blocks(n, n * n)))
     zero_legs = not f[~np.eye(n, dtype=bool)].all()
     logf = np.log(f)
     flat = logf.ravel()
     scale = float(np.abs(logf[np.isfinite(logf)]).max())
 
-    def constrained(x0, x1, c0, mask, t):
-        # [la, lb, lc, key] of the block's constrained triples whose
-        # bound ln2 / mean(u, v) lies below t; key is the C-order index
-        # in the triple cube. With z = x or z = y a leg equals f(x,y),
-        # so only the target mask is needed.
-        la, lb, lc = logf[x0:x1, :, None], logf[None, :, c0:], logf[x0:x1, None, c0:]
-        keys = np.flatnonzero((2 * lc - la - lb > 2 * _LN2 / t) & mask[:, None, :])
+    def gather(keys, x0, c0, t):
+        # [la, lb, lc, key] of the constrained triples among these C-order
+        # indices of a block whose bound ln2 / mean(u, v) lies below t;
+        # key becomes the C-order index in the triple cube
         xz, y = np.divmod(keys, n - c0)
         xz += x0 * n
         y += c0
         z = xz % n
         keys = xz * n + y
         la, lb, lc = flat[xz], flat[z * n + y], flat[xz - z + y]
-        keep = (lc > la) & (lc > lb)
+        keep = (lc > la) & (lc > lb) & (2 * lc - la - lb > 2 * _LN2 / t)
         return [la[keep], lb[keep], lc[keep], keys[keep]]
 
-    T, store, size = np.inf, [], 0
+    def constrained(x0, x1, c0, mask, t):
+        # the bound test on the block, in log space. With z = x or z = y
+        # a leg equals f(x,y), so only the target mask is needed.
+        la, lb, lc = logf[x0:x1, :, None], logf[None, :, c0:], logf[x0:x1, None, c0:]
+        return gather(np.flatnonzero((2 * lc - la - lb > 2 * _LN2 / t) & mask[:, None, :]),
+                      x0, c0, t)
+
+    def powered(x0, x1, c0, mask, t):
+        # the power test on the block: the inf diagonal of P drops z = x
+        # and z = y, a cut of 0 every pair that is not a target
+        keys = np.flatnonzero(P[x0:x1, :, None] + P[None, :, c0:] < cuts[x0:x1, None, c0:])
+        return gather(keys, x0, c0, t)
+
+    T, store, size, P = np.inf, [], 0, None
     for x0, x1, c0, mask in blocks:
         tk, _, err = _cuts(T, tol, scale)
-        part = constrained(x0, x1, c0, mask, tk * (1 + _MARGIN))
+        t = tk * (1 + _MARGIN)
+        if P is None and t * scale <= _EXP_LIMIT:
+            P = np.exp(t * logf)
+            np.fill_diagonal(P, np.inf)
+            cuts = np.where(_targets(n, sym), P * (1 + 16 * err), 0.0)
+        part = (constrained if P is None else powered)(x0, x1, c0, mask, t)
         if not len(part[3]):
             continue
         if zero_legs:
@@ -482,6 +557,8 @@ def compute_zeta(space, tol=1e-9):
     return float(zeta_raw), float(max(1.0, zeta_raw)), witness
 
 
+# a sum or ratio beyond the float range is inf, and so the maximum
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def compute_phi(space):
     """Multiplicative triangle relaxation.
 
@@ -492,32 +569,40 @@ def compute_phi(space):
     with fewer than three nodes have no triples and report
     phi_mult = 0, phi = -inf, witness None.
 
-    The ratios are taken block by block over x-rows, as broadcast
-    (B, n, n) slices of f, so memory stays O(n**2). The running best
-    moves only on a strict improvement, and within a block argmax
-    returns the first maximum in (x, y, z) order, so the witness is the
-    first maximizing triple. On a symmetric f only the triples with
-    x < z are scanned: the mirror (z, y, x) has the same numerator and
-    the same denominator terms in swapped order, so the same ratio to
-    the bit, and the least maximizing triple has x < z.
+    Division is monotone in the denominator, so the largest ratio of a
+    pair (x, z) is f(x,z) over the least denominator, one min-plus
+    square (_min_plus) of F, a copy of f whose inf diagonal drops
+    y = x and y = z. The correctly rounded quotient of the least sum
+    is the largest of the correctly rounded quotients, to the bit;
+    0/0 arises only in link-gain mode, constrains nothing and reads 0,
+    and every pair that is not a target reads -1. The witness comes
+    from the least x of a maximizing pair: its maximizing pairs are
+    scanned again over y apart from x and z, and the least (y, z) with
+    the maximum wins. On a symmetric f only the pairs with x < z are
+    targets: the mirror (z, y, x) has the same numerator and the same
+    denominator terms in swapped order, so the same ratio to the bit,
+    and the least maximizing triple has x < z.
     """
     if space.n < 3:
         return 0.0, float("-inf"), None
     f, n = space.f, space.n
-    off = ~np.eye(n, dtype=bool)
-    best, witness = -1.0, None
-    for x0, x1, c0, mask in _target_blocks(n, _symmetric(f), _row_blocks(n, n * n)):
-        # a ratio beyond the float range is inf, and so the maximum
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = f[x0:x1, None, c0:] / (f[x0:x1, :, None] + f[None, :, c0:])
-        # 0/0 only arises in link-gain mode; such a triple constrains nothing
-        ratio[np.isnan(ratio)] = 0.0
-        ratio[~_distinct(off, x0, x1, c0, mask)] = -1.0
-        i = int(np.argmax(ratio))
-        if ratio.flat[i] > best:
-            best, witness = float(ratio.flat[i]), _triple(i, n, x0, c0)
+    sym = _symmetric(f)
+    F = f.copy()
+    np.fill_diagonal(F, np.inf)
+    ratio = f / _min_plus(F, sym)
+    ratio[np.isnan(ratio)] = 0.0
+    ratio[~_targets(n, sym)] = -1.0
+    best = float(ratio.max())
+    x = int(np.argmax(ratio)) // n
+    zs = np.flatnonzero(ratio[x] == best)
+    # again[y, j] is the ratio of (x, y, zs[j])
+    again = f[x, zs] / (f[x, :, None] + f[:, zs])
+    again[np.isnan(again)] = 0.0
+    again[x] = -1.0
+    again[zs, np.arange(len(zs))] = -1.0
+    y, j = divmod(int(np.argmax(again == best)), len(zs))
     phi = float(np.log2(best)) if best > 0 else float("-inf")
-    return best, phi, witness
+    return best, phi, (x, y, int(zs[j]))
 
 
 def zeta_upper_bound(space):
@@ -579,8 +664,8 @@ def triangle_violation(quasi, tol=1e-7):
     intermediates z = x and z = y reproduce d(x,y) itself whenever the
     diagonal is zero, so they never report spurious violations.
 
-    Each row x of best = min over z of d(x,z) + d(z,y) is one min-plus
-    product. On a symmetric d it covers only the targets y > x:
+    best = min over z of d(x,z) + d(z,y) is the min-plus square of d
+    (_min_plus). On a symmetric d it covers only the targets y > x:
     d(x,z) + d(z,y) and d(y,z) + d(z,x) are the same sums in swapped
     order, so (x, y) violates exactly when (y, x) does, and the least
     violating pair has x < y. The pairs left out keep best = inf, which
@@ -588,9 +673,7 @@ def triangle_violation(quasi, tol=1e-7):
     """
     tol = _real("tol", tol, "[0, inf)")
     d, n = quasi.d, quasi.n
-    best = np.full(d.shape, np.inf)
-    for x, _, c0, _ in _target_blocks(n, _symmetric(d), ((r, r + 1) for r in range(n))):
-        best[x, c0:] = (d[x][:, None] + d[:, c0:]).min(axis=0)
+    best = _min_plus(d, _symmetric(d))
     slack = tol * np.maximum(1.0, d)
     viol = d > best + slack
     np.fill_diagonal(viol, False)

@@ -23,6 +23,7 @@ from decayspace import (
     save_system,
 )
 from decayspace.cli import main
+import decayspace.spaces as spaces
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -414,6 +415,40 @@ def test_fading_cli(tmp_path, capsys):
     assert "growth" not in report(out)["results"]
 
     assert run(capsys, "fading", "--space", path, "--r", "-1")[0] == 2
+
+
+def test_fading_fit_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique loads numpy.ma on its first call, 10 ms or more of import
+    path, out = str(tmp_path / "cloud.json"), str(tmp_path / "report.json")
+    save_space(gen_euclidean(random_points(12, 3), 3.0), path)
+    code = ("import sys; from decayspace.cli import main; "
+            "main(['fading', '--space', %r, '--r', '0.2', '--C', 'fit', '--out', %r]); "
+            "print('numpy.ma' in sys.modules)" % (path, out))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_zeta_auto_is_not_checked_again(tmp_path, capsys, monkeypatch):
+    # compute_zeta's zeta passes the triangle check (test_metricity_kernels),
+    # so only a typed zeta and analyze, whose report is the check, run it
+    system, space = str(tmp_path / "links.json"), str(tmp_path / "cloud.json")
+    save_system(random_link_system(8, 1), system)
+    save_space(gen_euclidean(random_points(12, 3), 3.0), space)
+    real, calls = spaces.triangle_violation, []
+    monkeypatch.setattr(spaces, "triangle_violation", lambda *a: calls.append(a) or real(*a))
+    for argv, checks in (
+            (["capacity", "--system", system, "--zeta", "auto"], 0),
+            (["partition", "--system", system, "--kind", "separation", "--tau", "1e-9"], 0),
+            (["fading", "--space", space, "--r", "0.2", "--separation", "quasi"], 0),
+            (["capacity", "--system", system, "--zeta", "3"], 1),
+            (["partition", "--system", system, "--kind", "separation", "--tau", "1e-9",
+              "--zeta", "3"], 1),
+            (["analyze", "--space", space], 1)):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(calls) == checks, argv
 
 
 def test_generate_takes_plant_collinear_only_as_a_json_boolean(tmp_path, capsys):

@@ -5,6 +5,8 @@ blocked kernels replaced, and the triangle check that scans every
 ordered pair; every returned tuple must match exactly: zeta_raw,
 phi_mult and the lexicographically least witnesses. Symmetric inputs
 take the kernels' half scan, so each value set runs on both kinds.
+zeta runs on both of its filters, the power test and the log-space
+bound, and the quasi-metric at its zeta must pass the triangle check.
 """
 
 import tracemalloc
@@ -22,8 +24,17 @@ import metricity_reference as ref
 
 
 def assert_matches_reference(space):
-    assert compute_zeta(space) == ref.compute_zeta(space)
+    # zeta on both filter paths (a limit below 0 keeps every block on the
+    # log-space bound filter); capacity, partition and fading build the
+    # quasi-metric at its zeta without the triangle check, so it must pass
+    zeta = ref.compute_zeta(space)
+    assert compute_zeta(space) == zeta
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_EXP_LIMIT", -1.0)
+        assert compute_zeta(space) == zeta
     assert compute_phi(space) == ref.compute_phi(space)
+    if zeta[1] < np.inf:
+        assert triangle_violation(QuasiMetric(space, zeta[1])) is None
 
 
 def _matrix(draw, entries, n, symmetric):
@@ -119,15 +130,17 @@ def test_triangle_violation_matches_reference(quasi, tol):
     assert triangle_violation(quasi, tol) == ref.triangle_violation(quasi, tol)
 
 
-def _shadowed_cloud():
+def _shadowed_cloud(n=40, seed=11, sigma=1.0):
     # alpha=3 decays times symmetric log-normal factors
-    base = gen_euclidean(random_points(40, 11), 3.0).f
-    g = np.triu(np.random.default_rng(11).normal(0.0, 1.0, size=(40, 40)), 1)
+    base = gen_euclidean(random_points(n, seed), 3.0).f
+    g = np.triu(np.random.default_rng(seed).normal(0.0, sigma, size=(n, n)), 1)
     return DecaySpace(base * np.exp(g + g.T))
 
 
 def test_blocked_kernels_match_reference_on_fixed_spaces():
     assert_matches_reference(_shadowed_cloud())
+    for seed in range(4):
+        assert_matches_reference(_shadowed_cloud(60, seed, sigma=2.0))
     # every constrained triple binds at t = 1 (2**t = 1**t + 1**t), so the
     # candidate set exceeds n**2 and the search runs block by block
     f = np.where(np.random.default_rng(5).random((20, 20)) < 0.5, 1.0, 2.0)
@@ -138,6 +151,12 @@ def test_blocked_kernels_match_reference_on_fixed_spaces():
     f = 1e300 * (1.0 + 1e-6 * np.random.default_rng(6).integers(0, 3, size=(6, 6)))
     np.fill_diagonal(f, 0.0)
     assert_matches_reference(DecaySpace(f))
+    # every ratio of phi is 0: the pairs that are not targets and the
+    # middles y = x and y = z must not tie with it
+    assert compute_phi(DecaySpace(np.eye(4), LINK_GAIN)) == (0.0, -np.inf, (0, 1, 2))
+    f = np.eye(5)
+    f[3, 0] = 2.0
+    assert_matches_reference(DecaySpace(f, LINK_GAIN))
 
 
 def test_zeta_blocks_double_from_one_row():
@@ -178,13 +197,18 @@ def test_zeta_returns_the_first_hopeless_block_witness():
 
 
 def test_zeta_filters_with_a_tight_bound(monkeypatch):
-    # once row 0 sets the bound, few triples reach the candidate test;
-    # a first block of 2**18 entries handed it 9,880 here
+    # once row 0 sets the bound, few triples reach the candidate test; a
+    # first block of 2**18 entries handed it 9,880 here, the log-space
+    # bound filter hands it fewer than 1,000 and the power test fewer still
     near, handed = kernels._near, []
     monkeypatch.setattr(kernels, "_near",
                         lambda part, tk, err: handed.append(len(part[3])) or near(part, tk, err))
     compute_zeta(_shadowed_cloud())
-    assert 0 < sum(handed) <= 1000
+    by_power = sum(handed)
+    monkeypatch.setattr(kernels, "_EXP_LIMIT", -1.0)
+    compute_zeta(_shadowed_cloud())
+    by_log = sum(handed) - by_power
+    assert 0 < by_power < by_log <= 1000
 
 
 def test_kernels_memory_stays_quadratic():
@@ -195,10 +219,12 @@ def test_kernels_memory_stays_quadratic():
     shadowed = DecaySpace(cloud.f * np.exp(g + g.T))
     assert _symmetric(cloud.f) and _symmetric(shadowed.f)
     for space in (cloud, shadowed):
-        for kernel in (compute_zeta, compute_phi):
+        quasi = QuasiMetric(space, 3.0)
+        for kernel, arg in ((compute_zeta, space), (compute_phi, space),
+                            (triangle_violation, quasi)):
             tracemalloc.start()
             try:
-                kernel(space)
+                kernel(arg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

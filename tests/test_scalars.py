@@ -175,7 +175,7 @@ REAL = [
     ("assouad_estimate C", "C", lambda v: assouad_estimate(LINE, C=v), 3, "(0, inf)"),
     ("assouad_estimate q", "q", lambda v: assouad_estimate(LINE, q_grid=(2.0, v)), 3, "(1, inf)"),
     ("fading_bound C", "C", lambda v: fading_bound(v, 0.25), 3, "(0, inf)"),
-    ("zeta_hat tol", "tol", lambda v: zeta_hat(3.0, tol=v), 3, "(0, inf]"),
+    ("zeta_hat tol", "tol", lambda v: zeta_hat(3.0, tol=v), 3, "[1e-15, inf]"),
 ]
 
 
