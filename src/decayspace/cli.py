@@ -260,6 +260,11 @@ def _take(params, name, default=None, required=False):
     return default
 
 
+def _given(params, name):
+    # an optional parameter goes to the generator only when given, so its default has one home
+    return {name: _take(params, name)} if name in params else {}
+
+
 def _gen_edges(params, seed):
     # the library calls the count n_vertices, so n is checked under its JSON name
     n = _whole("n", _take(params, "n", required=True))
@@ -283,8 +288,7 @@ def _gen_instance(family, params, seed):
             n = _take(params, "n", required=True)
             if seed is None:
                 raise UsageError("generate: random points need --seed")
-            plant = _take(params, "plant_collinear", False)
-            pts = random_points(n, seed, plant_collinear=plant)
+            pts = random_points(n, seed, **_given(params, "plant_collinear"))
         return gen_euclidean(pts, alpha), None
     if family == "threepoint":
         return gen_threepoint(_take(params, "q", required=True)), None
@@ -292,17 +296,14 @@ def _gen_instance(family, params, seed):
         return gen_star(_take(params, "k", required=True),
                         _take(params, "r", required=True)), None
     if family == "welzl":
-        eps = _take(params, "eps", 1e-6)
-        return gen_welzl(_take(params, "n", required=True), eps=eps), None
+        return gen_welzl(_take(params, "n", required=True), **_given(params, "eps")), None
     if family == "equidecay":
         n, edges = _gen_edges(params, seed)
-        far = _take(params, "far_decay")
-        system = gen_equidecay_graph(n, edges, far_decay=far)
+        system = gen_equidecay_graph(n, edges, **_given(params, "far_decay"))
     elif family == "twoline":
         n, edges = _gen_edges(params, seed)
         alpha = _take(params, "alpha", required=True)
-        delta = _take(params, "delta", 0.25)
-        system = gen_twoline(n, edges, alpha, delta=delta)
+        system = gen_twoline(n, edges, alpha, **_given(params, "delta"))
     else:
         raise UsageError("unknown family %r" % family)
     return system.space, system

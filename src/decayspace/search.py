@@ -246,6 +246,10 @@ def _search(weights, conflict, exact_limit):
     # a negative limit would make every search greedy, NaN every one exact, True read as 1
     exact_limit = _whole("exact_limit", exact_limit, "[0, inf)")
     conflict = np.asarray(conflict, dtype=bool)
+    if conflict.ndim != 2 or weights.shape * 2 != conflict.shape:  # n x n and n weights
+        raise ValueError("a search needs a square conflict matrix and one weight per row, "
+                         "got weights of shape %s and a conflict of shape %s"
+                         % (weights.shape, conflict.shape))
     n = conflict.shape[0]
     if n == 0:
         return (), 0.0, True
@@ -268,7 +272,7 @@ def max_independent_set(conflict, exact_limit=24):
     branch and bound up to exact_limit vertices, greedy first-fit by
     index beyond that. Returns (members, exact).
     """
-    members, _, exact = _search(np.ones(len(conflict)), conflict, exact_limit)
+    members, _, exact = _search(np.ones(np.shape(conflict)[:1]), conflict, exact_limit)
     return members, exact
 
 

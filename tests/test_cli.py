@@ -14,6 +14,8 @@ from decayspace import (
     check_separation_set,
     gen_equidecay_graph,
     gen_euclidean,
+    gen_twoline,
+    gen_welzl,
     load_space,
     load_system,
     quasi_distances,
@@ -477,9 +479,18 @@ def test_generate_refuses_real_parameters_that_are_not_numbers(tmp_path, capsys)
                              "--params", params, "--out", out_path)
         assert code == 2 and out == "" and "must be a number" in err and name in err, err
         assert not os.path.exists(out_path)
-    for family, params in (("star", '{"k": 3, "r": 1}'), ("threepoint", '{"q": 16}')):
+    # without eps or delta the file is the one the generator writes at its own default
+    welzl, twoline = tmp_path / "welzl.json", tmp_path / "twoline.json"
+    save_space(gen_welzl(4), str(welzl))
+    save_system(gen_twoline(4, [], 3), str(twoline))
+    for family, params, same_as in (("star", '{"k": 3, "r": 1}', None),
+                                    ("threepoint", '{"q": 16}', None),
+                                    ("welzl", '{"n": 4}', welzl),
+                                    ("twoline", '{"n": 4, "edges": [], "alpha": 3}', twoline)):
         assert run(capsys, "generate", "--family", family,
                    "--params", params, "--out", out_path)[0] == 0
+        if same_as:
+            assert pathlib.Path(out_path).read_bytes() == same_as.read_bytes()
 
 
 def test_generate_random_edges_then_capacity(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import io_reference as ref
 from decayspace import (
@@ -220,17 +220,40 @@ def test_saved_system_bytes_match_the_reference(tmp_path):
         assert path.read_text() == ref.dumps_canonical(system_to_dict(sys)) + "\n"
 
 
-def test_canonical_json_round_trips_floats():
-    obj = {"xs": [0.1, 1.0 / 3.0, 2.0 ** -40], "n": 3, "name": "probe"}
+# documents that json.loads gives back equal: no NaN, no infinity and no -0.0
+_PLAIN = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 12, 10 ** 12),
+              st.floats(allow_nan=False, allow_infinity=False).filter(
+                  lambda x: not (x == 0.0 and math.copysign(1.0, x) < 0)),
+              st.text(max_size=10)),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_PLAIN)
+@example({"xs": [0.1, 1.0 / 3.0, 2.0 ** -40], "n": 3, "name": "probe"})
+def test_canonical_json_round_trips_floats(obj):
     text = dumps_canonical(obj)
-    assert json.loads(text) == obj
-    assert dumps_canonical(json.loads(text)) == text
+    back = json.loads(text)
+    assert back == obj
+    assert dumps_canonical(back) == text
 
 
-def test_canonical_json_is_order_invariant():
-    a = {"one": 1, "two": {"x": [1.5], "y": None}}
-    b = {"two": {"y": None, "x": [1.5]}, "one": 1}
-    assert dumps_canonical(a) == dumps_canonical(b)
+def _reversed(obj):
+    # the same document with the keys of every dict inserted in reverse order
+    if isinstance(obj, dict):
+        return {key: _reversed(obj[key]) for key in reversed(obj)}
+    return obj
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.dictionaries(st.text(max_size=6), st.integers(-5, 5)))
+@example({"one": 1, "two": {"x": [1.5], "y": None}})
+def test_canonical_json_is_order_invariant(doc):
+    assert dumps_canonical(doc) == dumps_canonical(_reversed(doc))
 
 
 def test_canonical_json_rejects_exotic_objects():

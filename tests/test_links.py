@@ -1,7 +1,10 @@
 """Affectance, feasibility and link geometry on hand-checkable systems."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from decayspace import (
     DecaySpace,
@@ -40,6 +43,8 @@ from decayspace.links import _separation_violation
 
 import links_reference as ref
 
+seeds = st.integers(0, 10 ** 6)
+
 
 def pair_system(f01=4.0, f10=2.0, beta=1.0, noise=0.0, power=None):
     f = np.array([[1.0, f01], [f10, 1.0]])
@@ -55,6 +60,10 @@ def test_affectance_closed_form():
     assert affectance(sys_, 0, 1) == 0.25  # own decay 1 over cross decay 4
     assert affectance(sys_, 1, 0) == 0.5
     assert affectance(sys_, 0, 0) == 0.0
+    # raw affectance 2 is capped at 1
+    near = pair_system(f01=0.5)
+    assert affectance(near, 0, 1) == 1.0
+    assert affectance_matrix(near, capped=False)[0, 1] == 2.0
 
 
 def test_affectance_noise_margin():
@@ -70,12 +79,13 @@ def test_affectance_explicit_powers():
     assert affectance(sys_, 1, 0) == 0.25
 
 
-def test_affectance_cap_and_raw():
-    sys_ = pair_system(f01=0.5)
-    assert affectance(sys_, 0, 1) == 1.0
-    raw = affectance_matrix(sys_, capped=False)
-    assert raw[0, 1] == 2.0
-    assert np.all(affectance_matrix(sys_) <= raw)
+@settings(deadline=None, max_examples=30)
+@given(seeds.map(lambda seed: random_link_system(7, seed, box=3.0)))
+@example(pair_system(f01=0.5))
+def test_affectance_cap_and_raw(sys_):
+    capped = affectance_matrix(sys_)
+    assert np.all(capped <= affectance_matrix(sys_, capped=False))
+    assert np.all(capped <= 1.0)
 
 
 def test_drowned_links():
@@ -104,6 +114,17 @@ def test_feasibility_levels():
         is_feasible(sys_, [0, 0])
     with pytest.raises(ValueError):
         is_feasible(sys_, [0, 2], K=0.0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seeds, st.integers(3, 63))
+def test_feasibility_is_subset_closed(seed, mask):
+    sys_ = random_link_system(6, seed, box=6.0)
+    T = [i for i in range(6) if (mask >> i) & 1]
+    assume(len(T) >= 2 and is_feasible(sys_, T, 1.0)[0])
+    for v in T:
+        rest = [u for u in T if u != v]
+        assert is_feasible(sys_, rest, 1.0)[0]
 
 
 def test_sinr_matches_the_affectance_route():
@@ -136,10 +157,22 @@ def test_link_distance_takes_closest_endpoints():
     assert link_distance(sys_, quasi, 0, 0) == 0.0
 
 
-def test_link_distance_matrix_matches_scalar():
-    # one fixed system per mode; test_properties.py draws random ones
-    for sys_ in (random_link_system(7, 99, alpha=2.0), pair_system()):
-        ref.assert_link_geometry(sys_, quasi_distances(sys_.space, 2.0, check=False))
+def _drawn_system(seed, m, link_gain):
+    # node-space links on random endpoints may share nodes; m = 0 included
+    rng = np.random.default_rng(seed)
+    if link_gain:
+        return LinkSystem(DecaySpace(rng.uniform(0.5, 10.0, size=(m, m)), mode="link-gain"))
+    n = int(rng.integers(2, 2 * m + 3))
+    links = [rng.choice(n, size=2, replace=False) for _ in range(m)]
+    return LinkSystem(gen_euclidean(rng.uniform(0.0, 4.0, size=(n, 2)), 2.0), links=links)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.builds(_drawn_system, seeds, st.integers(0, 7), st.booleans()))
+@example(random_link_system(7, 99, alpha=2.0))
+@example(pair_system())
+def test_link_distance_matrix_matches_scalar(sys_):
+    ref.assert_link_geometry(sys_, quasi_distances(sys_.space, 2.0, check=False))
 
 
 def test_link_distance_link_gain_mode():
@@ -228,12 +261,6 @@ def test_every_link_set_argument_is_checked_alike():
             with pytest.raises(ValueError, match=why):
                 call(S)
                 pytest.fail("%s accepted %r" % (name, S))
-    # the two functions of a link pair check both indices the same way
-    for call in (lambda v, w: affectance(sys_, v, w),
-                 lambda v, w: pairwise_power_infeasible(sys_, v, w)):
-        for v, w in ((-1, 0), (0, -1), (n, 0), (0, n)):
-            with pytest.raises(ValueError, match=outside):
-                call(v, w)
 
 
 def test_every_quasi_argument_must_match_its_space():
@@ -289,6 +316,22 @@ def test_pairwise_power_certificate():
     assert not pairwise_power_infeasible(sys_, 0, 2)
     with pytest.raises(ValueError):
         pairwise_power_infeasible(sys_, 1, 1)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seeds, st.integers(0, 2 ** 10 - 1), st.integers(0, 11))
+def test_interference_is_additive_over_senders(seed, mask, target):
+    sys_ = random_link_system(6, seed)
+    picked = [i for i in range(10) if (mask >> i) & 1 and i != target]
+    assume(len(picked) >= 2)
+    half = len(picked) // 2
+    a, b = picked[:half], picked[half:]
+    total = interference_at(sys_, picked, target)
+    assert math.isclose(
+        total,
+        interference_at(sys_, a, target) + interference_at(sys_, b, target),
+        rel_tol=1e-12,
+    )
 
 
 def test_interference_at_rejects_bad_calls():

@@ -39,7 +39,9 @@ from decayspace import (
     gen_threepoint,
     gen_twoline,
     gen_welzl,
+    guard_set,
     independence_at,
+    independence_dimension,
     interference_at,
     is_feasible,
     link_distance,
@@ -59,7 +61,7 @@ from decayspace import (
 from decayspace import io, verify
 from decayspace.cli import _plain
 from decayspace.io import dumps_canonical, space_to_dict, system_to_dict
-from decayspace.search import max_independent_set
+from decayspace.search import max_independent_set, max_weight_independent_set
 
 LINE = gen_euclidean([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], 1.0)
 ONE = gen_euclidean([[0.0, 0.0]], 1.0)
@@ -89,11 +91,16 @@ def _verify(seed):
 # (id, parameter name, call with the scalar, a value the call accepts, its interval or None)
 WHOLE = [
     ("ball", "node", lambda v: ball(LINE, v, 1.5), 3, "[0, 4)"),
+    ("packing_number body", "node", lambda v: packing_number(LINE, [1, v], 1.0), 3, "[0, 4)"),
+    ("independence_at node", "node",
+     lambda v: independence_at(LINE, QuasiMetric(LINE, 1.0), v), 3, "[0, 4)"),
+    ("guard_set", "node", lambda v: guard_set(LINE, QuasiMetric(LINE, 1.0), v), 3, "[0, 4)"),
     ("interference_at", "sender", lambda v: interference_at(_system(), [v], 1), 3, "[0, 4)"),
     ("LinkSystem", "node", lambda v: LinkSystem(LINE, links=[(v, 1)]), 3, "[0, 4)"),
     ("system_from_dict", "node", lambda v: _system(links=[[1, v]]), 3, "[0, 4)"),
     ("is_feasible", "link index", lambda v: is_feasible(FOUR, [1, v]), 3, "[0, 4)"),
     ("affectance", "link index", lambda v: affectance(FOUR, 0, v), 3, "[0, 4)"),
+    ("affectance w", "link index", lambda v: affectance(FOUR, v, 0), 3, "[0, 4)"),
     ("aggregate_affectance", "link index",
      lambda v: aggregate_affectance(FOUR, [0, 1], v), 3, "[0, 4)"),
     ("link_distance", "link index", lambda v: link_distance(FOUR, QUASI, v, 0), 3, "[0, 4)"),
@@ -102,6 +109,8 @@ WHOLE = [
      lambda v: check_separation(FOUR, QUASI, v, [0], 0.5), 3, "[0, 4)"),
     ("pairwise_power_infeasible", "link index",
      lambda v: pairwise_power_infeasible(FOUR, 1, v), 3, "[0, 4)"),
+    ("pairwise_power_infeasible v", "link index",
+     lambda v: pairwise_power_infeasible(FOUR, v, 1), 3, "[0, 4)"),
     ("gen_equidecay_graph edge", "edge endpoint",
      lambda v: gen_equidecay_graph(4, [(1, v)]), 3, "[0, 4)"),
     ("load_graph n", "n", lambda v: _graph(n=v), 4, None),
@@ -118,6 +127,14 @@ WHOLE = [
     ("random_link_system", "n_links", lambda v: random_link_system(v, 1), 3, "[1, inf)"),
     ("max_independent_set", "exact_limit",
      lambda v: max_independent_set(np.zeros((4, 4), dtype=bool), v), 3, "[0, inf)"),
+    ("max_weight_independent_set", "exact_limit",
+     lambda v: max_weight_independent_set(np.ones(3), np.zeros((3, 3), dtype=bool), v), 1,
+     "[0, inf)"),
+    ("packing_number", "exact_limit",
+     lambda v: packing_number(LINE, range(4), 1.0, exact_limit=v), 1, "[0, inf)"),
+    ("independence_dimension", "exact_limit",
+     lambda v: independence_dimension(LINE, QuasiMetric(LINE, 1.0), exact_limit=v), 1,
+     "[0, inf)"),
     ("assouad_estimate", "exact_limit", lambda v: assouad_estimate(LINE, exact_limit=v), 3,
      "[0, inf)"),
     # no node has a candidate sender, and one node has no other, so neither search runs

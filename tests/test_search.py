@@ -1,5 +1,8 @@
 """The exact independent-set engine: depth, bitmask rows and the search floor."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +12,31 @@ from decayspace import search
 from decayspace.search import (
     _branch, _neighbor_masks, max_independent_set, max_weight_independent_set,
 )
+
+
+def test_searches_refuse_bad_shapes_and_weights():
+    square, wide, flat = (np.zeros(shape, dtype=bool) for shape in ((2, 2), (2, 3), (2,)))
+    shapes = "weights of shape %s and a conflict of shape %s"
+    # (weights, or None for the unweighted search, conflict, what the refusal says)
+    cases = [
+        ([1.0, 1.0, 1.0], square, shapes % ("(3,)", "(2, 2)")),
+        ([1.0], square, shapes % ("(1,)", "(2, 2)")),
+        ([[1.0, 1.0]], square, shapes % ("(1, 2)", "(2, 2)")),
+        ([1.0, 1.0], wide, shapes % ("(2,)", "(2, 3)")),
+        (None, wide, shapes % ("(2,)", "(2, 3)")),
+        ([1.0, 1.0], flat, shapes % ("(2,)", "(2,)")),
+        (None, flat, shapes % ("(2,)", "(2,)")),
+        (None, np.True_, shapes % ("()", "()")),
+        # NaN fails "weights >= 0" too
+        ([-1.0, 1.0], square, "weights must be non-negative"),
+        ([math.nan, 1.0], square, "weights must be non-negative"),
+    ]
+    for weights, conflict, said in cases:
+        with pytest.raises(ValueError, match=re.escape(said)):
+            if weights is None:
+                max_independent_set(conflict)
+            else:
+                max_weight_independent_set(weights, conflict)
 
 
 def test_exact_search_depth_is_not_recursion_bound():

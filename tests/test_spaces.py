@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from decayspace import (
@@ -33,11 +33,20 @@ from decayspace import (
 )
 
 NAN, INF = float("nan"), float("inf")
+seeds = st.integers(0, 10 ** 6)
 
 
 def sym3(a, b, c):
     # three nodes with f(0,1)=a, f(1,2)=b, f(0,2)=c, symmetric
     return DecaySpace(np.array([[0.0, a, c], [a, 0.0, b], [c, b, 0.0]]))
+
+
+def sym_space(seed, n):
+    # symmetric decays drawn from uniform(0.5, 10), zero diagonal
+    f = np.random.default_rng(seed).uniform(0.5, 10.0, size=(n, n))
+    f = (f + f.T) / 2.0
+    np.fill_diagonal(f, 0.0)
+    return DecaySpace(f)
 
 
 def test_zeta_closed_form():
@@ -62,6 +71,26 @@ def test_zeta_recovers_path_loss_exponent():
         assert abs(z - alpha) <= 1e-6
     # the exactly collinear planted triple is the binding witness
     assert wit == (47, 48, 49)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seeds, st.integers(3, 6), st.floats(0.01, 100.0))
+def test_zeta_is_scale_invariant(seed, n, c):
+    sp = sym_space(seed, n)
+    z1 = compute_zeta(sp)[1]
+    z2 = compute_zeta(DecaySpace(c * sp.f))[1]
+    assert abs(z1 - z2) <= 1e-8 * max(1.0, z1) ** 2 + 1e-9
+
+
+@settings(deadline=None, max_examples=40)
+@given(seeds, st.integers(3, 6), st.floats(1.2, 3.0))
+def test_zeta_tracks_exponent_scaling(seed, n, k):
+    sp = sym_space(seed, n)
+    raw, _, witness = compute_zeta(sp)
+    assume(witness is not None)
+    raw_k = compute_zeta(DecaySpace(sp.f ** k))[0]
+    want = k * raw
+    assert abs(raw_k - want) <= 1e-7 * max(1.0, want) ** 2 + 1e-9
 
 
 def test_zeta_small_and_unconstrained_spaces():
@@ -126,10 +155,13 @@ def test_phi_equilateral_and_degenerate():
     assert compute_phi(two) == (0.0, float("-inf"), None)
 
 
-def test_phi_at_most_one_for_metrics():
-    sp = gen_euclidean(random_points(30, 7), 1.0)
-    pm = compute_phi(sp)[0]
-    assert pm <= 1.0 + 1e-12
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=3, max_size=8,
+                unique=True))
+@example(random_points(30, 7))
+def test_phi_at_most_one_for_metrics(pts):
+    sp = gen_euclidean([[float(x), float(y)] for x, y in pts], 1.0)
+    assert compute_phi(sp)[0] <= 1.0 + 1e-12
 
 
 def test_quasi_distances_invert_the_exponent():
@@ -146,6 +178,15 @@ def test_quasi_distances_invert_the_exponent():
     assert repr(quasi) == "QuasiMetric(n=12, mode='node-space')"
     assert compute_zeta(quasi)[1:] == (1.0, witness)
     assert abs(compute_zeta(quasi)[0] - zr / 2.0) <= 1e-8
+
+
+@settings(deadline=None, max_examples=40)
+@given(seeds, st.integers(3, 7))
+def test_quasi_distances_accept_computed_zeta(seed, n):
+    sp = sym_space(seed, n)
+    zeta = compute_zeta(sp)[1]
+    quasi = quasi_distances(sp, zeta)  # must not raise
+    assert quasi.n == n and quasi.zeta == zeta
 
 
 def test_quasi_rejects_undersized_exponent():
