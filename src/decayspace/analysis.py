@@ -21,20 +21,44 @@ import numpy as np
 from dataclasses import dataclass
 
 from .search import (
-    _branch, _first_fit, _first_fit_cliques, _neighbor_masks,
+    _bit_rows, _branch, _first_fit, _first_fit_cliques, _neighbor_masks,
     max_independent_set, max_weight_independent_set,
 )
 from .spaces import _node_index, _quasi_table, _real, _row_blocks, _whole
 
 
 def _stack_blocks(count, k):
-    """Ranges over count radii whose (B, k, k) conflict stacks hold about 2**18 entries.
+    """Ranges over count radii or scales whose (B, k, k) stacks hold about 2**18 entries.
 
     A row counts at its width padded to whole 64-bit words, and a block
-    holds one radius at least, so a stack never exceeds
+    holds one radius or scale at least, so a stack never exceeds
     max(2**18, k * padded width) entries.
     """
     return _row_blocks(count, k * (-(-k // 64) * 64))
+
+
+def _entry_rows(Sx, sizes, radii, scales):
+    """(q, rows) per pair (q, g) of scales: each node's conflict row where it enters q's sweep.
+
+    sizes and radii are the balls of a center that hold at most
+    exact_limit nodes, Sx its weaker-direction decays in ball order.
+    The sweep at scale q starts at the first ball of more than g nodes,
+    and node v enters it there or at the first ball holding v,
+    whichever is later. Row v is Sx[v] <= 2 * (r / q) at that radius r,
+    one row for each of the sizes[-1] nodes. Sx is symmetric, so the
+    rows need no symmetrizing; their diagonal bits stay, and first fit
+    never reads them. The scales are packed in blocks of about 2**18
+    entries.
+    """
+    if not scales:
+        return
+    K = int(sizes[-1])
+    ball_of = np.searchsorted(sizes, np.arange(K), side="right")
+    for j0, j1 in _stack_blocks(len(scales), K):
+        qs, gs = np.array(scales[j0:j1]).T
+        enter = np.maximum(ball_of, np.searchsorted(sizes, gs, side="right")[:, None])
+        t = radii[enter] / qs[:, None]
+        yield from zip(qs.tolist(), _bit_rows(Sx[:K, :K] <= 2.0 * t[:, :, None]))
 
 
 def _run_starts(v):
@@ -117,21 +141,27 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     exact_limit nodes, one clique partition rides along each (center, q)
     radius sweep. A ball's conflict threshold 2r/q grows with r, so a
     clique of one ball stays a clique in every later ball of the sweep.
-    Each ball adds its new nodes first-fit: a node joins the first clique
-    it conflicts with entirely, or starts a new one. A packing holds at
-    most one node per clique, so a ball whose partition has at most g(q)
-    cliques cannot raise g(q) and is skipped. Otherwise the partition is
-    rebuilt first-fit on the ball, and only if it still has more than
-    g(q) cliques is the ball searched, once, on the conflict masks of
-    its prefix, with g(q) as the floor; the search returns the ball's
-    optimum when that beats g(q) and g(q) otherwise. Past exact_limit a
-    ball is packed by a first-fit greedy in node-index order, the order
-    packing_number visits its sorted body, which clears the exact flag.
-    Either way g(q) ends where a packing_number call per ball would
-    leave it. The matrices of one center and scale are built as one
-    stack per block of radii, sized like the metricity kernels' blocks
-    (about 2**18 entries, a single K x K prefix matrix at least), so
-    memory stays O(n**2).
+    Each node joins the partition first-fit (the first clique it
+    conflicts with entirely, or a new one) at the ball where it enters
+    the sweep, by its one conflict row at that ball's radius. Every g(q)
+    is fixed when a center starts, since a scale's sweep changes only
+    its own g(q), so the center's rows for all scales are packed in one
+    pass. A packing holds at most one node per clique, so a ball whose
+    partition has at most g(q) cliques cannot raise g(q) and is skipped:
+    first fit stops at the node after which the partition first holds
+    more than g(q) cliques, at once when it already does, and the ball
+    holding that node is the next to decide. Only that ball's full
+    conflict masks are built: the partition is rebuilt first-fit on them,
+    and only if it still has more than g(q) cliques is the ball searched,
+    once, with g(q) as the floor; the search returns the ball's optimum
+    when that beats g(q) and g(q) otherwise. Past exact_limit a ball is
+    packed by a first-fit greedy in node-index order, the order
+    packing_number visits its sorted body, which clears the exact flag;
+    these balls' masks are built as one stack per block of radii. Either
+    way g(q) ends where a packing_number call per ball would leave it.
+    Entry rows and greedy stacks come in blocks sized like the metricity
+    kernels' blocks (about 2**18 entries, a single K x K matrix at
+    least), so memory stays O(n**2) however long q_grid is.
     """
     C = None if C is None else _real("C", C, "(0, inf)")
     if space.n < 1:
@@ -147,7 +177,6 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     g = {q: 1 for q in q_grid}
     ones = [1.0] * space.n
     all_exact = True
-    # each g(q) evolves on its own, so the scales can be the middle loop
     for x in range(space.n):
         order = np.argsort(f[:, x], kind="stable")
         col = f[order, x]
@@ -158,28 +187,34 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
         if not sizes.size or sizes[-1] <= min(g.values()):
             continue
         Sx = S[np.ix_(order, order)]
+        # balls [:m] hold at most exact_limit nodes and ride the clique partition
+        m = int(np.searchsorted(sizes, exact_limit, side="right"))
+        last = int(sizes[m - 1]) if m else 0
+        swept = [(q, g[q]) for q in g if last > g[q]]
+        for q, rows in _entry_rows(Sx, sizes[:m], radii[:m], swept):
+            cliques, seen = [], 0
+            while (v := _first_fit_cliques(cliques, rows, range(seen, last), g[q])) is not None:
+                # the first ball holding v is the first whose partition has
+                # more than g(q) cliques: rebuild the partition on it
+                j = int(np.searchsorted(sizes, v, side="right"))
+                seen = int(sizes[j])
+                masks = _neighbor_masks(_packing_conflicts(Sx[:seen, :seen], radii[j] / q))
+                cliques = []
+                _first_fit_cliques(cliques, masks, range(seen))
+                if len(cliques) > g[q]:
+                    g[q] = int(_branch(masks, ones, float(g[q]))[1])
         for q in g:
-            todo = np.flatnonzero(sizes > g[q])
+            todo = m + np.flatnonzero(sizes[m:] > g[q])
             if not todo.size:
                 continue
+            all_exact = False
             K = int(sizes[todo[-1]])
-            cliques, seen = [], 0
             for j0, j1 in _stack_blocks(todo.size, K):
                 sel = todo[j0:j1]
                 stack = _packing_conflicts(Sx[:K, :K], radii[sel] / q)
                 for k, masks in zip(sizes[sel].tolist(), _neighbor_masks(stack)):
-                    if k > exact_limit:
-                        all_exact = False
-                        packed = _first_fit(masks, np.argsort(order[:k]).tolist())
-                        g[q] = max(g[q], packed.bit_count())
-                        continue
-                    _first_fit_cliques(cliques, masks, range(seen, k))
-                    seen = k
-                    if len(cliques) <= g[q]:
-                        continue
-                    cliques = _first_fit_cliques([], masks, range(k))
-                    if len(cliques) > g[q]:
-                        g[q] = int(_branch(masks[:k], ones, float(g[q]))[1])
+                    packed = _first_fit(masks, np.argsort(order[:k]).tolist())
+                    g[q] = max(g[q], packed.bit_count())
     samples = [(q, g[q]) for q in q_grid]
     if C is None:
         lq = np.log([q for q, _ in samples])
@@ -237,7 +272,8 @@ def fading_parameter(space, r, exact_limit=24, quasi=None):
     witnesses = {}
     all_exact = True
     for z in range(n):
-        cand = [y for y in range(n) if y != z and sep[y, z] >= r]
+        cand = np.flatnonzero(sep[:, z] >= r)
+        cand = cand[cand != z].tolist()
         if not cand:
             per_node[z] = 0.0
             witnesses[z] = ()

@@ -248,7 +248,8 @@ def separation_strengthen(sys, quasi, S, tau, eta):
     rank[longest_first] = np.arange(k)
     bound = int((clash & (rank[None, :] > rank[:, None])).sum(axis=1).max()) + 1
     # first-fit colouring: a colour class is a clique of the non-clash relation
-    cliques = _first_fit_cliques([], _neighbor_masks(~clash), longest_first[::-1].tolist())
+    cliques = []
+    _first_fit_cliques(cliques, _neighbor_masks(~clash), longest_first[::-1].tolist())
     classes = [tuple(S[i] for i in _members(c)) for c in cliques]
     if len(classes) > bound:
         raise RuntimeError("coloring exceeded its degeneracy bound, please report")

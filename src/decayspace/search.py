@@ -2,10 +2,12 @@
 
 One weighted branch-and-bound, _branch, serves both public searches,
 the packing growth of assouad_estimate and capacity_oracle; the
-unweighted search is its unit-weight case. Conflicts are bitmasks
-built with np.packbits (an entry in either direction of the matrix is
-a conflict, the diagonal is ignored), one 64-bit word per column
-block, so a whole stack of conflict matrices converts in one pass.
+unweighted search is its unit-weight case. Conflicts are bitmasks,
+one 64-bit word per column block, made by one bit packer, _bit_rows,
+so a whole stack of matrices converts in one np.packbits pass.
+_neighbor_masks symmetrizes a conflict matrix (an entry in either
+direction is a conflict) and clears its diagonal before packing it;
+assouad_estimate packs the rows of its symmetric decays as they are.
 The search runs on an explicit stack, so exact_limit is not bounded by
 Python's recursion limit.
 
@@ -22,7 +24,10 @@ Kumlander (2004), which covers in decreasing weight order.
 _first_fit_cliques is the unit-weight partition that assouad_estimate
 carries along a radius sweep: each new vertex joins the first clique
 it conflicts with entirely, or starts a new one, so a partition can
-grow vertex by vertex as the balls grow, without a search. On the
+grow vertex by vertex as the balls grow, without a search. Given a
+stop count it returns the first vertex after which the partition holds
+more cliques than that, the first vertex offered when it already does,
+so a sweep passes over a run of balls it settles in one call. On the
 masks of a non-clash relation it is separation_strengthen's first-fit
 colouring.
 
@@ -97,31 +102,45 @@ in-affectance from the chosen links. The public independent-set
 searches and assouad_estimate pass no loads.
 """
 
+import math
+
 import numpy as np
 
 from .spaces import _whole
 
 
+def _bit_rows(rows):
+    """Bitmask rows of an (n, m) bool matrix, or one list per matrix of a (B, n, m) stack.
+
+    Bit u of row v is rows[v, u]. Each row is packed into whole 64-bit
+    words read as little-endian integers; past 64 columns the higher
+    words are shifted in. This is the one bit packer.
+    """
+    n, m = rows.shape[-2:]
+    width = -(-m // 64)
+    if m != 64 * width:  # packbits is several times faster on whole bytes
+        padded = np.zeros(rows.shape[:-1] + (64 * width,), dtype=bool)
+        padded[..., :m] = rows
+        rows = padded
+    words = np.packbits(rows, axis=-1, bitorder="little").view("<u8").reshape(-1, width)
+    masks = words[:, 0].tolist()
+    for i in range(1, width):
+        masks = [lo | h << 64 * i for lo, h in zip(masks, words[:, i].tolist())]
+    if rows.ndim == 2:
+        return masks
+    return [masks[j:j + n] for j in range(0, len(masks), n)]
+
+
 def _neighbor_masks(conflict):
     """Bitmask rows of an (n, n) conflict matrix, or one list per matrix of a (B, n, n) stack.
 
-    Bit u of row v is set when v and u conflict in either direction.
-    Rows are padded to whole 64-bit words and read as little-endian
-    integers; past 64 columns the higher words are shifted in.
+    Bit u of row v is set when v and u conflict in either direction,
+    and never on the diagonal.
     """
-    n = conflict.shape[-1]
-    adj = np.zeros(conflict.shape[:-1] + (-(-n // 64) * 64,), dtype=bool)
-    adj[..., :n] = conflict | np.swapaxes(conflict, -1, -2)
-    idx = np.arange(n)
+    adj = conflict | np.swapaxes(conflict, -1, -2)
+    idx = np.arange(conflict.shape[-1])
     adj[..., idx, idx] = False
-    words = np.packbits(adj, axis=-1, bitorder="little").view("<u8")
-    words = words.reshape(-1, words.shape[-1])
-    masks = words[:, 0].tolist()
-    for i in range(1, words.shape[1]):
-        masks = [m | h << 64 * i for m, h in zip(masks, words[:, i].tolist())]
-    if conflict.ndim == 2:
-        return masks
-    return [masks[j:j + n] for j in range(0, len(masks), n)]
+    return _bit_rows(adj)
 
 
 def _members(mask):
@@ -165,10 +184,13 @@ def _cover(avail, masks, w, stop):
     return total
 
 
-def _first_fit_cliques(cliques, masks, nodes):
+def _first_fit_cliques(cliques, masks, nodes, stop=math.inf):
     """Add each node to the first clique of cliques it conflicts with entirely, else a new one.
 
-    cliques is a list of vertex masks, extended in place and returned.
+    cliques is a list of vertex masks, extended in place. Returns the
+    first node after which more than stop cliques are held, which is
+    the first of nodes when that many are held already, or None when
+    every node was added within stop.
     """
     for v in nodes:
         row = masks[v]
@@ -178,7 +200,9 @@ def _first_fit_cliques(cliques, masks, nodes):
                 break
         else:
             cliques.append(1 << v)
-    return cliques
+        if len(cliques) > stop:
+            return v
+    return None
 
 
 def _branch(masks, w, floor, loads=None):

@@ -159,6 +159,12 @@ _REFERENCE_CASES = {
     "greedy-bound": lambda: (near_uniform_space(12), {"q_grid": (1.5,), "exact_limit": 4}),
     "multi-word": lambda: (gen_euclidean(random_points(66, 2), 3.0),
                            {"C": None, "q_grid": (1.5, 2.0), "exact_limit": 66}),
+    # decays rounded up to quarters: one radius adds several nodes to a ball
+    "tied": lambda: (DecaySpace(np.ceil(gen_euclidean(random_points(14, 7), 3.0).f * 4.0) / 4.0),
+                     {"C": None}),
+    "shadowed-greedy-0": lambda: (shadowed_cloud(12, 5), {"exact_limit": 0}),
+    "shadowed-greedy-3": lambda: (shadowed_cloud(12, 5), {"exact_limit": 3}),
+    "unsorted-q": lambda: (shadowed_cloud(12, 6), {"C": 2.0, "q_grid": (4.0, 1.5, 8.0, 1.5, 2.0)}),
 }
 
 
@@ -169,8 +175,10 @@ def test_assouad_matches_per_call_reference(case):
     assert fast.samples == slow.samples and fast.exact == slow.exact
     assert fast.C == slow.C and fast.assouad == slow.assouad
     assert fast.r_grid == slow.r_grid
-    if case in ("greedy", "greedy-bound"):
+    if case.startswith(("greedy", "shadowed-greedy")):
         assert not fast.exact
+    if case == "tied":
+        assert any(len(set(col)) < space.n for col in space.f.T)
     if case == "multi-word":
         assert fast.exact and max(g for _, g in fast.samples) > 1
 
@@ -203,7 +211,8 @@ def _is_clique_partition(cliques, conflict, k):
 
 def test_first_fit_cliques_stay_a_partition_along_a_sweep():
     # a sweep's balls are prefixes under growing conflict thresholds, so
-    # cliques of one ball stay cliques of every later ball of the sweep
+    # cliques of one ball stay cliques of every later ball of the sweep,
+    # when each ball adds its new nodes by their rows at its own threshold
     rng = np.random.default_rng(3)
     for trial in range(30):
         n = 1 + trial % 20
@@ -214,29 +223,51 @@ def test_first_fit_cliques_stay_a_partition_along_a_sweep():
         stack = analysis._packing_conflicts(S, thresholds / 2.0)
         conflicts = stack | np.swapaxes(stack, 1, 2)
         cliques, seen = [], 0
-        for k, masks, conflict in zip(sizes.tolist(), analysis._neighbor_masks(stack), conflicts):
-            search._first_fit_cliques(cliques, masks, range(seen, k))
+        for k, masks, rows, conflict in zip(sizes.tolist(), analysis._neighbor_masks(stack),
+                                            search._bit_rows(stack), conflicts):
+            if cliques and k > seen:
+                # a partition already over stop stops at the first node offered
+                assert search._first_fit_cliques(list(cliques), rows, range(seen, k),
+                                                 len(cliques) - 1) == seen
+            assert search._first_fit_cliques(cliques, rows, range(seen, k)) is None
             seen = k
             assert _is_clique_partition(cliques, conflict, k)
-            rebuilt = search._first_fit_cliques([], masks, range(k))
+            rebuilt, counts = [], []
+            for v in range(k):
+                search._first_fit_cliques(rebuilt, masks, (v,))
+                counts.append(len(rebuilt))
             assert _is_clique_partition(rebuilt, conflict, k)
             assert len(rebuilt) >= len(max_independent_set(conflict[:k, :k], k)[0])
+            # the stop rule returns the node after which the count first exceeds stop
+            for stop in range(len(rebuilt) + 1):
+                want = next((v for v, c in enumerate(counts) if c > stop), None)
+                assert search._first_fit_cliques([], masks, range(k), stop) == want
 
 
 def test_exact_search_work_stays_below_the_index_order_bound(monkeypatch):
     # work counts on the first fit and mwis instances of the growth
     # benchmark; before the weight-ordered cover and the carried clique
     # partition the estimate ran 2573 searches with 3398 bound
-    # evaluations, and the fading search made 13154 bound evaluations;
-    # with them, 82 searches with 791 evaluations, and 4728 evaluations
-    runs, bounds = [], []
+    # evaluations, one per ball holding more than g(q) nodes, and the
+    # fading search made 13154 bound evaluations; with them, 82 searches
+    # with 791 evaluations, and 4728 evaluations. A ball's full k x k
+    # masks are built only to rebuild its partition (a first fit over all
+    # its nodes with no stop); the entry rows of their new nodes settle
+    # the other balls, and the searches stay the same 82
+    runs, bounds, builds, rebuilt = [], [], [], []
     branch, cover = analysis._branch, search._cover
+    build, first_fit = analysis._neighbor_masks, analysis._first_fit_cliques
     monkeypatch.setattr(analysis, "_branch", lambda *a: runs.append(1) or branch(*a))
     monkeypatch.setattr(search, "_cover", lambda *a: bounds.append(1) or cover(*a))
+    monkeypatch.setattr(analysis, "_neighbor_masks", lambda c: builds.append(c.shape) or build(c))
+    monkeypatch.setattr(analysis, "_first_fit_cliques", lambda c, m, nodes, stop=math.inf: (
+        stop == math.inf and rebuilt.append(len(nodes))) or first_fit(c, m, nodes, stop))
     est = assouad_estimate(gen_euclidean(random_points(24, 10000), 3.0), C=None)
     assert est.exact and est.samples == [(1.5, 4), (2.0, 4), (3.0, 5), (4.0, 5), (8.0, 6),
                                          (16.0, 8)]
-    assert len(runs) < 2573 and len(bounds) < 3398
+    assert len(runs) == 82 and len(bounds) < 3398
+    assert builds == [(k, k) for k in rebuilt]
+    assert len(runs) < len(rebuilt) < 2573 // 10
     bounds.clear()
     rep = fading_parameter(gen_euclidean(random_points(32, 20000), 3.0), 0.02, exact_limit=32)
     assert rep.exact and rep.gamma == 2.9625632311718038
@@ -251,16 +282,25 @@ def test_assouad_conflict_stacks_stay_bounded(monkeypatch):
         assert all(b0 == a1 for (_, a1), (b0, _) in zip(blocks, blocks[1:]))
         padded = k * (-(-k // 64) * 64)
         assert all((j1 - j0) * padded <= max(1 << 18, padded) for j0, j1 in blocks)
-    # every stack the estimate builds obeys the same bound; with every
-    # packing one node the searches end at the root
-    shapes = []
-    build = analysis._neighbor_masks
-    monkeypatch.setattr(analysis, "_neighbor_masks", lambda c: shapes.append(c.shape) or build(c))
-    n = 100
-    est = assouad_estimate(near_uniform_space(n), q_grid=(1.5,), exact_limit=n)
-    assert est.samples == [(1.5, 1)] and est.exact
-    assert len(shapes) > n  # more than one block per center
-    assert all(b * k * k <= max(1 << 18, k * k) for b, k, _ in shapes)
+    # every bool matrix the estimate packs holds at most max(2**18, k * k)
+    # entries: a block of scales' entry rows, a rebuilt ball's k x k
+    # masks and a block of greedy balls' stack
+    rows, masks = [], []
+    pack = search._bit_rows
+    monkeypatch.setattr(analysis, "_bit_rows", lambda b: rows.append(b.shape) or pack(b))
+    monkeypatch.setattr(search, "_bit_rows", lambda b: masks.append(b.shape) or pack(b))
+    # with 200 scales a center's entry rows come in more than one block
+    est = assouad_estimate(gen_euclidean(random_points(24, 1), 3.0),
+                           q_grid=tuple(np.linspace(1.1, 16.0, 200)))
+    assert est.exact and len(rows) > 24
+    assert masks and all(len(shape) == 2 for shape in masks)  # rebuilt balls only
+    # past exact_limit a center's greedy balls come in more than one
+    # stack; on near-uniform decays every packing is one node
+    n, rebuilt = 100, len(masks)
+    est = assouad_estimate(near_uniform_space(n), q_grid=(1.5,), exact_limit=n // 2)
+    assert est.samples == [(1.5, 1)] and not est.exact
+    assert sum(len(shape) == 3 for shape in masks[rebuilt:]) > n
+    assert all(math.prod(shape) <= max(1 << 18, shape[-2] * shape[-1]) for shape in rows + masks)
 
 
 def test_fading_quasi_knob_at_unit_exponent():
