@@ -28,10 +28,10 @@ from .spaces import _node_index, _quasi_table, _real, _row_blocks, _whole
 
 
 def _stack_blocks(count, k):
-    """Ranges over count radii or scales whose (B, k, k) stacks hold about 2**18 entries.
+    """Ranges over count scales whose (B, k, k) stacks hold about 2**18 entries.
 
     A row counts at its width padded to whole 64-bit words, and a block
-    holds one radius or scale at least, so a stack never exceeds
+    holds one scale at least, so a stack never exceeds
     max(2**18, k * padded width) entries.
     """
     return _row_blocks(count, k * (-(-k // 64) * 64))
@@ -40,8 +40,8 @@ def _stack_blocks(count, k):
 def _entry_rows(Sx, sizes, radii, scales):
     """(q, rows) per pair (q, g) of scales: each node's conflict row where it enters q's sweep.
 
-    sizes and radii are the balls of a center that hold at most
-    exact_limit nodes, Sx its weaker-direction decays in ball order.
+    sizes and radii are the balls of a center, Sx its weaker-direction
+    decays in ball order.
     The sweep at scale q starts at the first ball of more than g nodes,
     and node v enters it there or at the first ball holding v,
     whichever is later. Row v is Sx[v] <= 2 * (r / q) at that radius r,
@@ -76,10 +76,9 @@ def _run_starts(v):
 def _packing_conflicts(S, t):
     """Pairs too close to share a packing at scale t: min(f(a,b), f(b,a)) <= 2t.
 
-    S holds the weaker-direction decays min(f, f.T) of a node set. A 1-D
-    array of scales gives one conflict matrix per scale, stacked.
+    S holds the weaker-direction decays min(f, f.T) of a node set.
     """
-    return S <= 2.0 * np.asarray(t, dtype=float)[..., None, None]
+    return S <= 2.0 * t
 
 
 def ball(space, y, t):
@@ -137,10 +136,10 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     Each center's column is sorted once (stably), so every ball is a
     prefix of that order, and the weaker-direction decays are permuted
     into that order once per center. A ball is packed only when it holds
-    more than g(q) nodes; the others cannot raise g(q). Up to
-    exact_limit nodes, one clique partition rides along each (center, q)
-    radius sweep. A ball's conflict threshold 2r/q grows with r, so a
-    clique of one ball stays a clique in every later ball of the sweep.
+    more than g(q) nodes; the others cannot raise g(q). One clique
+    partition rides along each (center, q) radius sweep. A ball's
+    conflict threshold 2r/q grows with r, so a clique of one ball stays
+    a clique in every later ball of the sweep.
     Each node joins the partition first-fit (the first clique it
     conflicts with entirely, or a new one) at the ball where it enters
     the sweep, by its one conflict row at that ball's radius. Every g(q)
@@ -151,17 +150,18 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
     first fit stops at the node after which the partition first holds
     more than g(q) cliques, at once when it already does, and the ball
     holding that node is the next to decide. Only that ball's full
-    conflict masks are built: the partition is rebuilt first-fit on them,
-    and only if it still has more than g(q) cliques is the ball searched,
-    once, with g(q) as the floor; the search returns the ball's optimum
-    when that beats g(q) and g(q) otherwise. Past exact_limit a ball is
-    packed by a first-fit greedy in node-index order, the order
-    packing_number visits its sorted body, which clears the exact flag;
-    these balls' masks are built as one stack per block of radii. Either
-    way g(q) ends where a packing_number call per ball would leave it.
-    Entry rows and greedy stacks come in blocks sized like the metricity
-    kernels' blocks (about 2**18 entries, a single K x K matrix at
-    least), so memory stays O(n**2) however long q_grid is.
+    conflict masks are built. Up to exact_limit nodes the partition is
+    rebuilt first-fit on them, and only if it still has more than g(q)
+    cliques is the ball searched, once, with g(q) as the floor; the
+    search returns the ball's optimum when that beats g(q) and g(q)
+    otherwise. Past exact_limit the ball's remaining nodes join the
+    partition by their entry rows, and the ball is packed by a first-fit
+    greedy in node-index order, the order packing_number visits its
+    sorted body. Either way g(q) and the exact flag end where a
+    packing_number call per ball would leave them. Entry rows come in
+    blocks sized like the metricity kernels' blocks (about 2**18
+    entries, a single K x K matrix at least), so memory stays O(n**2)
+    however long q_grid is.
     """
     C = None if C is None else _real("C", C, "(0, inf)")
     if space.n < 1:
@@ -187,34 +187,28 @@ def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact
         if not sizes.size or sizes[-1] <= min(g.values()):
             continue
         Sx = S[np.ix_(order, order)]
-        # balls [:m] hold at most exact_limit nodes and ride the clique partition
-        m = int(np.searchsorted(sizes, exact_limit, side="right"))
-        last = int(sizes[m - 1]) if m else 0
-        swept = [(q, g[q]) for q in g if last > g[q]]
-        for q, rows in _entry_rows(Sx, sizes[:m], radii[:m], swept):
+        K = int(sizes[-1])
+        for q, rows in _entry_rows(Sx, sizes, radii, [(q, g[q]) for q in g if K > g[q]]):
             cliques, seen = [], 0
-            while (v := _first_fit_cliques(cliques, rows, range(seen, last), g[q])) is not None:
+            while (v := _first_fit_cliques(cliques, rows, range(seen, K), g[q])) is not None:
                 # the first ball holding v is the first whose partition has
-                # more than g(q) cliques: rebuild the partition on it
+                # more than g(q) cliques
                 j = int(np.searchsorted(sizes, v, side="right"))
                 seen = int(sizes[j])
                 masks = _neighbor_masks(_packing_conflicts(Sx[:seen, :seen], radii[j] / q))
+                if seen > exact_limit:
+                    all_exact = False
+                    _first_fit_cliques(cliques, rows, range(v + 1, seen))
+                    packed = _first_fit(masks, np.argsort(order[:seen]).tolist())
+                    g[q] = max(g[q], packed.bit_count())
+                    continue
                 cliques = []
                 _first_fit_cliques(cliques, masks, range(seen))
                 if len(cliques) > g[q]:
                     g[q] = int(_branch(masks, ones, float(g[q]))[1])
-        for q in g:
-            todo = m + np.flatnonzero(sizes[m:] > g[q])
-            if not todo.size:
-                continue
-            all_exact = False
-            K = int(sizes[todo[-1]])
-            for j0, j1 in _stack_blocks(todo.size, K):
-                sel = todo[j0:j1]
-                stack = _packing_conflicts(Sx[:K, :K], radii[sel] / q)
-                for k, masks in zip(sizes[sel].tolist(), _neighbor_masks(stack)):
-                    packed = _first_fit(masks, np.argsort(order[:k]).tolist())
-                    g[q] = max(g[q], packed.bit_count())
+            # as a packing_number call per ball: inexact once a ball past
+            # exact_limit holds more than g(q) nodes, even a settled one
+            all_exact = all_exact and K <= max(g[q], exact_limit)
     samples = [(q, g[q]) for q in q_grid]
     if C is None:
         lq = np.log([q for q, _ in samples])

@@ -38,6 +38,15 @@ def _edge_array(n, edges):
     return np.array(out, dtype=int).reshape(-1, 2)
 
 
+def _distinct_draw(n, seed, draw):
+    """The first draw(default_rng(seed + 7919 * attempt)) of n distinct points, not None."""
+    for attempt in range(MAX_RESAMPLES):
+        pts = draw(np.random.default_rng(seed + 7919 * attempt))
+        if pts is not None and len({(p[0], p[1]) for p in pts}) == n:
+            return pts
+    raise ValueError("no %d distinct points after %d draws" % (n, MAX_RESAMPLES))
+
+
 def random_points(n, seed, plant_collinear=False):
     """At most MAX_NODES uniform points in the unit square, reproducible by seed.
 
@@ -53,8 +62,8 @@ def random_points(n, seed, plant_collinear=False):
     if plant_collinear and n < 3:
         raise ValueError("planting a collinear triple needs n >= 3")
     _check_nodes("a point cloud", n)
-    for attempt in range(MAX_RESAMPLES):
-        rng = np.random.default_rng(seed + 7919 * attempt)
+
+    def draw(rng):
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
         if plant_collinear:
             grid = 2.0 ** -16
@@ -63,9 +72,9 @@ def random_points(n, seed, plant_collinear=False):
             pts[-3] = base
             pts[-2] = base + step
             pts[-1] = base + 2.0 * step
-        if len({(p[0], p[1]) for p in pts}) == n:
-            return pts
-    raise ValueError("no %d distinct points after %d draws" % (n, MAX_RESAMPLES))
+        return pts
+
+    return _distinct_draw(n, seed, draw)
 
 
 def gen_euclidean(points, alpha):
@@ -235,21 +244,17 @@ def random_link_system(n_links, seed, beta=1.0, noise=0.0, alpha=2.5, box=4.0):
     if box > MAX_BOX:
         raise ValueError("box %g exceeds MAX_BOX = %g: receiver offsets of 0.1-0.8 "
                          "would vanish against the coordinates" % (box, MAX_BOX))
-    rng = np.random.default_rng(seed)
-    for _ in range(MAX_RESAMPLES):
+
+    def draw(rng):
         senders = rng.uniform(0.0, box, size=(n_links, 2))
         offsets = rng.uniform(-1.0, 1.0, size=(n_links, 2))
         norms = np.sqrt((offsets ** 2).sum(axis=1))
+        if not np.all(norms > 0):
+            return None
         lengths = rng.uniform(0.1, 0.8, size=n_links)
-        receivers = senders + offsets * (lengths / norms)[:, None]
-        pts = np.vstack([senders, receivers])
-        if len({(p[0], p[1]) for p in pts}) == 2 * n_links and np.all(norms > 0):
-            break
-        seed += 7919
-        rng = np.random.default_rng(seed)
-    else:
-        raise ValueError("no %d distinct links after %d draws" % (n_links, MAX_RESAMPLES))
-    space = gen_euclidean(pts, alpha)
+        return np.vstack([senders, senders + offsets * (lengths / norms)[:, None]])
+
+    space = gen_euclidean(_distinct_draw(2 * n_links, seed, draw), alpha)
     links = [(i, n_links + i) for i in range(n_links)]
     return LinkSystem(
         space,

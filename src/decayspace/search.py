@@ -132,14 +132,13 @@ def _bit_rows(rows):
 
 
 def _neighbor_masks(conflict):
-    """Bitmask rows of an (n, n) conflict matrix, or one list per matrix of a (B, n, n) stack.
+    """Bitmask rows of an (n, n) conflict matrix.
 
     Bit u of row v is set when v and u conflict in either direction,
     and never on the diagonal.
     """
-    adj = conflict | np.swapaxes(conflict, -1, -2)
-    idx = np.arange(conflict.shape[-1])
-    adj[..., idx, idx] = False
+    adj = conflict | conflict.T
+    np.fill_diagonal(adj, False)
     return _bit_rows(adj)
 
 

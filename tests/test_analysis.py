@@ -144,6 +144,14 @@ def near_uniform_space(n):
     return DecaySpace(f)
 
 
+def quarter_space(n, seed):
+    # symmetric decays in quarters from 0.5 to 1.25: balls that grow by several nodes
+    f = np.ceil(np.random.default_rng(seed).random((n, n)) * 4.0) / 4.0 + 0.25
+    f = np.minimum(f, f.T)
+    np.fill_diagonal(f, 0.0)
+    return DecaySpace(f)
+
+
 _REFERENCE_CASES = {
     "shadowed": lambda: (shadowed_cloud(16, 3), {}),
     "shadowed-fit": lambda: (shadowed_cloud(20, 4), {"C": None}),
@@ -157,6 +165,10 @@ _REFERENCE_CASES = {
     "greedy": lambda: (gen_euclidean(random_points(20, 9), 3.0), {"C": None, "exact_limit": 6}),
     # every ball past exact_limit fails the bound, yet the estimate is inexact
     "greedy-bound": lambda: (near_uniform_space(12), {"q_grid": (1.5,), "exact_limit": 4}),
+    # a greedy pack raises g(q) to the largest ball, which still leaves the estimate inexact
+    "greedy-line": lambda: (line_space(3), {"q_grid": (8.0, 16.0), "exact_limit": 0}),
+    # the nodes of a greedily packed ball that follow the stop still join the partition
+    "greedy-quarters": lambda: (quarter_space(7, 84), {"exact_limit": 0}),
     "multi-word": lambda: (gen_euclidean(random_points(66, 2), 3.0),
                            {"C": None, "q_grid": (1.5, 2.0), "exact_limit": 66}),
     # decays rounded up to quarters: one radius adds several nodes to a ball
@@ -164,6 +176,8 @@ _REFERENCE_CASES = {
                      {"C": None}),
     "shadowed-greedy-0": lambda: (shadowed_cloud(12, 5), {"exact_limit": 0}),
     "shadowed-greedy-3": lambda: (shadowed_cloud(12, 5), {"exact_limit": 3}),
+    # one sweep of the clique partition runs past exact_limit, packing greedily
+    "shadowed-greedy-8": lambda: (shadowed_cloud(24, 11), {"C": None, "exact_limit": 8}),
     "unsorted-q": lambda: (shadowed_cloud(12, 6), {"C": 2.0, "q_grid": (4.0, 1.5, 8.0, 1.5, 2.0)}),
 }
 
@@ -220,11 +234,10 @@ def test_first_fit_cliques_stay_a_partition_along_a_sweep():
         S = np.minimum(d, d.T)
         thresholds = np.sort(rng.random(4))
         sizes = np.sort(rng.integers(0, n + 1, 4))
-        stack = analysis._packing_conflicts(S, thresholds / 2.0)
-        conflicts = stack | np.swapaxes(stack, 1, 2)
+        stack = S <= thresholds[:, None, None]
         cliques, seen = [], 0
-        for k, masks, rows, conflict in zip(sizes.tolist(), analysis._neighbor_masks(stack),
-                                            search._bit_rows(stack), conflicts):
+        for k, rows, conflict in zip(sizes.tolist(), search._bit_rows(stack), stack):
+            masks = analysis._neighbor_masks(conflict)
             if cliques and k > seen:
                 # a partition already over stop stops at the first node offered
                 assert search._first_fit_cliques(list(cliques), rows, range(seen, k),
@@ -283,24 +296,38 @@ def test_assouad_conflict_stacks_stay_bounded(monkeypatch):
         padded = k * (-(-k // 64) * 64)
         assert all((j1 - j0) * padded <= max(1 << 18, padded) for j0, j1 in blocks)
     # every bool matrix the estimate packs holds at most max(2**18, k * k)
-    # entries: a block of scales' entry rows, a rebuilt ball's k x k
-    # masks and a block of greedy balls' stack
-    rows, masks = [], []
-    pack = search._bit_rows
+    # entries: a block of scales' entry rows, or one ball's k x k masks
+    rows, masks, packs = [], [], []
+    pack, first_fit = search._bit_rows, analysis._first_fit
     monkeypatch.setattr(analysis, "_bit_rows", lambda b: rows.append(b.shape) or pack(b))
     monkeypatch.setattr(search, "_bit_rows", lambda b: masks.append(b.shape) or pack(b))
+    monkeypatch.setattr(analysis, "_first_fit", lambda m, o: packs.append(1) or first_fit(m, o))
     # with 200 scales a center's entry rows come in more than one block
     est = assouad_estimate(gen_euclidean(random_points(24, 1), 3.0),
                            q_grid=tuple(np.linspace(1.1, 16.0, 200)))
     assert est.exact and len(rows) > 24
     assert masks and all(len(shape) == 2 for shape in masks)  # rebuilt balls only
-    # past exact_limit a center's greedy balls come in more than one
-    # stack; on near-uniform decays every packing is one node
+    # on near-uniform decays every pair conflicts at q = 1.5, so one clique
+    # covers every ball: no ball past exact_limit gets masks or a greedy
+    # pack, yet its more than g(q) nodes leave the estimate inexact
     n, rebuilt = 100, len(masks)
     est = assouad_estimate(near_uniform_space(n), q_grid=(1.5,), exact_limit=n // 2)
     assert est.samples == [(1.5, 1)] and not est.exact
-    assert sum(len(shape) == 3 for shape in masks[rebuilt:]) > n
+    assert len(masks) == rebuilt and packs == []
     assert all(math.prod(shape) <= max(1 << 18, shape[-2] * shape[-1]) for shape in rows + masks)
+
+
+def test_assouad_packs_greedily_only_balls_its_partition_leaves_open(monkeypatch):
+    # past exact_limit the estimate packed every ball holding more than
+    # g(q) nodes, 3420 greedy packs on this cloud; the clique partition
+    # that rides the sweep settles most of them first
+    packs, first_fit = [], analysis._first_fit
+    monkeypatch.setattr(analysis, "_first_fit",
+                        lambda m, o: packs.append(len(m)) or first_fit(m, o))
+    est = assouad_estimate(gen_euclidean(random_points(30, 500), 3.0), C=None, exact_limit=10)
+    assert not est.exact
+    assert est.samples == [(1.5, 4), (2.0, 4), (3.0, 4), (4.0, 5), (8.0, 7), (16.0, 9)]
+    assert 0 < len(packs) < 3420 and min(packs) > 10
 
 
 def test_fading_quasi_knob_at_unit_exponent():

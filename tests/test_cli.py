@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from decayspace import (
+    DecaySpace,
     LinkSystem,
     check_separation_set,
     gen_equidecay_graph,
     gen_euclidean,
+    gen_threepoint,
     gen_twoline,
     gen_welzl,
     load_space,
@@ -418,6 +420,16 @@ def test_fading_cli(tmp_path, capsys):
 
     assert run(capsys, "fading", "--space", path, "--r", "-1")[0] == 2
 
+    # uniform decays: every ball packs one node, so C = 1 gives a bound of
+    # 2 * (zeta(2) - 1) = 1.29, and an exact gamma of 5 above it exits 1
+    save_space(DecaySpace(np.ones((6, 6)) - np.eye(6)), path)
+    code, out, err = run(capsys, "fading", "--space", path, "--r", "1", "--C", "1")
+    res = report(out)["results"]
+    assert (code, err) == (1, "")
+    assert res["fading"]["exact"] and res["fading"]["gamma"] == 5
+    assert res["growth"]["within_bound"] is False
+    assert res["growth"]["bound"] == pytest.approx(1.2898681337585307)
+
 
 def test_fading_fit_leaves_numpy_ma_unloaded(tmp_path):
     # np.unique loads numpy.ma on its first call, 10 ms or more of import
@@ -542,6 +554,13 @@ def test_verify_cli(tmp_path, capsys, monkeypatch):
         assert code == 1 and not item["ok"], name
         assert "violates the decay axioms: non-finite at (" in item["detail"], name
 
+    # a file that loads but has no zeta fails its item too
+    one = str(tmp_path / "one.json")
+    save_space(DecaySpace(np.zeros((1, 1))), one)
+    code, out, _ = run(capsys, "verify", "--corpus", one)
+    assert code == 1 and report(out)["results"]["items"] == [
+        {"name": "file:" + one, "ok": False, "detail": "need at least 2 nodes"}]
+
 
 def test_out_flag_writes_file(tmp_path, capsys):
     space = str(tmp_path / "sp.json")
@@ -561,6 +580,15 @@ def test_tolerance_flag(tmp_path, capsys):
     assert code == 0 and report(out)["config"]["tol"] == 1e-9
     code, out, _ = run(capsys, "analyze", "--space", space, "--tol", "1e-6")
     assert code == 0 and report(out)["config"]["tol"] == 1e-6
+    # --tol is not the triangle check's slack: at zeta 3, d(0,2) = 50.80
+    # exceeds d(0,1) + d(1,2) = 41.32 at any --tol
+    save_space(gen_threepoint(2.0 ** 16), space)
+    for tol in ("1e-9", "0.5"):
+        code, out, err = run(capsys, "analyze", "--space", space, "--zeta", "3", "--tol", tol)
+        assert (code, err) == (1, ""), tol
+        assert report(out)["results"]["quasi"] == {
+            "zeta": 3, "consistent": False,
+            "witness": "zeta=3 is below the metricity of the space: d(0,2) > d(0,1) + d(1,2)"}
     # validate and verify run no metricity search, so they take no --tol
     for argv in (["validate", "--space", space], ["verify", "--corpus", space]):
         with pytest.raises(SystemExit):

@@ -1,5 +1,6 @@
 """The construction families: exact tables, reproducibility, guards."""
 
+import inspect
 import os
 import pathlib
 import subprocess
@@ -269,8 +270,7 @@ def test_random_link_system():
     assert np.all((0.1 - 1e-6 <= lengths) & (lengths <= 0.8 + 1e-6))
 
 
-# a generator whose draws all coincide, to drive the resample loops to their cap
-_STUCK = """
+# a random generator whose draws all coincide
 class _Stuck:
     def uniform(self, low, high, size):
         return np.full(size, low)
@@ -278,8 +278,9 @@ class _Stuck:
     def integers(self, low, high, size):
         return np.full(size, low)
 
-np.random.default_rng = lambda *args, **kw: _Stuck()
-"""
+
+# every draw of a child process coincides, to drive the resample loop to its cap
+_STUCK = "\n%s\nnp.random.default_rng = lambda *args, **kw: _Stuck()\n" % inspect.getsource(_Stuck)
 
 
 @pytest.mark.parametrize("call, why", [
@@ -307,3 +308,26 @@ def test_random_generators_reject_or_stop(call, why):
                           timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
     assert done.returncode == 0 and done.stderr == "", done.stderr
     assert done.stdout.startswith("ValueError: ") and why in done.stdout, done.stdout
+
+
+class _Zero:
+    # a draw of zero receiver offsets, which give a receiver no direction
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("make, first", [
+    (lambda seed: random_points(6, seed), _Stuck),
+    (lambda seed: random_points(6, seed, plant_collinear=True), _Stuck),
+    (lambda seed: random_link_system(4, seed).space.f, _Stuck),
+    (lambda seed: random_link_system(4, seed).space.f, _Zero),
+], ids=["points", "collinear", "links", "links-zero-offset"])
+def test_a_colliding_draw_is_redrawn_at_the_next_seed(monkeypatch, make, first):
+    # attempt k draws from default_rng(seed + 7919 * k), so an unusable
+    # first draw gives way to the first draw of seed + 7919
+    want = make(3 + 7919)
+    real, seeds = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or (
+        first() if len(seeds) == 1 else real(seed)))
+    assert np.array_equal(make(3), want)
+    assert seeds == [3, 3 + 7919]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from decayspace import fading_parameter, gen_star
 from decayspace import search
 from decayspace.search import (
-    _branch, _neighbor_masks, max_independent_set, max_weight_independent_set,
+    _bit_rows, _branch, _neighbor_masks, max_independent_set, max_weight_independent_set,
 )
 
 
@@ -58,8 +58,10 @@ def test_stacked_masks_match_per_row_build(n):
     rng = np.random.default_rng(n)
     stack = rng.random((3, n, n)) < [[[0.0]], [[0.3]], [[1.0]]]
     want = [_per_row_masks(c) for c in stack]
-    assert _neighbor_masks(stack) == want
     assert [_neighbor_masks(c) for c in stack] == want
+    adj = stack | np.swapaxes(stack, 1, 2)
+    adj[:, np.arange(n), np.arange(n)] = False
+    assert _bit_rows(adj) == want
     assert all(m < 1 << n for masks in want for m in masks)
 
 
