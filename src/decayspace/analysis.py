@@ -21,7 +21,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .search import (
-    _bit_rows, _branch, _first_fit, _first_fit_cliques, _neighbor_masks,
+    EXACT_LIMIT, _bit_rows, _branch, _first_fit, _first_fit_cliques, _neighbor_masks,
     max_independent_set, max_weight_independent_set,
 )
 from .spaces import _node_index, _quasi_table, _real, _row_blocks, _whole
@@ -50,8 +50,6 @@ def _entry_rows(Sx, sizes, radii, scales):
     never reads them. The scales are packed in blocks of about 2**18
     entries.
     """
-    if not scales:
-        return
     K = int(sizes[-1])
     ball_of = np.searchsorted(sizes, np.arange(K), side="right")
     for j0, j1 in _stack_blocks(len(scales), K):
@@ -84,18 +82,18 @@ def _packing_conflicts(S, t):
 def ball(space, y, t):
     """Nodes whose decay toward y is strictly below t."""
     t = _real("t", t, "(0, inf]")
-    y = _node_index(space, y)
+    y = _node_index(y, space.n)
     return tuple(int(i) for i in np.where(space.f[:, y] < t)[0])
 
 
-def packing_number(space, body, t, exact_limit=24):
+def packing_number(space, body, t, exact_limit=EXACT_LIMIT):
     """Largest packing of the body at scale t.
 
     A packing keeps min(f(a,b), f(b,a)) > 2t for every pair of chosen
     nodes. Exact up to exact_limit body nodes, greedy beyond (then a
     lower bound). Returns (count, exact, members).
     """
-    body = sorted({_node_index(space, i) for i in body})
+    body = sorted({_node_index(i, space.n) for i in body})
     if not body:
         raise ValueError("cannot pack an empty body")
     t = _real("t", t, "(0, inf]")
@@ -115,7 +113,8 @@ class DimensionEstimate:
     exact: bool
 
 
-def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0), exact_limit=24):
+def assouad_estimate(space, C=1.0, q_grid=(1.5, 2.0, 3.0, 4.0, 8.0, 16.0),
+                     exact_limit=EXACT_LIMIT):
     """Packing-growth exponent of decay balls.
 
     g(q) is the largest packing count of any ball at scale radius/q:
@@ -238,7 +237,7 @@ class FadingReport:
     exact: bool
 
 
-def fading_parameter(space, r, exact_limit=24, quasi=None):
+def fading_parameter(space, r, exact_limit=EXACT_LIMIT, quasi=None):
     """Worst normalized interference from r-separated senders.
 
     For a listening node z, an admissible sender set keeps every
@@ -322,14 +321,14 @@ def fading_bound(C, A):
     return float(C * 2.0 ** (A + 1.0) * (zeta_hat(2.0 - A) - 1.0))
 
 
-def independence_at(space, quasi, x, exact_limit=24):
+def independence_at(space, quasi, x, exact_limit=EXACT_LIMIT):
     """Largest node set independent with respect to the center x.
 
     Independence: every two members are mutually farther from each
     other than either is from x, strictly, in quasi-distance. Returns
     (size, members, exact).
     """
-    x = _node_index(space, x)
+    x = _node_index(x, space.n)
     d = _quasi_table(space, quasi)
     exact_limit = _whole("exact_limit", exact_limit, "[0, inf)")  # also on one node
     cand = [z for z in range(space.n) if z != x]
@@ -344,7 +343,7 @@ def independence_at(space, quasi, x, exact_limit=24):
     return len(chosen), chosen, exact
 
 
-def independence_dimension(space, quasi, exact_limit=24):
+def independence_dimension(space, quasi, exact_limit=EXACT_LIMIT):
     """Largest center-independence count over all centers.
 
     Returns (dim, center, members, exact); ties go to the lowest
@@ -372,7 +371,7 @@ def guard_set(space, quasi, x):
     quasi-metric has a zero diagonal, so the greedy pass terminates on
     node-space inputs.
     """
-    x = _node_index(space, x)
+    x = _node_index(x, space.n)
     d = _quasi_table(space, quasi)
     others = [z for z in range(space.n) if z != x]
     if not others:

@@ -36,7 +36,6 @@ from .links import (
     drowned_links,
     is_feasible,
     _link_set,
-    _noise_margin,
     _separated,
     _separation_violation,
     check_separation_set,
@@ -140,7 +139,7 @@ def capacity_oracle(sys, max_n=20):
             "%d links exceed max_n=%d; sample the system down or raise the cap"
             % (n, max_n)
         )
-    candidates = np.flatnonzero(_noise_margin(sys) > 0)
+    candidates = np.flatnonzero(sys._margin > 0)
     if not len(candidates):
         return 0, ()
     raw = affectance_matrix(sys, capped=False)[np.ix_(candidates, candidates)]

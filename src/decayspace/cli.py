@@ -59,6 +59,7 @@ from .io import (
     space_from_dict,
     system_from_dict,
 )
+from .search import EXACT_LIMIT
 from .verify import run_verify
 
 
@@ -297,15 +298,12 @@ def _gen_instance(family, params, seed):
                         _take(params, "r", required=True)), None
     if family == "welzl":
         return gen_welzl(_take(params, "n", required=True), **_given(params, "eps")), None
+    n, edges = _gen_edges(params, seed)
     if family == "equidecay":
-        n, edges = _gen_edges(params, seed)
         system = gen_equidecay_graph(n, edges, **_given(params, "far_decay"))
-    elif family == "twoline":
-        n, edges = _gen_edges(params, seed)
+    else:  # twoline, the last family --family's choices admit
         alpha = _take(params, "alpha", required=True)
         system = gen_twoline(n, edges, alpha, **_given(params, "delta"))
-    else:
-        raise UsageError("unknown family %r" % family)
     return system.space, system
 
 
@@ -435,8 +433,8 @@ def build_parser():
     p.add_argument("--C", default="off",
                    help="'off', 'fit', or a constant: compare gamma against the "
                    "packing-growth bound")
-    p.add_argument("--exact-limit", type=int, default=24, dest="exact_limit",
-                   help="largest subproblem solved exactly")
+    p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT, dest="exact_limit",
+                   help="largest subproblem solved exactly (default %d)" % EXACT_LIMIT)
     p.add_argument("--separation", choices=("decay", "quasi"), default="decay",
                    help="measure sender separation in decays or quasi-distances")
     common(p)

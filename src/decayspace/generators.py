@@ -3,13 +3,13 @@
 Each generator returns a DecaySpace, or a LinkSystem when the
 construction carries links. The random helpers take integer seeds
 and are reproducible. Counts and seeds are read by spaces._whole and
-real parameters by spaces._real, each with its interval, and edge
-endpoints by spaces._indices.
+real parameters by spaces._real, each with its interval, and edges
+by spaces._pairs, the rule for every node pair.
 """
 
 import numpy as np
 
-from .spaces import DecaySpace, LINK_GAIN, NODE_SPACE, _indices, _real, _whole
+from .spaces import DecaySpace, LINK_GAIN, NODE_SPACE, _pairs, _real, _whole
 from .links import LinkSystem, PowerAssignment, SinrParams
 
 # draws a random generator makes before giving up on distinct points
@@ -28,14 +28,10 @@ def _check_nodes(what, n):
 
 
 def _edge_array(n, edges):
-    """Edges as an (m, 2) int array of sorted pairs, by _indices; a loop is refused by name."""
-    out = []
-    for i, j in edges:
-        i, j = _whole("edge endpoint", i), _whole("edge endpoint", j)
-        if i == j:
-            raise ValueError("edge (%d, %d) is a loop" % (i, j))
-        out.append(_indices("edge endpoint", (i, j), n))
-    return np.array(out, dtype=int).reshape(-1, 2)
+    """Edges as an (m, 2) int array, each row a pair of spaces._pairs sorted."""
+    e = np.array(_pairs("edge", edges, n), dtype=int).reshape(-1, 2)
+    e.sort(axis=1)
+    return e
 
 
 def _distinct_draw(n, seed, draw):

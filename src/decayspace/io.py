@@ -28,7 +28,7 @@ import os
 
 import numpy as np
 
-from .spaces import DecaySpace, NODE_SPACE, _whole
+from .spaces import DecaySpace, NODE_SPACE, _pairs, _whole
 from .links import LinkSystem, PowerAssignment, SinrParams
 
 
@@ -119,11 +119,6 @@ def system_from_dict(obj, base_dir="."):
         space = load_space(os.path.join(base_dir, raw_space))
     else:
         space = space_from_dict(raw_space)
-    links = obj.get("links")
-    if links is not None:
-        for k, pair in enumerate(links):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ValueError("system document link %d is not a [sender, receiver] pair" % k)
     params = SinrParams(beta=obj.get("beta", 1.0), noise=obj.get("noise", 0.0))
     power = obj.get("power", {"kind": "uniform", "level": 1.0})
     if power.get("kind") == "uniform":
@@ -134,7 +129,7 @@ def system_from_dict(obj, base_dir="."):
         pw = PowerAssignment.explicit(power["levels"])
     else:
         raise ValueError("unknown power kind %r" % power.get("kind"))
-    return LinkSystem(space, links=links, params=params, power=pw)
+    return LinkSystem(space, links=obj.get("links"), params=params, power=pw)
 
 
 def load_system(path):
@@ -146,12 +141,12 @@ def save_system(sys, path):
 
 
 def load_graph(path):
+    """(n, edges) of a graph file: n >= 1 nodes, edges as (i, j) pairs by spaces._pairs."""
     obj = _read_doc(path)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph document needs 'n' and 'edges'")
-    n = _whole("n", obj["n"])
-    edges = [(_whole("edge endpoint", i), _whole("edge endpoint", j)) for i, j in obj["edges"]]
-    return n, edges
+    n = _whole("n", obj["n"], "[1, inf)")
+    return n, _pairs("edge", obj["edges"], n)
 
 
 # the one float rule: a finite value in 17 significant digits, any other as a JSON string

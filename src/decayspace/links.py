@@ -28,6 +28,11 @@ systems take the map from their link list; a link-gain table is the
 cross-decay table itself, so there link i runs from node i to node i
 and the map is the identity.
 
+The per-link arrays live on the system: LinkSystem builds its powers,
+own decays and noise margins once, its cross decays and affectance
+tables on first use, and hands each out read-only. The functions here
+read them and derive none again.
+
 Separation is one relation, _separated: link v is eta-separated from
 link w when link_distance(v, w) >= eta * (v's own length) in the
 quasi-metric's table. Every separation test and partition reads it.
@@ -35,7 +40,7 @@ quasi-metric's table. Every separation test and partition reads it.
 
 import numpy as np
 
-from .spaces import NODE_SPACE, LINK_GAIN, _indices, _node_index, _quasi_table, _real
+from .spaces import NODE_SPACE, LINK_GAIN, _indices, _node_index, _pairs, _quasi_table, _real
 
 
 class SinrParams:
@@ -80,9 +85,7 @@ class PowerAssignment:
         if self.kind == "uniform":
             return np.full(n_links, self.value)
         if len(self.value) != n_links:
-            raise ValueError(
-                "expected %d powers, got %d" % (n_links, len(self.value))
-            )
+            raise ValueError("expected %d powers, got %d" % (n_links, len(self.value)))
         return self.value.copy()
 
 
@@ -91,11 +94,14 @@ class LinkSystem:
 
     Link i runs from sender node s_i to receiver node r_i, and the
     cross decay from w to v is f(s_w, r_v). In node-space mode, links
-    are the (sender, receiver) index pairs into the space. In
-    link-gain mode the space's matrix already is the cross-decay
-    table, own-link decays on the diagonal; links stays None and the
-    endpoint map is the identity, s_i = r_i = i. Either way the axioms
-    of the space keep every own decay positive.
+    are the (sender, receiver) index pairs into the space, read by
+    spaces._pairs. In link-gain mode the space's matrix already is the
+    cross-decay table, own-link decays on the diagonal; links stays
+    None and the endpoint map is the identity, s_i = r_i = i. Either
+    way the axioms of the space keep every own decay positive.
+
+    A system is not edited after construction, since its arrays are
+    built from its links, params and power: for others, build a new one.
 
     Scheduling code orders links by non-decreasing own decay, ties
     broken by index; order() returns that permutation.
@@ -113,15 +119,12 @@ class LinkSystem:
         else:
             if links is None:
                 raise ValueError("node-space systems need an explicit link list")
-            clean = []
-            for k, (s, r) in enumerate(links):
-                s, r = _node_index(space, s), _node_index(space, r)
-                if s == r:
-                    raise ValueError("link %d has sender equal to receiver" % k)
-                clean.append((s, r))
-            self.links = clean
-            self._s, self._r = np.array(clean, dtype=int).reshape(-1, 2).T
-        self._P = self.power.vector(self.n_links)
+            self.links = _pairs("link", links, space.n)
+            self._s, self._r = np.array(self.links, dtype=int).reshape(-1, 2).T
+        self._P = _frozen(self.power.vector(self.n_links))
+        self._own = _frozen(space.f[self._s, self._r])
+        # nonpositive where a link cannot decode even without interference
+        self._margin = _frozen(1.0 - self.params.beta * self.params.noise * self._own / self._P)
         self._cross = None
         self._aff = {}
 
@@ -133,18 +136,28 @@ class LinkSystem:
         return self._P
 
     def own_decays(self):
-        return self.space.f[self._s, self._r]
+        return self._own
 
     def cross_decays(self):
         """Matrix F with F[w][v] the decay from w's sender to v's receiver."""
         if self._cross is None:
-            self._cross = self.space.f[np.ix_(self._s, self._r)]
+            self._cross = _frozen(self.space.f[np.ix_(self._s, self._r)])
         return self._cross
+
+    def _affectances(self, capped):
+        # the table behind affectance_matrix, built on first use
+        key = bool(capped)
+        if key not in self._aff:
+            with np.errstate(divide="ignore"):
+                c = np.where(self._margin > 0, self.params.beta / self._margin, np.nan)
+                raw = c * (self._P[:, None] / self._P) * (self._own / self.cross_decays())
+            np.fill_diagonal(raw, 0.0)
+            self._aff[key] = _frozen(np.minimum(raw, 1.0, out=raw) if key else raw)
+        return self._aff[key]
 
     def order(self):
         """Link indices sorted by (own decay, index)."""
-        own = self.own_decays()
-        return np.lexsort((np.arange(self.n_links), own))
+        return np.argsort(self._own, kind="stable")
 
     def link_length(self, quasi, v):
         """Own quasi-distance of link v under the given quasi-metric."""
@@ -155,47 +168,27 @@ class LinkSystem:
         return _quasi_table(self.space, quasi)[self._s, self._r]
 
     def __repr__(self):
-        return "LinkSystem(n_links=%d, %r, power=%s)" % (
-            self.n_links,
-            self.params,
-            self.power.kind,
-        )
+        return "LinkSystem(n_links=%d, %r, power=%s)" % (self.n_links, self.params, self.power.kind)
 
 
-def _noise_margin(sys):
-    # 1 - beta*N*f_vv/P_v per link; nonpositive means the link cannot
-    # decode even without interference
-    own = sys.own_decays()
-    return 1.0 - sys.params.beta * sys.params.noise * own / sys.powers()
+def _frozen(a):
+    a.flags.writeable = False
+    return a
 
 
 def drowned_links(sys):
     """Indices of links whose signal cannot clear the noise floor alone."""
-    return tuple(int(v) for v in np.where(_noise_margin(sys) <= 0)[0])
+    return tuple(int(v) for v in np.where(sys._margin <= 0)[0])
 
 
 def affectance_matrix(sys, capped=True):
     """Full pairwise affectance table A[w][v] = a_w(v), zero diagonal.
 
     Columns of drowned links hold NaN. capped=False returns the raw
-    ratios that feasibility tests sum.
+    ratios that feasibility tests sum. The table is built once per
+    system and is read-only.
     """
-    key = bool(capped)
-    if key in sys._aff:
-        return sys._aff[key]
-    margin = _noise_margin(sys)
-    with np.errstate(divide="ignore"):
-        c = sys.params.beta / margin
-    c[margin <= 0] = np.nan
-    P = sys.powers()
-    own = sys.own_decays()
-    F = sys.cross_decays()
-    with np.errstate(divide="ignore"):
-        raw = c[None, :] * (P[:, None] / P[None, :]) * (own[None, :] / F)
-    np.fill_diagonal(raw, 0.0)
-    out = np.minimum(raw, 1.0) if capped else raw
-    sys._aff[key] = out
-    return out
+    return sys._affectances(capped)
 
 
 def _link_set(sys, S):
@@ -204,7 +197,7 @@ def _link_set(sys, S):
 
 
 def _check_not_drowned(sys, v):
-    if _noise_margin(sys)[v] <= 0:
+    if sys._margin[v] <= 0:
         raise ValueError("link %d is drowned by noise" % v)
 
 
@@ -252,9 +245,8 @@ def is_feasible(sys, S, K=1.0):
     if not S:
         raise ValueError("feasibility of the empty set is undefined")
     K = _real("K", K, "(0, inf]")
-    margin = _noise_margin(sys)
     for v in S:
-        if margin[v] <= 0:
+        if sys._margin[v] <= 0:
             return False, v
     raw = affectance_matrix(sys, capped=False)
     sums = raw[np.ix_(S, S)].sum(axis=0)
@@ -395,7 +387,7 @@ def interference_at(sys, senders, target):
         raise ValueError("interference_at needs a node-space system")
     if sys.power.kind != "uniform":
         raise ValueError("interference_at is defined for uniform power")
-    target = _node_index(sys.space, target)
+    target = _node_index(target, sys.space.n)
     senders = _indices("sender", senders, sys.space.n)
     if target in senders:
         raise ValueError("target cannot be one of the senders")

@@ -108,6 +108,9 @@ import numpy as np
 
 from .spaces import _whole
 
+# the default exact_limit of every search and of the CLI's --exact-limit
+EXACT_LIMIT = 24
+
 
 def _bit_rows(rows):
     """Bitmask rows of an (n, m) bool matrix, or one list per matrix of a (B, n, m) stack.
@@ -288,7 +291,7 @@ def _search(weights, conflict, exact_limit):
     return _members(best_mask), float(best_val), True
 
 
-def max_independent_set(conflict, exact_limit=24):
+def max_independent_set(conflict, exact_limit=EXACT_LIMIT):
     """Largest conflict-free vertex set.
 
     conflict is a boolean adjacency matrix (diagonal ignored). Exact
@@ -299,7 +302,7 @@ def max_independent_set(conflict, exact_limit=24):
     return members, exact
 
 
-def max_weight_independent_set(weights, conflict, exact_limit=24):
+def max_weight_independent_set(weights, conflict, exact_limit=EXACT_LIMIT):
     """Heaviest conflict-free vertex set under non-negative weights.
 
     Returns (members, total_weight, exact). Exact branch and bound up

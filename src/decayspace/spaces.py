@@ -93,6 +93,9 @@ class DecaySpace:
             raise ValueError("decay matrix violates the decay axioms: %s%s" % (shown, more))
         f.flags.writeable = False
         if labels is not None:
+            if not (isinstance(labels, (list, tuple))
+                    or isinstance(labels, np.ndarray) and labels.ndim == 1):
+                raise ValueError("'labels' must be a list, tuple or 1-d array, got %r" % (labels,))
             labels = [str(s) for s in labels]
             if len(labels) != f.shape[0]:
                 raise ValueError("expected %d labels, got %d" % (f.shape[0], len(labels)))
@@ -164,12 +167,26 @@ def _indices(name, values, n):
     return out
 
 
-def _node_index(space, y):
-    """y as a node index of the space, by _whole, rejecting any outside 0..n-1."""
+def _pairs(name, pairs, n):
+    """pairs as (i, j) tuples in order; each a list, tuple or 1-d array of two distinct nodes."""
+    out = []
+    for k, p in enumerate(pairs):
+        if not (isinstance(p, (list, tuple)) and len(p) == 2
+                or isinstance(p, np.ndarray) and p.shape == (2,)):
+            raise ValueError("%s %d is not a pair of nodes, got %r" % (name, k, p))
+        i, j = _node_index(p[0], n), _node_index(p[1], n)
+        if i == j:
+            raise ValueError("%s %d joins node %d to itself" % (name, k, i))
+        out.append((i, j))
+    return out
+
+
+def _node_index(y, n):
+    """y as a node index, by _whole, rejecting any outside 0..n-1."""
     y = _whole("node", y)
-    if 0 <= y < space.n:
+    if 0 <= y < n:
         return y
-    raise _outside("node", "[0, %d)" % space.n, y)
+    raise _outside("node", "[0, %d)" % n, y)
 
 
 @dataclass
@@ -672,17 +689,16 @@ def triangle_violation(quasi, tol=1e-7):
     no entry exceeds.
     """
     tol = _real("tol", tol, "[0, inf)")
-    d, n = quasi.d, quasi.n
+    d = quasi.d
     best = _min_plus(d, _symmetric(d))
     slack = tol * np.maximum(1.0, d)
     viol = d > best + slack
     np.fill_diagonal(viol, False)
     if not viol.any():
         return None
+    # np.nonzero lists pairs in C order, so the first is the least
     xs, ys = np.nonzero(viol)
-    key = xs * n + ys
-    i = int(np.argmin(key))
-    x, y = int(xs[i]), int(ys[i])
+    x, y = int(xs[0]), int(ys[0])
     z = int(np.argmin(d[x] + d[:, y]))
     return (x, z, y)
 

@@ -29,7 +29,6 @@ from decayspace.capacity import Partition
 from decayspace.links import (
     _link_distance_block,
     _link_set,
-    _noise_margin,
     _separated,
     _separation_violation,
     affectance_matrix,
@@ -52,7 +51,9 @@ def capacity_oracle(sys, max_n=20):
             "%d links exceed max_n=%d; sample the system down or raise the cap"
             % (n, max_n)
         )
-    margin = _noise_margin(sys)
+    # a link clears the noise floor alone when 1 - beta*N*f_vv/P_v > 0
+    own = np.diag(sys.cross_decays())
+    margin = 1.0 - sys.params.beta * sys.params.noise * own / sys.powers()
     candidates = [v for v in range(n) if margin[v] > 0]
     if not candidates:
         return 0, ()

@@ -373,6 +373,9 @@ def test_independence_uniform_is_one():
     assert independence_at(single, quasi_distances(single, 1.0), 0) == (0, (), True)
     with pytest.raises(ValueError):
         independence_at(sp, quasi, 99)
+    empty = DecaySpace(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="empty space"):
+        independence_dimension(empty, quasi_distances(empty, 1.0))
 
 
 def test_guard_set_uniform_needs_one():
@@ -381,6 +384,12 @@ def test_guard_set_uniform_needs_one():
     assert len(guard_set(sp, quasi, 0)) == 1
     with pytest.raises(ValueError):
         guard_set(sp, quasi, 99)
+    single = DecaySpace(np.zeros((1, 1)))
+    assert guard_set(single, quasi_distances(single, 1.0), 0) == ()
+    # no node is at most as close to node 1 as the center is, node 1 itself included
+    table = DecaySpace(np.array([[1.0, 1, 1], [1, 5, 9], [1, 9, 5]]), mode="link-gain")
+    with pytest.raises(ValueError, match="node 1 cannot be guarded"):
+        guard_set(table, quasi_distances(table, 1.0, check=False), 0)
 
 
 def test_two_half_ball_cover():

@@ -169,7 +169,7 @@ MALFORMED = {
     "levels-missing": ("system", _with_field("power", {"kind": "explicit"}),
                        "explicit power missing 'levels'"),
     "link-short": ("system", _with_field("links", [[0, 2], [1]]),
-                   "link 1 is not a [sender, receiver] pair"),
+                   "link 1 is not a pair of nodes, got [1]"),
     "space-entry-object": ("space", '{"mode": "node-space", "n": 2, "f": [[0, {}], [1, 0]]}',
                            "'dict'"),  # TypeError
     "json-list": (None, "[1, 2]", "space document must be a JSON object"),
@@ -244,6 +244,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--family", "equidecay",
                        "--params", '{"n": 5}', "--out", out_path)
     assert code == 2  # random edges need a seed
+
+    # a missing parameter, parameters that are not an object, an output path that is a directory
+    for argv, cause in ((["--family", "threepoint", "--out", out_path], "missing parameter 'q'"),
+                        (["--family", "threepoint", "--params", "[1]", "--out", out_path],
+                         "must be a JSON object"),
+                        (["--family", "threepoint", "--params", '{"q": 4.0}',
+                          "--out", str(tmp_path)], "cannot write")):
+        code, out, err = run(capsys, "generate", *argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and cause in err, argv
+        assert not os.path.exists(out_path)
 
     # parameters of the wrong type, and instances that break the axioms
     for family, params in [("equidecay", '{"n": 3, "edges": 5}'),

@@ -221,7 +221,7 @@ def test_gen_equidecay_graph():
     assert custom.space.f.shape == (1, 1)
     with pytest.raises(ValueError, match=r"'far_decay' must lie in \(1, inf\], got 1.0"):
         gen_equidecay_graph(1, [])  # default far decay n = 1 degenerates
-    with pytest.raises(ValueError, match=r"edge \(1, 1\) is a loop"):
+    with pytest.raises(ValueError, match="edge 0 joins node 1 to itself"):
         gen_equidecay_graph(3, [(1, 1)])
 
 
@@ -242,7 +242,7 @@ def test_gen_twoline_tables():
 
 
 def test_gen_twoline_rejects_bad_inputs():
-    with pytest.raises(ValueError, match=r"'edge endpoint' must lie in \[0, 4\), got 4"):
+    with pytest.raises(ValueError, match=r"'node' must lie in \[0, 4\), got 4"):
         gen_twoline(4, [(0, 4)], 2.5)
 
 

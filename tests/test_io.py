@@ -117,6 +117,15 @@ def test_load_graph(tmp_path):
     bad.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError):
         load_graph(str(bad))
+    # edges read the node-pair rule of links and generators, in [0, n)
+    for n, edges, why in ((4, [[0, 4]], r"'node' must lie in \[0, 4\), got 4"),
+                          (4, [[-1, 2]], r"'node' must lie in \[0, 4\), got -1"),
+                          (4, [[0, 1], [2, 2]], "edge 1 joins node 2 to itself"),
+                          (4, [[0, 1, 2]], "edge 0 is not a pair of nodes"),
+                          (0, [], r"'n' must lie in \[1, inf\), got 0")):
+        bad.write_text(json.dumps({"n": n, "edges": edges}))
+        with pytest.raises(ValueError, match=why):
+            load_graph(str(bad))
 
 
 def test_canonical_json_basics():

@@ -261,6 +261,8 @@ def test_every_link_set_argument_is_checked_alike():
             with pytest.raises(ValueError, match=why):
                 call(S)
                 pytest.fail("%s accepted %r" % (name, S))
+    with pytest.raises(ValueError, match="need at least one link"):
+        sinr_values(sys_, [])
 
 
 def test_every_quasi_argument_must_match_its_space():
@@ -365,6 +367,20 @@ def test_system_constructor_checks():
     sys_ = LinkSystem(space, links=[(0, 1), (1, 0)])
     assert sys_.n_links == 2
     assert list(sys_.order()) == [0, 1]  # equal own decays, ties by index
+
+
+def test_link_system_arrays_are_read_only():
+    # a write into a handed-out array would change every later answer for the system
+    sys_ = random_link_system(4, 3, noise=0.01)
+    before = affectance_matrix(sys_).copy()
+    arrays = [sys_.powers(), sys_.own_decays(), sys_.cross_decays(),
+              affectance_matrix(sys_), affectance_matrix(sys_, capped=False)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1e9
+    # the lazy tables are built once and handed out again
+    assert sys_.cross_decays() is arrays[2] and affectance_matrix(sys_) is arrays[3]
+    assert np.array_equal(affectance_matrix(sys_), before)
 
 
 def test_order_sorts_by_own_decay():

@@ -78,7 +78,7 @@ def _system(**fields):
 
 def _graph(n=4, end=3):
     # load_graph reads a file; the document is handed over as parsed, numpy scalars included
-    with mock.patch.object(io, "_read_doc", return_value={"n": n, "edges": [[0, end]]}):
+    with mock.patch.object(io, "_read_doc", return_value={"n": n, "edges": [[1, end]]}):
         return load_graph("graph.json")
 
 
@@ -111,12 +111,11 @@ WHOLE = [
      lambda v: pairwise_power_infeasible(FOUR, 1, v), 3, "[0, 4)"),
     ("pairwise_power_infeasible v", "link index",
      lambda v: pairwise_power_infeasible(FOUR, v, 1), 3, "[0, 4)"),
-    ("gen_equidecay_graph edge", "edge endpoint",
-     lambda v: gen_equidecay_graph(4, [(1, v)]), 3, "[0, 4)"),
+    ("gen_equidecay_graph edge", "node", lambda v: gen_equidecay_graph(4, [(1, v)]), 3, "[0, 4)"),
     ("load_graph n", "n", lambda v: _graph(n=v), 4, None),
     ("space_from_dict n", "n",
      lambda v: space_from_dict({"mode": "link-gain", "n": v, "f": [[1.0]]}), 1, None),
-    ("load_graph edge", "edge endpoint", lambda v: _graph(end=v), 3, None),
+    ("load_graph edge", "node", lambda v: _graph(end=v), 3, "[0, 4)"),
     ("random_points", "n", lambda v: random_points(v, 1), 3, "[1, inf)"),
     ("gen_star", "k", lambda v: gen_star(v, 1.0), 3, "[1, inf)"),
     ("gen_welzl", "n", lambda v: gen_welzl(v), 3, "[1, inf)"),

@@ -317,6 +317,12 @@ def test_space_constructor_checks():
         DecaySpace(np.zeros((2, 2)), mode="nonsense")
     with pytest.raises(ValueError, match="labels"):
         DecaySpace(np.ones((2, 2)) - np.eye(2), labels=["just one"])
+    # a string would give one label per character, a set its hash order
+    for labels in ("ab", {"a": 1, "b": 2}, {"a", "b"}, np.array([["a", "b"]])):
+        with pytest.raises(ValueError, match="'labels' must be a list, tuple or 1-d array"):
+            DecaySpace(np.ones((2, 2)) - np.eye(2), labels=labels)
+    for labels in (["a", "b"], ("a", "b"), np.array(["a", "b"])):
+        assert DecaySpace(np.ones((2, 2)) - np.eye(2), labels=labels).labels == ["a", "b"]
     # the message shows the first 10 of the 12 zero decays and counts the rest
     with pytest.raises(ValueError, match=r"indiscernibles at \(3, 0\) and 2 more$"):
         DecaySpace(np.zeros((4, 4)))
