@@ -48,7 +48,9 @@ def _entry_rows(Sx, sizes, radii, scales):
     one row for each of the sizes[-1] nodes. Sx is symmetric, so the
     rows need no symmetrizing; their diagonal bits stay, and first fit
     never reads them. The scales are packed in blocks of about 2**18
-    entries.
+    entries. A radius 2 * r / q past the float range reads inf, and its
+    row holds every node, as the true radius does, so that overflow is
+    computed without a warning.
     """
     K = int(sizes[-1])
     ball_of = np.searchsorted(sizes, np.arange(K), side="right")
@@ -56,7 +58,9 @@ def _entry_rows(Sx, sizes, radii, scales):
         qs, gs = np.array(scales[j0:j1]).T
         enter = np.maximum(ball_of, np.searchsorted(sizes, gs, side="right")[:, None])
         t = radii[enter] / qs[:, None]
-        yield from zip(qs.tolist(), _bit_rows(Sx[:K, :K] <= 2.0 * t[:, :, None]))
+        with np.errstate(over="ignore"):
+            rows = Sx[:K, :K] <= 2.0 * t[:, :, None]
+        yield from zip(qs.tolist(), _bit_rows(rows))
 
 
 def _run_starts(v):
@@ -252,6 +256,13 @@ def fading_parameter(space, r, exact_limit=EXACT_LIMIT, quasi=None):
     is a sensitivity knob, not the primary definition. Weighted search
     is exact up to exact_limit candidate senders, greedy beyond (a
     lower bound, flagged).
+
+    Tiny decays give weights past the float range. Where the weights of
+    a listener sum to 2**1023 or more, they are searched as 2**-k / f,
+    with k set by the smallest decay and the number of senders so that
+    they sum below 2**1022, and r times the value is scaled back by
+    2**k. A power of two scales without rounding, and every other
+    listener keeps the weights 1/f and their bits.
     """
     r = _real("r", r, "(0, inf]")
     if space.n < 1:
@@ -271,11 +282,18 @@ def fading_parameter(space, r, exact_limit=EXACT_LIMIT, quasi=None):
             per_node[z] = 0.0
             witnesses[z] = ()
             continue
-        weights = 1.0 / f[cand, z]
+        col = f[cand, z]
+        k = 0
+        with np.errstate(over="ignore"):
+            weights = 1.0 / col
+            if not weights.sum() < 2.0 ** 1023:
+                # every f >= 2**(e - 1), e the frexp exponent of the least: these sum below 2**1022
+                k = len(cand).bit_length() - 1021 - math.frexp(col.min())[1]
+                weights = 2.0 ** -k / col
         clash = sep[np.ix_(cand, cand)] < r
         members, value, exact = max_weight_independent_set(weights, clash, exact_limit)
         all_exact = all_exact and exact
-        per_node[z] = float(r * value)
+        per_node[z] = float(r * value * 2.0 ** k)
         witnesses[z] = tuple(cand[i] for i in members)
     gamma = max(per_node.values())
     z_star = min(z for z, v in per_node.items() if v == gamma)
@@ -330,10 +348,7 @@ def independence_at(space, quasi, x, exact_limit=EXACT_LIMIT):
     """
     x = _node_index(x, space.n)
     d = _quasi_table(space, quasi)
-    exact_limit = _whole("exact_limit", exact_limit, "[0, inf)")  # also on one node
     cand = [z for z in range(space.n) if z != x]
-    if not cand:
-        return 0, (), True
     mutual = np.minimum(d, d.T)
     to_center = d[cand, x]
     pairmax = np.maximum.outer(to_center, to_center)

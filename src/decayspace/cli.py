@@ -22,6 +22,7 @@ import time
 
 from . import __version__
 from .spaces import (
+    ZETA_TOL,
     _real,
     _whole,
     analyze_metricity,
@@ -319,24 +320,13 @@ def _cmd_generate(args):
     try:
         if system is not None:
             save_system(system, args.out)
-            results = {
-                "family": family,
-                "kind": "system",
-                "links": system.n_links,
-                "nodes": space.n,
-                "path": args.out,
-            }
+            own = {"kind": "system", "links": system.n_links}
         else:
             save_space(space, args.out)
-            results = {
-                "family": family,
-                "kind": "space",
-                "nodes": space.n,
-                "mode": space.mode,
-                "path": args.out,
-            }
+            own = {"kind": "space", "mode": space.mode}
     except OSError as exc:
         raise UsageError("cannot write %s: %s" % (args.out, exc))
+    results = {"family": family, "nodes": space.n, "path": args.out, **own}
     config = {"family": family, "params": args.params, "seed": args.seed, "out": args.out}
     return config, results, 0
 
@@ -391,8 +381,8 @@ def build_parser():
     def common(p, tol=True):
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-9,
-                           help="tolerance of the metricity searches (default 1e-9)")
+            p.add_argument("--tol", type=float, default=ZETA_TOL,
+                           help="tolerance of the metricity searches (default %(default)g)")
 
     p = sub.add_parser("validate", help="check the decay-space axioms of a matrix")
     p.add_argument("--space", required=True, help="space file (.json or .csv)")

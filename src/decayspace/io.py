@@ -121,6 +121,8 @@ def system_from_dict(obj, base_dir="."):
         space = space_from_dict(raw_space)
     params = SinrParams(beta=obj.get("beta", 1.0), noise=obj.get("noise", 0.0))
     power = obj.get("power", {"kind": "uniform", "level": 1.0})
+    if not isinstance(power, dict):
+        raise ValueError("'power' must be a JSON object, got %r" % (power,))
     if power.get("kind") == "uniform":
         pw = PowerAssignment.uniform(power.get("level", 1.0))
     elif power.get("kind") == "explicit":

@@ -39,39 +39,47 @@ quasi-metric's table. Every separation test and partition reads it.
 """
 
 import numpy as np
+from dataclasses import dataclass
 
 from .spaces import NODE_SPACE, LINK_GAIN, _indices, _node_index, _pairs, _quasi_table, _real
 
 
+@dataclass(frozen=True)
 class SinrParams:
-    """SINR threshold beta >= 1 and ambient noise N >= 0, both finite."""
+    """SINR threshold beta >= 1 and ambient noise N >= 0, both finite; frozen."""
 
-    def __init__(self, beta=1.0, noise=0.0):
-        self.beta = _real("beta", beta, "[1, inf)")
-        self.noise = _real("noise", noise, "[0, inf)")
+    beta: float = 1.0
+    noise: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "beta", _real("beta", self.beta, "[1, inf)"))
+        object.__setattr__(self, "noise", _real("noise", self.noise, "[0, inf)"))
 
     def __repr__(self):
         return "SinrParams(beta=%g, noise=%g)" % (self.beta, self.noise)
 
 
+@dataclass(frozen=True, eq=False)
 class PowerAssignment:
     """Transmit powers, either one shared level or one per link.
 
     Every level must be positive and finite, however the assignment is
-    built.
+    built. Frozen, with explicit levels held as a read-only array.
     """
 
-    def __init__(self, kind, value):
-        if kind == "uniform":
-            value = _real("level", value, "(0, inf)")
-        elif kind == "explicit":
-            if np.ndim(value) != 1:
+    kind: str
+    value: object
+
+    def __post_init__(self):
+        if self.kind == "uniform":
+            value = _real("level", self.value, "(0, inf)")
+        elif self.kind == "explicit":
+            if np.ndim(self.value) != 1:
                 raise ValueError("explicit powers must be a vector")
-            value = np.array([_real("level", v, "(0, inf)") for v in value])
+            value = _frozen(np.array([_real("level", v, "(0, inf)") for v in self.value]))
         else:
             raise ValueError("kind must be 'uniform' or 'explicit'")
-        self.kind = kind
-        self.value = value
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def uniform(cls, level=1.0):
@@ -86,7 +94,7 @@ class PowerAssignment:
             return np.full(n_links, self.value)
         if len(self.value) != n_links:
             raise ValueError("expected %d powers, got %d" % (n_links, len(self.value)))
-        return self.value.copy()
+        return self.value
 
 
 class LinkSystem:
@@ -100,8 +108,8 @@ class LinkSystem:
     None and the endpoint map is the identity, s_i = r_i = i. Either
     way the axioms of the space keep every own decay positive.
 
-    A system is not edited after construction, since its arrays are
-    built from its links, params and power: for others, build a new one.
+    A system's arrays are built from its links, params and power, and
+    params and power are frozen: for other values, build a new system.
 
     Scheduling code orders links by non-decreasing own decay, ties
     broken by index; order() returns that permutation.
@@ -148,7 +156,7 @@ class LinkSystem:
         # the table behind affectance_matrix, built on first use
         key = bool(capped)
         if key not in self._aff:
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 c = np.where(self._margin > 0, self.params.beta / self._margin, np.nan)
                 raw = c * (self._P[:, None] / self._P) * (self._own / self.cross_decays())
             np.fill_diagonal(raw, 0.0)
@@ -186,7 +194,10 @@ def affectance_matrix(sys, capped=True):
 
     Columns of drowned links hold NaN. capped=False returns the raw
     ratios that feasibility tests sum. The table is built once per
-    system and is read-only.
+    system and is read-only. A ratio past the float range, from a cross
+    decay far below the own decay, reads inf: capped it is 1, and
+    uncapped it fails every feasibility sum, as the true value does.
+    So that overflow is computed without a warning.
     """
     return sys._affectances(capped)
 
@@ -221,14 +232,11 @@ def aggregate_affectance(sys, S, v, direction="in"):
         raise ValueError("direction must be 'in' or 'out'")
     if direction == "in":
         _check_not_drowned(sys, v)
-    else:
-        for w in S:
-            if w != v:
-                _check_not_drowned(sys, w)
-    A = affectance_matrix(sys)
-    if direction == "in":
-        return float(A[S, v].sum())
-    return float(A[v, S].sum())
+        return float(affectance_matrix(sys)[S, v].sum())
+    for w in S:
+        if w != v:
+            _check_not_drowned(sys, w)
+    return float(affectance_matrix(sys)[v, S].sum())
 
 
 def is_feasible(sys, S, K=1.0):
@@ -259,12 +267,13 @@ def sinr_values(sys, S):
 
     Evaluated directly from decays and powers, independent of the
     affectance rewriting: signal over noise plus the sum of received
-    interfering powers. Returns (members, sinr_array).
+    interfering powers. Returns (members, sinr_array). A received power
+    past the float range reads inf and drives its target's SINR to 0.
     """
     S = _link_set(sys, S)
     if not S:
         raise ValueError("need at least one link")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         received = sys.powers()[S][:, None] / sys.cross_decays()[np.ix_(S, S)]
     # the diagonal is each member's own signal P_v / f_vv
     signal = np.diag(received)

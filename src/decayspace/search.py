@@ -48,10 +48,10 @@ rounding of the path's value, of a completed set's value, of the
 cover's total and of the prune margin itself: four sums of at most
 n + 1 non-negative terms, each off by under (n + 1) * 2**-53 of the
 larger of the total weight and the floor. The prune test takes
-tol = (n + 2) * 2**-50 of that off its margin, so a pruned branch
-cannot improve strictly in floating point either. Integer weights
-below 2**53 sum exactly in any order; there tol is 0 and a tie
-prunes, as in the unit-weight searches.
+_rounding_slack(n) = (n + 2) * 2**-50 of that off its margin as tol,
+so a pruned branch cannot improve strictly in floating point either.
+Integer weights below 2**53 sum exactly in any order; there tol is 0
+and a tie prunes, as in the unit-weight searches.
 
 Witness contract: the search branches include-first on the lowest
 available vertex and replaces the incumbent only on a strict
@@ -69,7 +69,7 @@ least optimum is reached every incumbent stays below it, so no branch
 holding that set is pruned, and after it only strictly heavier sets
 replace it. The public searches warm-start from their greedy set: the
 _first_fit pass in decreasing weight order, which past exact_limit is
-their answer, and up to it their floor less (n + 2) * 2**-50 of its
+their answer, and up to it their floor less _rounding_slack(n) of its
 value. That is more than its numpy sum and any path's index-order sum
 of the same weights can differ, so floor < greedy <= optimum in
 floating point too, and the search returns what it returns from floor
@@ -110,6 +110,11 @@ from .spaces import _whole
 
 # the default exact_limit of every search and of the CLI's --exact-limit
 EXACT_LIMIT = 24
+
+
+def _rounding_slack(n):
+    # exceeds the relative gap between two float sums of the same n weights (see Rounding)
+    return (n + 2) * 2.0 ** -50
 
 
 def _bit_rows(rows):
@@ -228,7 +233,7 @@ def _branch(masks, w, floor, loads=None):
         rw = [w[v] for v in rank]
     total = sum(w)
     exact = total < 2 ** 53 and all(map(float.is_integer, w))
-    tol = 0.0 if exact else (n + 2) * 2.0 ** -50 * max(total, floor)
+    tol = 0.0 if exact else _rounding_slack(n) * max(total, floor)
     best_val, best_mask = floor, 0
     stack = [(full, full, 0, 0.0, None if loads is None else np.zeros(n))]
     while stack:
@@ -286,7 +291,7 @@ def _search(weights, conflict, exact_limit):
     if n > exact_limit:
         return members, value, False
     # below the greedy value by more than any two sums of its weights differ
-    floor = float(np.nextafter(value * (1 - (n + 2) * 2.0 ** -50), -np.inf)) if value else 0.0
+    floor = float(np.nextafter(value * (1 - _rounding_slack(n)), -np.inf)) if value else 0.0
     best_mask, best_val = _branch(masks, w, floor)
     return _members(best_mask), float(best_val), True
 

@@ -71,6 +71,11 @@ LINK_GAIN = "link-gain"
 
 _MODES = (NODE_SPACE, LINK_GAIN)
 
+# the default absolute tolerance of the zeta search, on t = 1/zeta
+ZETA_TOL = 1e-9
+# the default relative slack of the triangle check
+TRIANGLE_SLACK = 1e-7
+
 
 class DecaySpace:
     """Finite node set with a pairwise decay matrix.
@@ -370,7 +375,7 @@ def _least_critical(la, lb, lc, T, tol):
 # log 0 = -inf on a zero diagonal; the nan it makes in block
 # arithmetic lies outside every triple mask
 @np.errstate(divide="ignore", invalid="ignore")
-def compute_zeta(space, tol=1e-9):
+def compute_zeta(space, tol=ZETA_TOL):
     """Smallest exponent zeta making f**(1/zeta) triangle-consistent.
 
     Returns (zeta_raw, zeta, witness) with zeta = max(1, zeta_raw).
@@ -669,7 +674,7 @@ def _quasi_table(space, quasi):
     return quasi.d
 
 
-def triangle_violation(quasi, tol=1e-7):
+def triangle_violation(quasi, tol=TRIANGLE_SLACK):
     """Lexicographically least violating triple (x, z, y), or None.
 
     A violation means d(x,y) > d(x,z) + d(z,y) beyond relative slack
@@ -703,7 +708,7 @@ def triangle_violation(quasi, tol=1e-7):
     return (x, z, y)
 
 
-def quasi_distances(space, zeta, tol=1e-7, check=True):
+def quasi_distances(space, zeta, tol=TRIANGLE_SLACK, check=True):
     """QuasiMetric(space, zeta), the quasi-distances d = f**(1/zeta), checked.
 
     With zeta at least the metricity exponent of the space this is a
@@ -735,7 +740,7 @@ class MetricityReport:
     witness_phi: object
 
 
-def analyze_metricity(space, tol=1e-9):
+def analyze_metricity(space, tol=ZETA_TOL):
     """Bundle zeta, phi and the spread bound into one report."""
     zeta_raw, zeta, wz = compute_zeta(space, tol=tol)
     phi_mult, phi, wp = compute_phi(space)

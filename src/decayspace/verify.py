@@ -1,15 +1,17 @@
 """The invariant registry behind `decayspace verify`.
 
-_CHECKS is the one place a release claim is coded: exponent recovery
-on planted clouds, capacity soundness and its ratio to the exact
-oracle, the exact graph reductions, both partition lemmas, fading
-under packing growth, independence and guards. Each check builds its
-instances from the seed, so `verify --seed 0` is the release gate and
-other seeds draw fresh instance families. Checks compare the library
-against independent references: SINR evaluated from decays and
-powers (_sinr_ok, through links.sinr_values), brute-force independent
-sets (_brute_mis), greedy separated families and closed-form values.
-The items are deterministic for a fixed seed.
+The _check_* functions are the one place a release claim is coded:
+exponent recovery on planted clouds, capacity soundness and its ratio
+to the exact oracle, the exact graph reductions, both partition
+lemmas, fading under packing growth, independence and guards. A check
+is registered by being defined: _CHECKS lists every _check_* function,
+sorted by its name, the rest of the function name with "-" for "_".
+Each check builds its instances from the seed, so `verify --seed 0` is
+the release gate and other seeds draw fresh instance families. Checks
+compare the library against independent references: SINR evaluated
+from decays and powers (_sinr_ok, through links.sinr_values),
+brute-force independent sets (_brute_mis), greedy separated families
+and closed-form values. The items are deterministic for a fixed seed.
 """
 
 import itertools
@@ -274,7 +276,7 @@ def _check_onezetasep(seed):
                                    % (statuses["ok"], statuses["inapplicable"]))
 
 
-def _check_amicable(seed):
+def _check_amicable_pipeline(seed):
     used = 0
     for k in range(8):
         sys = random_link_system(16, seed + 8000 + k, alpha=2.5, box=14.0)
@@ -422,7 +424,7 @@ def _check_interference_transfer(seed):
     return True, "sender-to-receiver interference transfer held"
 
 
-def _check_welzl(seed):
+def _check_welzl_independence(seed):
     for n in range(4, 9):
         sp = gen_welzl(n)
         quasi = quasi_distances(sp, compute_zeta(sp)[1])
@@ -439,7 +441,7 @@ def _check_welzl(seed):
                   "two-half-ball covers at every node and scale")
 
 
-def _check_dimensions(seed):
+def _check_dimensions_guards(seed):
     uni = DecaySpace(np.ones((16, 16)) - np.eye(16))
     quasi = quasi_distances(uni, 1.0)
     dim, _, _, _ = independence_dimension(uni, quasi, exact_limit=16)
@@ -493,7 +495,7 @@ def _check_monotone_power(seed):
     return True, "power monotonicity split the power laws correctly"
 
 
-def _check_determinism(seed):
+def _check_determinism_reports(seed):
     sys = random_link_system(9, seed + 13000, alpha=2.5)
     z = compute_zeta(sys.space)[1]
 
@@ -510,28 +512,8 @@ def _check_determinism(seed):
     return a == b, "repeated runs serialize identically (%d bytes)" % len(a)
 
 
-_CHECKS = [
-    ("amicable-pipeline", _check_amicable),
-    ("capacity-handtrace", _check_capacity_handtrace),
-    ("capacity-oracle-ratio", _check_capacity_oracle_ratio),
-    ("capacity-soundness", _check_capacity_soundness),
-    ("determinism-reports", _check_determinism),
-    ("dimensions-guards", _check_dimensions),
-    ("fading-annulus", _check_fading_annulus),
-    ("fading-star", _check_fading_star),
-    ("fading-values", _check_fading_values),
-    ("hardness-equidecay", _check_hardness_equidecay),
-    ("hardness-twoline", _check_hardness_twoline),
-    ("interference-transfer", _check_interference_transfer),
-    ("metricity-planar", _check_metricity_planar),
-    ("metricity-threepoint", _check_metricity_threepoint),
-    ("monotone-power", _check_monotone_power),
-    ("onezetasep", _check_onezetasep),
-    ("partition-separation", _check_partition_separation),
-    ("partition-signal", _check_partition_signal),
-    ("quasi-triangle", _check_quasi_triangle),
-    ("welzl-independence", _check_welzl),
-]
+_CHECKS = sorted((name.removeprefix("_check_").replace("_", "-"), fn)
+                 for name, fn in globals().items() if name.startswith("_check_"))
 
 
 def run_verify(seed):

@@ -2,7 +2,9 @@
 
 Every claim lives in decayspace.verify._CHECKS; this file codes none of
 its own, and fails if a _check_* function is left out of the registry
-or if one test name is defined in two modules of tests/.
+or if one test name is defined in two modules of tests/. It also makes
+a few checks fail, each through one faked dependency, and run_verify
+count a crashing check as a failed item.
 It runs `verify --seed 0` in process while a `python -m decayspace
 verify --seed 0` subprocess runs alongside, then reports one test per
 check, each printing "check NAME PASS/FAIL: detail". The
@@ -83,6 +85,30 @@ def test_no_test_name_is_defined_in_two_modules():
                 if name.startswith("test"):
                     homes.setdefault(name, []).append(path.name)
     assert not {name: where for name, where in homes.items() if len(where) > 1}
+
+
+@pytest.mark.parametrize("check, dependency, fake, detail", [
+    ("capacity_handtrace", "capacity_oracle", lambda sys_: (2, (0, 2)),
+     "S=(0, 2) X=(0, 2) OPT=2 at (0, 2), ratio 1.00"),
+    ("metricity_threepoint", "compute_phi", lambda space: (2.0, 1.0, None),
+     "phi_mult reached 2 at q=2**4"),
+    ("monotone_power", "is_monotone_power", lambda sys_: (True, None),
+     "square powers passed as monotone"),
+    ("fading_star", "interference_at", lambda sys_, senders, target: 0.0,
+     "16-leaf star interference off 16/257 by 6.23e-02"),
+])
+def test_check_fails_with_its_dependency(monkeypatch, check, dependency, fake, detail):
+    monkeypatch.setattr(verify, dependency, fake)
+    assert getattr(verify, "_check_" + check)(0) == (False, detail)
+
+
+def test_run_verify_counts_a_crash_as_a_failed_item(monkeypatch):
+    def crash(seed):
+        raise RuntimeError("boom at seed %d" % seed)
+
+    monkeypatch.setattr(verify, "_CHECKS", [("crash", crash)])
+    assert verify.run_verify(3) == [{"name": "crash", "ok": False,
+                                     "detail": "RuntimeError: boom at seed 3"}]
 
 
 @pytest.mark.parametrize("name", [name for name, _ in verify._CHECKS])

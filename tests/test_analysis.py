@@ -346,6 +346,17 @@ def test_fading_greedy_fallback_flagged():
     assert rep.gamma == 29.0  # conflict-free candidates, greedy takes all
 
 
+@pytest.mark.parametrize("f, r, z, want, witness", [
+    # 1/f(2, 1) overflows; the true value 1 + 2**-1074 rounds to 1
+    ([[0, 1, 1], [1, 0, 1], [1, 5e-324, 0]], 5e-324, 1, 1.0, (0, 2)),
+    # each 1/f(y, 0) is 2**1023, finite, but the two sum past the float range
+    ([[0, 1, 1], [2.0 ** -1023, 0, 1], [2.0 ** -1023, 1, 0]], 2.0 ** -1023, 0, 2.0, (1, 2)),
+], ids=["one-weight", "weight-sum"])
+def test_fading_weights_past_the_float_range(f, r, z, want, witness):
+    rep = fading_parameter(DecaySpace(np.array(f)), r)
+    assert (rep.gamma, rep.per_node[z], rep.witness_set, rep.exact) == (want, want, witness, True)
+
+
 def test_fading_rejects_bad_inputs():
     with pytest.raises(ValueError):
         fading_parameter(DecaySpace(np.empty((0, 0)), mode="link-gain"), 1.0)

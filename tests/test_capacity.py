@@ -301,7 +301,7 @@ def test_onezetasep_outcomes():
 
 def test_amicable_subset_keeps_half():
     # the registry check at seed 400 runs systems 8400..8407
-    ok, detail = verify._check_amicable(400)
+    ok, detail = verify._check_amicable_pipeline(400)
     assert ok, detail
 
 

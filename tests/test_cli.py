@@ -165,7 +165,11 @@ MALFORMED = {
                   "'noise' must lie in [0, inf), got nan"),
     "power-inf": ("system", _with_field("power", {"kind": "uniform", "level": float("inf")}),
                   "'level' must lie in (0, inf), got inf"),
-    "power-string": ("system", _with_field("power", "uniform"), "'get'"),  # AttributeError
+    "power-string": ("system", _with_field("power", "uniform"),
+                     "'power' must be a JSON object, got 'uniform'"),
+    "power-list": ("system", _with_field("power", [1, 2]),
+                   "'power' must be a JSON object, got [1, 2]"),
+    "power-null": ("system", _with_field("power", None), "'power' must be a JSON object, got None"),
     "levels-missing": ("system", _with_field("power", {"kind": "explicit"}),
                        "explicit power missing 'levels'"),
     "link-short": ("system", _with_field("links", [[0, 2], [1]]),
@@ -439,6 +443,19 @@ def test_fading_cli(tmp_path, capsys):
     assert res["fading"]["exact"] and res["fading"]["gamma"] == 5
     assert res["growth"]["within_bound"] is False
     assert res["growth"]["bound"] == pytest.approx(1.2898681337585307)
+
+
+def test_fading_fit_near_the_float_limit(tmp_path, capsys):
+    # twice a radius of 1.7e308 overflows, and the inf radius holds every node, as the true one does
+    path = tmp_path / "huge.json"
+    big = 1.7e308
+    path.write_text(json.dumps({"mode": "node-space", "n": 3,
+                                "f": [[0, 1, big], [1, 0, big], [big, big, 0]]}))
+    code, out, err = run(capsys, "fading", "--space", str(path), "--r", "1", "--C", "fit")
+    res = report(out)["results"]
+    assert (code, err) == (0, "")
+    assert res["growth"]["estimate"]["samples"] == [[q, 1] for q in (1.5, 2, 3, 4, 8, 16)]
+    assert res["fading"]["gamma"] == 1 and res["growth"]["within_bound"] is True
 
 
 def test_fading_fit_leaves_numpy_ma_unloaded(tmp_path):

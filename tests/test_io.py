@@ -81,6 +81,18 @@ def test_system_round_trip(tmp_path):
     assert np.array_equal(back.power.value, [1.0, 2.0])
 
 
+def test_saved_system_has_the_powers_in_memory(tmp_path):
+    # a write into the levels once changed the saved file but not the system
+    power = PowerAssignment.explicit([1.0, 2.0])
+    sys = LinkSystem(DecaySpace(np.array([[1.0, 3.0], [3.0, 1.0]]), mode="link-gain"), power=power)
+    with pytest.raises(ValueError, match="read-only"):
+        power.value[0] = 5.0
+    path = str(tmp_path / "system.json")
+    save_system(sys, path)
+    assert np.array_equal(load_system(path).powers(), sys.powers())
+    assert np.array_equal(sys.powers(), [1.0, 2.0])
+
+
 def test_system_defaults_and_uniform_power():
     sp = space_to_dict(small_space())
     sys = system_from_dict({"space": sp, "links": [[0, 1]]})

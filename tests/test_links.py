@@ -1,5 +1,6 @@
 """Affectance, feasibility and link geometry on hand-checkable systems."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from decayspace import (
     affectance_matrix,
     aggregate_affectance,
     amicable_subset,
+    capacity_oracle,
     capacity_uniform,
     check_onezetasep,
     check_separation,
@@ -381,6 +383,31 @@ def test_link_system_arrays_are_read_only():
     # the lazy tables are built once and handed out again
     assert sys_.cross_decays() is arrays[2] and affectance_matrix(sys_) is arrays[3]
     assert np.array_equal(affectance_matrix(sys_), before)
+
+
+def test_sinr_inputs_are_frozen():
+    # an edited noise once reached sinr_values but not drowned_links or is_feasible
+    sys_ = random_link_system(4, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sys_.params.noise = 1e9
+    assert drowned_links(sys_) == () and is_feasible(sys_, [0])[0]
+    power = PowerAssignment.explicit([1.0, 2.0])
+    for obj, field in ((sys_.params, "beta"), (power, "kind"), (power, "value")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, 2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        power.value[0] = 5.0
+    assert power.vector(2) is power.value
+
+
+def test_overflowing_affectance_is_capped_without_a_warning():
+    # 1/1e-310 is past the float range: capped it is 1, uncapped it fails feasibility
+    sys_ = LinkSystem(DecaySpace(np.array([[1.0, 1e-310], [1e-310, 1.0]]), mode="link-gain"))
+    assert np.array_equal(affectance_matrix(sys_), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.isinf(affectance_matrix(sys_, capped=False)[0, 1])
+    assert is_feasible(sys_, [0, 1]) == (False, 0)
+    assert np.array_equal(sinr_values(sys_, [0, 1])[1], [0.0, 0.0])
+    assert capacity_uniform(sys_, 2.0).selected == (0,) and capacity_oracle(sys_) == (1, (0,))
 
 
 def test_order_sorts_by_own_decay():
