@@ -14,11 +14,21 @@ top-level key that determinism comparisons strip.
 One encoder (_encode) turns every value into its canonical text,
 reports and the dense decay tables of input files alike, and every
 float's text comes from one rule (_float_text and its format _DIGITS).
+The encoder hands its text to a sink piece by piece: the file's write
+when a file is saved, so that no file's whole text is ever held, and a
+list that dumps_canonical joins for a report.
+
 save_space and save_system hand the decay matrix and explicit power
 levels over as arrays, and a float array is formatted once per
-distinct value, a chunk of finite values per % call: the texts go into
-a fixed-width byte table and each row is joined from it. A symmetric
-table holds about half as many distinct values as entries.
+distinct value, a chunk of finite values per % call: the entries are
+sorted by bit pattern, each run of equal bits gets one row of a
+fixed-width byte table of texts, and a symmetric table holds about half
+as many distinct values as entries. The sort need not be stable: the
+table is ordered by bit pattern and a run's entries all point to its
+one row, so the order inside a run changes no byte. The array's text
+then goes to the sink a block of rows at a time (spaces._row_blocks,
+about 2**18 entries a block), each row joined from the table, so the
+writer holds the table, one index per entry and one block's text.
 One writer saves every file and one reader parses every JSON file.
 """
 
@@ -28,7 +38,7 @@ import os
 
 import numpy as np
 
-from .spaces import DecaySpace, NODE_SPACE, _pairs, _whole
+from .spaces import DecaySpace, NODE_SPACE, _pairs, _row_blocks, _whole
 from .links import LinkSystem, PowerAssignment, SinrParams
 
 
@@ -39,10 +49,17 @@ def _read_doc(path):
 
 
 def _write_doc(doc, path):
-    # the one file writer: canonical text and a closing newline
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(doc))
-        fh.write("\n")
+    # the one file writer: canonical text, streamed, and a closing newline;
+    # a write that fails part-way leaves no file (a device such as /dev/null stays)
+    fh = open(path, "w")
+    try:
+        with fh:
+            _encode(doc, fh.write)
+            fh.write("\n")
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def _space_doc(space, form):
@@ -163,15 +180,8 @@ def _float_text(x):
 _CHUNK = 4096
 
 
-def _array_rows(table, index):
-    # rows of a float array: each entry's text looked up by its index into the table
-    if index.ndim == 1:
-        return b"[" + b",".join(table[index].tolist()) + b"]"
-    return b"[" + b",".join([_array_rows(table, row) for row in index]) + b"]"
-
-
-def _float_array_text(a):
-    """A float array's text, each distinct value formatted once.
+def _text_table(a):
+    """(table, index) of a float array: its distinct values' texts, and each entry's row in it.
 
     Values are told apart by bit pattern, which keeps 0.0 and -0.0 apart.
     -1.2345678901234567e-308 is the longest text, 24 bytes, so the table
@@ -180,46 +190,86 @@ def _float_array_text(a):
     # a longdouble past float64 reads inf and a signalling NaN nan, as float() gives them
     with np.errstate(over="ignore", invalid="ignore"):
         bits = np.ascontiguousarray(a, np.float64).view(np.int64).ravel()
-    order = np.argsort(bits, kind="stable")
+    order = np.argsort(bits)  # unstable: see the module docstring
     ordered = bits[order]
     first = np.ones(len(bits), bool)  # the first of each run of equal bits
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    index = np.empty_like(order)
-    index[order] = np.cumsum(first) - 1
     values = ordered[first].view(np.float64)
+    rank = np.cumsum(first, out=ordered)  # ordered's buffer, no longer needed
+    rank -= 1
+    index = np.empty_like(order)
+    index[order] = rank
+    del order, ordered, rank
     table = np.empty(len(values), "S24")
     for k in range(0, len(values), _CHUNK):
         chunk = values[k:k + _CHUNK].tolist()
         table[k:k + _CHUNK] = (",".join([_DIGITS] * len(chunk)) % tuple(chunk)).split(",")
     for i in np.flatnonzero(~np.isfinite(values)):
         table[i] = _float_text(values[i].item())
-    return _array_rows(table, index.reshape(a.shape)).decode("ascii")
+    return table, index.reshape(a.shape)
 
 
-def _encode(obj):
-    # one path for every value; floats lead, as they fill the decay tables
+def _array_rows(table, index):
+    # rows of a float array: each entry's text looked up by its index into the table
+    if index.ndim == 1:
+        return b"[" + b",".join(table[index].tolist()) + b"]"
+    return b"[" + b",".join([_array_rows(table, row) for row in index]) + b"]"
+
+
+def _block_text(table, block):
+    # the items of a block of rows of a float array, comma-joined; rows come from a
+    # generator, so that their list is gone before the decode copies the block's text
+    items = table[block].tolist() if block.ndim == 1 else (_array_rows(table, r) for r in block)
+    return b",".join(items).decode("ascii")
+
+
+def _float_array(a, put):
+    """Put a float array's text, each distinct value formatted once, a block of rows at a time."""
+    table, index = _text_table(a)
+    put("[")
+    for x0, x1 in _row_blocks(len(index), max(1, math.prod(a.shape[1:]))):
+        if x0:
+            put(",")
+        put(_block_text(table, index[x0:x1]))
+    put("]")
+
+
+def _encode(obj, put):
+    # one path for every value, its text handed to put piece by piece; floats lead,
+    # as they fill the decay tables
     if isinstance(obj, (float, np.floating)):
-        return _float_text(float(obj))
-    if obj is None or isinstance(obj, (bool, str)):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f":
-        return _float_array_text(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ",".join(map(_encode, seq)) + "]"
-    if isinstance(obj, dict):
+        put(_float_text(float(obj)))
+    elif obj is None or isinstance(obj, (bool, str)):
+        put(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        put(str(int(obj)))
+    elif isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f":
+        _float_array(obj, put)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        put("[")
+        for k, item in enumerate(obj.tolist() if isinstance(obj, np.ndarray) else obj):
+            if k:
+                put(",")
+            _encode(item, put)
+        put("]")
+    elif isinstance(obj, dict):
         keys = sorted(obj)
         if not all(isinstance(k, str) for k in keys):
             raise TypeError("canonical JSON keys must be strings")
-        return "{" + ",".join(json.dumps(k) + ":" + _encode(obj[k]) for k in keys) + "}"
-    raise TypeError("cannot serialize %r canonically" % type(obj))
+        put("{")
+        for k, key in enumerate(keys):
+            put(("," if k else "") + json.dumps(key) + ":")
+            _encode(obj[key], put)
+        put("}")
+    else:
+        raise TypeError("cannot serialize %r canonically" % type(obj))
 
 
 def dumps_canonical(obj):
     """Deterministic JSON text for a report-like object."""
-    return _encode(obj)
+    parts = []
+    _encode(obj, parts.append)
+    return "".join(parts)
 
 
 def strip_timing(report):

@@ -391,6 +391,8 @@ def interference_at(sys, senders, target):
     Node-space systems under uniform power only; senders and target
     are node indices, not links, and no sender may repeat. The sum is
     P / f(y, target) over the senders y. Empty sender sets contribute 0.
+    A received power past the float range, one term's or the sum's,
+    reads inf, its float value, as in compute_phi.
     """
     if sys.space.mode != NODE_SPACE:
         raise ValueError("interference_at needs a node-space system")
@@ -401,6 +403,5 @@ def interference_at(sys, senders, target):
     if target in senders:
         raise ValueError("target cannot be one of the senders")
     col = sys.space.f[senders, target]
-    with np.errstate(divide="ignore"):
-        terms = sys.power.value / col
-    return float(terms.sum())
+    with np.errstate(divide="ignore", over="ignore"):
+        return float((sys.power.value / col).sum())

@@ -631,7 +631,9 @@ def zeta_upper_bound(space):
     """lg of the spread between extreme off-diagonal decays.
 
     The metricity exponent never exceeds this value. Returns inf when
-    some off-diagonal decay is zero (link-gain mode).
+    some off-diagonal decay is zero (link-gain mode). A spread past the
+    float range, as from a subnormal decay, still has a finite lg: it is
+    taken from the mantissas and exponents of the two extremes.
     """
     if space.n < 2:
         raise ValueError("need at least one off-diagonal entry")
@@ -640,7 +642,12 @@ def zeta_upper_bound(space):
     bot = float(vals.min())
     if bot == 0:
         return float("inf")
-    return float(np.log2(top / bot))
+    spread = top / bot
+    if spread == np.inf:
+        # lg of the mantissas' quotient plus the exponents' gap
+        (mt, et), (mb, eb) = np.frexp(top), np.frexp(bot)
+        return float(np.log2(mt / mb)) + float(et - eb)
+    return float(np.log2(spread))
 
 
 class QuasiMetric(DecaySpace):

@@ -1,14 +1,17 @@
 """File formats and the canonical JSON used for deterministic reports."""
 
+import errno
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import io_reference as ref
+import decayspace.io as dio
 from decayspace import (
     DecaySpace,
     LinkSystem,
@@ -20,6 +23,7 @@ from decayspace import (
     load_space,
     load_system,
     random_link_system,
+    random_points,
     save_space,
     save_system,
     space_from_dict,
@@ -28,6 +32,7 @@ from decayspace import (
     system_from_dict,
     system_to_dict,
 )
+from decayspace.cli import main
 
 
 def small_space():
@@ -239,6 +244,57 @@ def test_saved_system_bytes_match_the_reference(tmp_path):
         path = tmp_path / "system.json"
         save_system(sys, str(path))
         assert path.read_text() == ref.dumps_canonical(system_to_dict(sys)) + "\n"
+
+
+def test_saved_tables_of_several_row_blocks_match_the_reference(tmp_path):
+    # 600 rows of 600 entries span two row blocks, and so does a flat array of 300000
+    rng = np.random.default_rng(6)
+    symmetric = gen_euclidean(random_points(600, 6), 3.0)
+    skew = rng.uniform(0.5, 2.0, size=(600, 600))
+    np.fill_diagonal(skew, 0.0)
+    asymmetric = DecaySpace(skew)
+    path = tmp_path / "table.json"
+    for sp in (symmetric, asymmetric):
+        save_space(sp, str(path))
+        assert path.read_text() == ref.dumps_canonical(space_to_dict(sp)) + "\n"
+    # few distinct values, both zeros and both infinities, in a table and a flat array
+    pool = np.array([-0.0, 0.0, math.inf, -math.inf, 0.1, 1.0 / 3.0, 5e-324])
+    doc = {"f": rng.choice(pool, size=(640, 640)), "v": rng.choice(pool, size=300000)}
+    dio._write_doc(doc, str(path))
+    assert path.read_text() == ref.dumps_canonical(doc) + "\n"
+
+
+def test_saving_a_space_peaks_below_eight_times_its_table(tmp_path):
+    sp = gen_euclidean(random_points(400, 1), 3.0)
+    tracemalloc.start()
+    try:
+        save_space(sp, str(tmp_path / "space.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * sp.f.nbytes
+
+
+def test_a_write_that_fails_part_way_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the disk fills after the first row block of a 600-node table
+    block_text, calls = dio._block_text, []
+
+    def full_after_one_block(table, block):
+        calls.append(len(block))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return block_text(table, block)
+
+    monkeypatch.setattr(dio, "_block_text", full_after_one_block)
+    path = tmp_path / "space.json"
+    with pytest.raises(OSError, match="No space left"):
+        save_space(gen_euclidean(random_points(600, 2), 3.0), str(path))
+    assert len(calls) == 2 and not path.exists()
+    calls.clear()
+    code = main(["generate", "--family", "euclidean", "--params", '{"n": 600, "alpha": 3}',
+                 "--seed", "1", "--out", str(path)])
+    assert code == 2 and len(calls) == 2 and not path.exists()
+    assert "No space left" in capsys.readouterr().err
 
 
 # documents that json.loads gives back equal: no NaN, no infinity and no -0.0

@@ -338,6 +338,17 @@ def test_interference_is_additive_over_senders(seed, mask, target):
     )
 
 
+def test_interference_past_the_float_range_reads_inf():
+    # one term past the float range (a subnormal decay), then two finite terms summing past it
+    sp = DecaySpace(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [5e-324, 1.0, 0.0]]))
+    assert interference_at(LinkSystem(sp, links=[(0, 1)]), [2], 0) == math.inf
+    f = np.ones((4, 4)) - np.eye(4)
+    f[2, 0] = f[3, 0] = 1e-8
+    loud = LinkSystem(DecaySpace(f), links=[(0, 1)], power=PowerAssignment.uniform(1e300))
+    assert interference_at(loud, [2], 0) == 1e308
+    assert interference_at(loud, [2, 3], 0) == math.inf
+
+
 def test_interference_at_rejects_bad_calls():
     star = gen_star(4, 1.0)
     sys_ = LinkSystem(star, links=[(0, 1)], params=SinrParams())

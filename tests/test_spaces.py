@@ -341,6 +341,14 @@ def test_zeta_upper_bound():
         zeta_upper_bound(DecaySpace(np.zeros((1, 1))))
 
 
+def test_zeta_upper_bound_past_the_float_range():
+    # the spread 2**1074 overflows a float, its lg does not
+    sp = DecaySpace(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 5e-324, 0.0]]))
+    assert zeta_upper_bound(sp) == 1074.0
+    assert analyze_metricity(sp).zeta0 == 1074.0
+    assert zeta_upper_bound(sym3(2.0 ** -1000, 1.0, 2.0 ** 100)) == 1100.0
+
+
 def test_analyze_metricity_bundles_components():
     sp = sym3(1.0, 4.0, 8.0)
     rep = analyze_metricity(sp)
